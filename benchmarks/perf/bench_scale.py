@@ -9,7 +9,9 @@ Drives the :mod:`repro.experiments.scale` cells through the same
 * the aggregate critical-path stage table for the timed window, with
   the bounding stage named (where does the time go as the fabric
   grows), and
-* wall-clock and events-processed, for the host-side cost trajectory.
+* wall-clock and events-processed, for the host-side cost trajectory,
+  with ``build_s`` — cell start to the first ``Environment.run`` (the
+  cluster build) — split out of ``wall_s``.
 
 The full sweep (the committed ``BENCH_scale.json``) covers 16/64/256/
 1024 ranks on ``single_switch`` and ``fat_tree``; barrier everywhere,
@@ -21,10 +23,12 @@ wall time without changing the story).  ``--smoke`` restricts to the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import time
 
 from repro.experiments.runner import run_cell
+from repro.sim import Environment
 
 from benchmarks.perf.common import write_bench
 
@@ -54,12 +58,33 @@ def _points(smoke: bool) -> list[tuple[str, str, int, str]]:
     return points
 
 
+@contextlib.contextmanager
+def _first_run_stamp():
+    """Yield a list that receives the host time of the first
+    ``Environment.run`` entry inside the block."""
+    stamps: list[float] = []
+    original = Environment.run
+
+    def run(env, until=None):
+        if not stamps:
+            stamps.append(time.perf_counter())
+        return original(env, until)
+
+    Environment.run = run
+    try:
+        yield stamps
+    finally:
+        Environment.run = original
+
+
 def _time_point(op: str, topology: str, ranks: int, policy: str) -> dict:
     gc.collect()
-    wall = time.perf_counter()
-    payload = run_cell("scale.point", n_ranks=ranks, topology=topology,
-                       collectives=policy, op=op)
-    wall = time.perf_counter() - wall
+    with _first_run_stamp() as first_run:
+        start = time.perf_counter()
+        payload = run_cell("scale.point", n_ranks=ranks, topology=topology,
+                           collectives=policy, op=op)
+        end = time.perf_counter()
+    build = (first_run[0] if first_run else end) - start
     return {
         "name": f"{op}/{topology}/{ranks}/{policy}",
         "op": op, "topology": topology, "n_ranks": ranks,
@@ -69,7 +94,8 @@ def _time_point(op: str, topology: str, ranks: int, policy: str) -> dict:
         "stage_table": [[stage, round(us, 3)] for stage, us
                         in payload["stage_table"][:STAGE_TABLE_ROWS]],
         "events": payload["events"],
-        "wall_s": round(wall, 6),
+        "build_s": round(build, 6),
+        "wall_s": round(end - start, 6),
     }
 
 
@@ -78,6 +104,7 @@ def run(out_path="BENCH_scale.json", smoke: bool = False) -> dict:
     return write_bench(
         out_path, "scale",
         units={"latency_us": "simulated us", "wall_s": "seconds",
+               "build_s": "seconds",
                "events": "count", "stage_table": "simulated us"},
         results=results, seed=SEED,
         extra={"smoke": smoke})
@@ -96,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     for r in doc["results"]:
         print(f"{r['name']:36s} {r['latency_us']:9.2f} us "
               f"(bound: {r['bounding_stage']}, "
-              f"wall {r['wall_s']:.1f} s)")
+              f"build {r['build_s']:.2f} s, wall {r['wall_s']:.1f} s)")
     return 0
 
 

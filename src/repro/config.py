@@ -155,7 +155,7 @@ class CostModel:
     #: seed mixed into the deterministic ECMP hash that picks among
     #: equal-cost fat-tree uplinks; same seed => same routes, always
     ecmp_seed: int = 1
-    #: validate every precomputed source route against switch radix and
+    #: validate every source-route piece against switch radix and
     #: physical connectivity at build_network time (fail fast instead of
     #: silently dropping packets at forwarding time)
     strict_routes: bool = True

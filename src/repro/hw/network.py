@@ -1,11 +1,23 @@
-"""Topology construction and source-route computation.
+"""Topology construction and source routes composed from route pieces.
 
 DAWNING-3000's system area network is either Myrinet (8-port switches)
 or the custom nwrc 2-D mesh; both are source-routed cut-through
 fabrics.  :func:`build_network` assembles NIC-facing link endpoints,
-switches and inter-switch links for several topologies and precomputes
-the source route (sequence of switch output ports) for every ordered
-node pair, using :mod:`networkx` shortest paths over the fabric graph.
+switches and inter-switch links for several topologies.
+
+Routes are not stored per node pair.  Each builder registers two kinds
+of route *piece*:
+
+* for every switch a host attaches to, its **up-prefixes**: the port
+  sequences to the *pivot* switches it may turn at, grouped into tiers
+  of equal-cost (ECMP) candidates, nearest tier first;
+* for every pivot, the **down path** that delivers to each host it
+  serves.
+
+:meth:`Network.route` takes the nearest tier whose pivots serve the
+destination, picks one candidate with the seeded ECMP hash, and joins
+its up-prefix to the pivot's down path, memoizing the routes actually
+used.  The pieces number O(switches x hosts), not O(hosts^2).
 
 Topologies:
 
@@ -21,10 +33,11 @@ Topologies:
   among the equal-cost uplinks.  The scale-out fabric: thousand-rank
   clusters at 16-port radix.
 
-Every route is validated against switch radix and physical
-connectivity at build time (``cfg.strict_routes``), so a topology
-builder emitting an out-of-radix or dead port fails fast instead of
-silently dropping packets at forwarding time.
+Every piece is validated against switch radix and physical
+connectivity at build time (``cfg.strict_routes``), together with the
+coverage of every tier, which proves every composed route valid for any
+ECMP seed.  A topology builder emitting an out-of-radix or dead port
+fails fast instead of silently dropping packets at forwarding time.
 """
 
 from __future__ import annotations
@@ -33,8 +46,6 @@ import math
 import struct
 import zlib
 from typing import Callable, Optional
-
-import networkx as nx
 
 from repro.config import CostModel
 from repro.firmware.packet import Packet
@@ -45,10 +56,12 @@ from repro.sim import Environment
 __all__ = ["Network", "build_network"]
 
 FaultInjector = Callable[[Packet], Optional[Packet]]
+#: equal-cost candidates of one tier: (pivot switch, up-prefix ports)
+Tier = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 class Network:
-    """A built fabric: per-node attach endpoints plus a route table."""
+    """A built fabric: per-node attach endpoints plus route pieces."""
 
     def __init__(self, env: Environment, cfg: CostModel, n_nodes: int,
                  topology: str):
@@ -60,8 +73,12 @@ class Network:
         self.links: list[Link] = []
         #: endpoint the node's NIC transmits/receives on, per node id
         self.nic_endpoints: dict[int, LinkEndpoint] = {}
-        self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.graph = nx.Graph()
+        #: host-facing switch -> its ECMP tiers of pivots, nearest first
+        self._up: dict[str, list[Tier]] = {}
+        #: pivot switch -> node id -> down-path ports to that node
+        self._down: dict[str, dict[int, tuple[int, ...]]] = {}
+        #: composed routes of the (src, dst) pairs used so far
+        self._memo: dict[tuple[int, int], tuple[int, ...]] = {}
         #: physical wiring: (switch name, port) -> ("sw", name) | ("host", n)
         self.port_map: dict[tuple[str, int], tuple] = {}
         #: node id -> (switch name, port) its NIC link lands on
@@ -88,12 +105,28 @@ class Network:
 
     def route(self, src: int, dst: int) -> tuple[int, ...]:
         """Source route (switch output ports) from node src to node dst."""
+        route = self._memo.get((src, dst))
+        if route is None:
+            route = self._memo[(src, dst)] = self._compose(src, dst)
+        return route
+
+    def _compose(self, src: int, dst: int) -> tuple[int, ...]:
+        """Up-prefix to the ECMP-picked pivot of the nearest tier serving
+        ``dst``, then that pivot's down path."""
         if src == dst:
-            raise ValueError(f"no network route from node {src} to itself")
-        try:
-            return self._routes[(src, dst)]
-        except KeyError:
-            raise ValueError(f"no route from node {src} to node {dst}") from None
+            raise ValueError(f"no route from node {src} to itself")
+        here = self.host_attach.get(src)
+        if here is not None and dst in self.host_attach:
+            for tier in self._up.get(here[0], ()):
+                if dst in self._down[tier[0][0]]:
+                    pick = (_ecmp_pick(src, dst, self.cfg.ecmp_seed,
+                                       len(tier)) if len(tier) > 1 else 0)
+                    pivot, prefix = tier[pick]
+                    down = self._down[pivot].get(dst)
+                    if down is not None:
+                        return prefix + down
+                    break
+        raise ValueError(f"no route from node {src} to node {dst}")
 
     def hops(self, src: int, dst: int) -> int:
         """Number of switches on the path."""
@@ -103,52 +136,98 @@ class Network:
         """The (switch name, output port) sequence a packet traverses.
 
         Raises :class:`ValueError` if the route leaves the wired fabric
-        at any hop or does not terminate at ``dst``'s host port — the
-        strict-mode check behind :meth:`validate_routes`.
+        at any hop or does not terminate at ``dst``'s host port.
         """
         route = self.route(src, dst)
-        here = self.host_attach.get(src)
-        if here is None:
-            raise ValueError(f"node {src} is not attached to the fabric")
-        sw_name = here[0]
+        steps, _ = self._walk(f"route {src}->{dst}",
+                              self.host_attach[src][0], route, dst)
+        return steps
+
+    def _walk(self, label: str, sw_name: str, ports: tuple[int, ...],
+              dst: Optional[int] = None
+              ) -> tuple[list[tuple[str, int]], Optional[str]]:
+        """Follow ``ports`` from switch ``sw_name`` through the wiring.
+
+        With ``dst`` the last port must eject at node ``dst``'s host
+        port; without it (an up-prefix) the walk must stay on switches.
+        Returns the ``(switch, port)`` steps and the switch the walk
+        ends at (``None`` once it ejected).
+        """
         steps: list[tuple[str, int]] = []
-        for hop, port in enumerate(route):
+        for hop, port in enumerate(ports):
             sw = self._switch_by_name[sw_name]
             if not 0 <= port < sw.n_ports:
                 raise ValueError(
-                    f"route {src}->{dst} hop {hop}: port {port} is outside "
+                    f"{label} hop {hop}: port {port} is outside "
                     f"{sw_name}'s radix {sw.n_ports}")
             target = self.port_map.get((sw_name, port))
             if target is None:
                 raise ValueError(
-                    f"route {src}->{dst} hop {hop}: {sw_name} port {port} "
-                    f"is not wired")
+                    f"{label} hop {hop}: {sw_name} port {port} is not wired")
             steps.append((sw_name, port))
             if target[0] == "host":
-                if hop != len(route) - 1 or target[1] != dst:
+                if dst is None or hop != len(ports) - 1 or target[1] != dst:
                     raise ValueError(
-                        f"route {src}->{dst} hop {hop}: ejects at host "
-                        f"{target[1]} with {len(route) - 1 - hop} port(s) "
-                        f"left")
-                return steps
+                        f"{label} hop {hop}: ejects at host {target[1]} "
+                        f"with {len(ports) - 1 - hop} port(s) left")
+                return steps, None
             sw_name = target[1]
-        raise ValueError(
-            f"route {src}->{dst} ends at switch {sw_name}, not at node "
-            f"{dst}'s host port")
+        if dst is not None:
+            raise ValueError(
+                f"{label} ends at switch {sw_name}, not at node {dst}'s "
+                f"host port")
+        return steps, sw_name
 
     def validate_routes(self) -> None:
-        """Walk every precomputed route through the wired fabric.
+        """Walk every route piece once through the wired fabric.
 
-        Checks, for each ordered ``(src, dst)`` pair: every port index
-        is within the radix of the switch it is consumed at, every hop
-        lands on a physically connected link, and the final hop ejects
-        at ``dst``'s host port.  Raises :class:`ValueError` naming the
-        first offending route — topology-builder bugs fail at
+        Checks that every port index is within the radix of the switch
+        it is consumed at and every hop lands on a wired link; that each
+        up-prefix ends at its pivot and each down path ejects at its
+        node's host port.  Then checks coverage: every host-facing
+        switch reaches every node through some tier, and every ECMP
+        candidate of that tier holds a down path to it.  A route is one
+        candidate's prefix plus its down path, so this proves every
+        route valid for any ``ecmp_seed``.  Raises :class:`ValueError`
+        naming the first offending piece — topology-builder bugs fail at
         :func:`build_network` time instead of as silent
         ``Switch.route_errors`` drops.
         """
-        for src, dst in self._routes:
-            self.walk_route(src, dst)
+        for pivot, down in self._down.items():
+            for dst, ports in down.items():
+                self._walk(f"down path {pivot}->{dst}", pivot, ports, dst)
+        served_by: dict[Tier, set[int]] = {}
+        for sw_name, tiers in self._up.items():
+            reached: set[int] = set()
+            for tier in tiers:
+                for pivot, prefix in tier:
+                    _, end = self._walk(f"up-prefix {sw_name}->{pivot}",
+                                        sw_name, prefix)
+                    if end != pivot:
+                        raise ValueError(
+                            f"up-prefix {sw_name}->{pivot} ends at switch "
+                            f"{end}, not at its pivot")
+                if tier not in served_by:
+                    served_by[tier] = self._tier_serves(tier)
+                reached.update(served_by[tier])
+            unreached = self.host_attach.keys() - reached
+            if unreached:
+                raise ValueError(
+                    f"topology {self.topology!r} leaves node "
+                    f"{min(unreached)} unreachable from switch {sw_name}")
+
+    def _tier_serves(self, tier: Tier) -> set[int]:
+        """Nodes the tier routes to (its first pivot's), once every
+        other candidate is checked to serve them too."""
+        first = tier[0][0]
+        served = set(self._down.get(first, ()))
+        for pivot, _ in tier[1:]:
+            missing = served.difference(self._down.get(pivot, ()))
+            if missing:
+                raise ValueError(
+                    f"ECMP pivot {pivot} has no down path to node "
+                    f"{min(missing)}, which {first} serves")
+        return served
 
     # -- construction helpers (used by build_network) -------------------
     def _add_link(self, name: str,
@@ -163,30 +242,6 @@ class Network:
         self._switch_by_name[name] = sw
         self.switch_level[name] = level
         return sw
-
-    def _compute_routes_from_graph(
-            self, port_of: dict[tuple[str, int], dict[tuple[str, int], int]]
-    ) -> None:
-        """Fill the route table from ``self.graph`` shortest paths.
-
-        ``port_of[switch_vertex][neighbor_vertex]`` is the switch port
-        facing that neighbor.
-        """
-        for src in range(self.n_nodes):
-            paths = nx.single_source_shortest_path(self.graph, ("host", src))
-            for dst in range(self.n_nodes):
-                if dst == src:
-                    continue
-                path = paths.get(("host", dst))
-                if path is None:
-                    raise ValueError(
-                        f"topology {self.topology!r} leaves node {dst} "
-                        f"unreachable from node {src}")
-                ports = []
-                for i in range(1, len(path) - 1):
-                    vertex = path[i]
-                    ports.append(port_of[vertex][path[i + 1]])
-                self._routes[(src, dst)] = tuple(ports)
 
 
 def build_network(env: Environment, cfg: CostModel, n_nodes: int,
@@ -218,24 +273,24 @@ def build_network(env: Environment, cfg: CostModel, n_nodes: int,
 
 def _host_link(net: Network, node: int, sw: Switch, port: int,
                fault_injector: Optional[FaultInjector]) -> None:
+    """Cable ``node`` to ``sw``'s ``port``; the switch becomes a route
+    source whose nearest tier is itself, the pivot ejecting at ``port``."""
     link = net._add_link(f"link.h{node}-{sw.name}p{port}", fault_injector)
     net.nic_endpoints[node] = link.a
     sw.connect(port, link.b)
-    net.graph.add_edge(("host", node), ("sw", sw.name))
     net.port_map[(sw.name, port)] = ("host", node)
     net.host_attach[node] = (sw.name, port)
+    if sw.name not in net._up:
+        net._up[sw.name] = [((sw.name, ()),)]
+    net._down.setdefault(sw.name, {})[node] = (port,)
 
 
 def _switch_link(net: Network, sw_a: Switch, port_a: int, sw_b: Switch,
-                 port_b: int, fault_injector: Optional[FaultInjector],
-                 port_of: dict) -> None:
+                 port_b: int, fault_injector: Optional[FaultInjector]) -> None:
     link = net._add_link(f"link.{sw_a.name}p{port_a}-{sw_b.name}p{port_b}",
                          fault_injector)
     sw_a.connect(port_a, link.a)
     sw_b.connect(port_b, link.b)
-    net.graph.add_edge(("sw", sw_a.name), ("sw", sw_b.name))
-    port_of[("sw", sw_a.name)][("sw", sw_b.name)] = port_a
-    port_of[("sw", sw_b.name)][("sw", sw_a.name)] = port_b
     net.port_map[(sw_a.name, port_a)] = ("sw", sw_b.name)
     net.port_map[(sw_b.name, port_b)] = ("sw", sw_a.name)
 
@@ -244,52 +299,51 @@ def _build_single_switch(net: Network,
                          fault_injector: Optional[FaultInjector]) -> None:
     n = net.n_nodes
     sw = net._add_switch("sw0", n_ports=max(2, n))
-    port_of: dict = {("sw", "sw0"): {}}
     for node in range(n):
         _host_link(net, node, sw, node, fault_injector)
-        port_of[("sw", "sw0")][("host", node)] = node
-    net._compute_routes_from_graph(port_of)
 
 
 def _build_switch_tree(net: Network,
                        fault_injector: Optional[FaultInjector]) -> None:
     """8-port leaves (7 hosts + uplink on port 7) under one root.
 
-    With a single leaf (``n_nodes <= 7``) the root and its uplink would
-    carry no routes — a dead switch polluting ``switches``/``links``
-    (and every per-switch telemetry callback), so the degenerate tree
-    collapses to just the leaf crossbar.
+    A leaf routes to its own hosts directly and to every other host by
+    turning at the root.  With a single leaf (``n_nodes <= 7``) the root
+    and its uplink would carry no routes — a dead switch polluting
+    ``switches``/``links`` (and every per-switch telemetry callback), so
+    the degenerate tree collapses to just the leaf crossbar.
     """
     n = net.n_nodes
     hosts_per_leaf = 7
     n_leaves = max(1, math.ceil(n / hosts_per_leaf))
-    port_of: dict = {}
     root = None
     if n_leaves > 1:
         root = net._add_switch("root", n_ports=max(2, n_leaves), level=1)
-        port_of[("sw", "root")] = {}
+        net._down[root.name] = {}
     for leaf_idx in range(n_leaves):
         leaf = net._add_switch(f"leaf{leaf_idx}", n_ports=8)
-        port_of[("sw", leaf.name)] = {}
         if root is not None:
             _switch_link(net, leaf, hosts_per_leaf, root, leaf_idx,
-                         fault_injector, port_of)
+                         fault_injector)
         for local in range(hosts_per_leaf):
             node = leaf_idx * hosts_per_leaf + local
             if node >= n:
                 break
             _host_link(net, node, leaf, local, fault_injector)
-            port_of[("sw", leaf.name)][("host", node)] = local
-    net._compute_routes_from_graph(port_of)
+            if root is not None:
+                net._down[root.name][node] = (leaf_idx, local)
+        if root is not None:
+            net._up[leaf.name].append(((root.name, (hosts_per_leaf,)),))
 
 
 def _build_mesh2d(net: Network,
                   fault_injector: Optional[FaultInjector]) -> None:
     """Square-ish 2-D mesh of 5-port routers (ports: 0=N 1=S 2=E 3=W 4=host).
 
-    Routes use XY dimension-order routing, computed here directly (it is
-    also the shortest path on the grid, but DOR fixes *which* shortest
-    path, as the nwrc1032 wormhole chip does, so we bypass networkx).
+    Routes use XY dimension-order routing, as the nwrc1032 wormhole chip
+    does: X along the source's row to the destination's column, then Y.
+    The pivot is the turn router; each router's down paths cover the
+    hosts in its column.
     """
     n = net.n_nodes
     cols = max(1, math.ceil(math.sqrt(n)))
@@ -299,36 +353,29 @@ def _build_mesh2d(net: Network,
     for r in range(rows):
         for c in range(cols):
             routers[(r, c)] = net._add_switch(f"mesh{r}_{c}", n_ports=5)
-    port_of: dict = {("sw", sw.name): {} for sw in routers.values()}
     for (r, c), sw in routers.items():
         if c + 1 < cols:
             _switch_link(net, sw, E_, routers[(r, c + 1)], W_,
-                         fault_injector, port_of)
+                         fault_injector)
         if r + 1 < rows:
             _switch_link(net, sw, S_, routers[(r + 1, c)], N_,
-                         fault_injector, port_of)
-    coords: dict[int, tuple[int, int]] = {}
+                         fault_injector)
     for node in range(n):
+        _host_link(net, node, routers[divmod(node, cols)], H_,
+                   fault_injector)
+
+    def steps(a: int, b: int, forward: int, back: int) -> tuple[int, ...]:
+        return (forward,) * (b - a) if b >= a else (back,) * (a - b)
+
+    for (r, c), sw in routers.items():       # Y down each column
+        down = net._down.setdefault(sw.name, {})
+        for node in range(c, n, cols):
+            down[node] = steps(r, node // cols, S_, N_) + (H_,)
+    for node in range(n):                     # X along the source's row
         r, c = divmod(node, cols)
-        coords[node] = (r, c)
-        _host_link(net, node, routers[(r, c)], H_, fault_injector)
-        port_of[("sw", routers[(r, c)].name)][("host", node)] = H_
-    for src in range(n):
-        for dst in range(n):
-            if src == dst:
-                continue
-            (r0, c0), (r1, c1) = coords[src], coords[dst]
-            ports: list[int] = []
-            c = c0
-            while c != c1:          # X first
-                ports.append(E_ if c1 > c else W_)
-                c += 1 if c1 > c else -1
-            r = r0
-            while r != r1:          # then Y
-                ports.append(S_ if r1 > r else N_)
-                r += 1 if r1 > r else -1
-            ports.append(H_)        # eject to the host port
-            net._routes[(src, dst)] = tuple(ports)
+        net._up[routers[(r, c)].name].extend(
+            ((routers[(r, c1)].name, steps(c, c1, E_, W_)),)
+            for c1 in range(cols) if c1 != c)
 
 
 def _fat_tree_k(n: int, override: int) -> int:
@@ -374,7 +421,8 @@ def _build_fat_tree(net: Network,
     when a single pod holds every host — the same dead-switch collapse
     the switch_tree builder applies.  Routes go up to a deterministic
     ECMP-chosen common ancestor, then down: the up*/down* structure is
-    what makes fat-tree source routing deadlock-free.
+    what makes fat-tree source routing deadlock-free.  An edge's tiers
+    are itself, its pod's ``k/2`` aggs, then the ``(k/2)^2`` cores.
     """
     n = net.n_nodes
     cfg = net.cfg
@@ -389,7 +437,6 @@ def _build_fat_tree(net: Network,
         edge, port = divmod(m, half)
         return pod, edge, port
 
-    port_of: dict = {}
     edges: dict[tuple[int, int], Switch] = {}
     aggs: dict[tuple[int, int], Switch] = {}
     cores: dict[tuple[int, int], Switch] = {}
@@ -400,53 +447,55 @@ def _build_fat_tree(net: Network,
 
     for p in range(n_pods):
         for e in range(edges_in_pod[p]):
-            sw = net._add_switch(f"ft.p{p}.e{e}", n_ports=k, level=0)
-            edges[(p, e)] = sw
-            port_of[("sw", sw.name)] = {}
+            edges[(p, e)] = net._add_switch(f"ft.p{p}.e{e}", n_ports=k,
+                                            level=0)
         if multi_edge:
             for i in range(half):
-                sw = net._add_switch(f"ft.p{p}.a{i}", n_ports=k, level=1)
-                aggs[(p, i)] = sw
-                port_of[("sw", sw.name)] = {}
+                aggs[(p, i)] = net._add_switch(f"ft.p{p}.a{i}", n_ports=k,
+                                               level=1)
     if n_pods > 1:
         for i in range(half):
             for j in range(half):
-                sw = net._add_switch(f"ft.c{i}_{j}", n_ports=k, level=2)
-                cores[(i, j)] = sw
-                port_of[("sw", sw.name)] = {}
+                cores[(i, j)] = net._add_switch(f"ft.c{i}_{j}", n_ports=k,
+                                                level=2)
 
     # Wire: edge e's up port half+i <-> agg i's down port e.
     for (p, e), edge_sw in edges.items():
         for i in range(half):
             if (p, i) in aggs:
                 _switch_link(net, edge_sw, half + i, aggs[(p, i)], e,
-                             fault_injector, port_of)
+                             fault_injector)
     # Wire: agg (p, i)'s up port half+j <-> core (i, j)'s port p.
     for (p, i), agg_sw in aggs.items():
         for j in range(half):
             if (i, j) in cores:
                 _switch_link(net, agg_sw, half + j, cores[(i, j)], p,
-                             fault_injector, port_of)
+                             fault_injector)
     for node in range(n):
         pod, e, h = host_coords(node)
         _host_link(net, node, edges[(pod, e)], h, fault_injector)
-        port_of[("sw", edges[(pod, e)].name)][("host", node)] = h
 
-    # Source routes: up to the ECMP-chosen common ancestor, then down.
-    seed = cfg.ecmp_seed
-    for src in range(n):
-        s_pod, s_edge, _ = host_coords(src)
-        for dst in range(n):
-            if dst == src:
-                continue
-            d_pod, d_edge, d_port = host_coords(dst)
-            if (s_pod, s_edge) == (d_pod, d_edge):
-                route = (d_port,)
-            elif s_pod == d_pod:
-                a = _ecmp_pick(src, dst, seed, half)
-                route = (half + a, d_edge, d_port)
-            else:
-                choice = _ecmp_pick(src, dst, seed, half * half)
-                a, j = divmod(choice, half)
-                route = (half + a, half + j, d_pod, d_edge, d_port)
-            net._routes[(src, dst)] = route
+    # Down paths: every agg of a pod (every core) reaches a host over
+    # the same ports, so the pivots of one tier share one table.
+    pod_down: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n_pods)]
+    core_down: dict[int, tuple[int, ...]] = {}
+    for node in range(n):
+        pod, e, h = host_coords(node)
+        pod_down[pod][node] = (e, h)
+        core_down[node] = (pod, e, h)
+    for (p, _), agg_sw in aggs.items():
+        net._down[agg_sw.name] = pod_down[p]
+    for core_sw in cores.values():
+        net._down[core_sw.name] = core_down
+
+    # Up tiers, in the order _ecmp_pick indexes them: agg a, core (a, j).
+    core_tier = tuple((cores[(a, j)].name, (half + a, half + j))
+                      for a in range(half) for j in range(half)
+                      if (a, j) in cores)
+    for (p, _), edge_sw in edges.items():
+        if multi_edge:
+            net._up[edge_sw.name].append(
+                tuple((aggs[(p, a)].name, (half + a,))
+                      for a in range(half)))
+        if core_tier:
+            net._up[edge_sw.name].append(core_tier)

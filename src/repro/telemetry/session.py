@@ -75,7 +75,7 @@ class TelemetrySession:
         if record.duration_ns > 0:
             self.registry.counter(
                 "repro_stage_ns_total",
-                "wall nanoseconds attributed to each canonical stage",
+                "simulated busy nanoseconds summed per canonical stage",
                 stage=canonical_stage(record)).inc(record.duration_ns)
         if record.category == "wire":
             self._wire_hist.observe(record.data.get("nbytes", 0))

@@ -74,3 +74,10 @@ def run_procs(cluster_or_env, *generators, until=None):
     else:
         env.run(env.all_of(procs))
     return [p.value for p in procs]
+
+
+def all_routes(net) -> dict[tuple[int, int], tuple[int, ...]]:
+    """``Network.route()`` for every ordered pair of distinct nodes."""
+    return {(src, dst): net.route(src, dst)
+            for src in range(net.n_nodes) for dst in range(net.n_nodes)
+            if src != dst}

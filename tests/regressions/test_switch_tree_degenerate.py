@@ -18,6 +18,8 @@ from repro.hw.network import build_network
 from repro.sim import Environment
 from repro.telemetry.metrics import MetricsRegistry
 
+from tests.conftest import all_routes
+
 
 def _net(n):
     return build_network(Environment(), DAWNING_3000, n,
@@ -30,7 +32,7 @@ def test_single_leaf_tree_has_no_root(n):
     assert [sw.name for sw in net.switches] == ["leaf0"]
     # Only host links — no uplink to a phantom root.
     assert len(net.links) == n
-    assert all(len(route) == 1 for route in net._routes.values())
+    assert all(len(route) == 1 for route in all_routes(net).values())
 
 
 def test_eight_hosts_bring_the_root_back():

@@ -11,7 +11,7 @@ from repro.firmware.packet import ChannelKind
 from repro.hw.network import _ecmp_pick, _fat_tree_k, build_network
 from repro.sim import Environment, Store
 
-from tests.conftest import run_procs
+from tests.conftest import all_routes, run_procs
 
 
 def _net(n, cfg=DAWNING_3000):
@@ -42,7 +42,7 @@ def test_full_fabric_structure():
     assert levels.count(2) == 4       # cores
     # 16 host links + 8*2 edge-agg + 8*2 agg-core
     assert len(net.links) == 48
-    assert len(net._routes) == 16 * 15
+    assert all(all_routes(net).values())     # every ordered pair routes
 
 
 def test_route_shapes_by_locality():
@@ -60,7 +60,7 @@ def test_single_pod_has_no_cores():
     net = _net(4)
     assert net.meta["n_pods"] == 1
     assert all(net.switch_level[s.name] < 2 for s in net.switches)
-    assert max(len(r) for r in net._routes.values()) == 3
+    assert max(len(r) for r in all_routes(net).values()) == 3
 
 
 def test_single_edge_has_no_aggs():
@@ -75,16 +75,16 @@ def test_single_edge_has_no_aggs():
 def test_ecmp_is_seed_deterministic():
     for args in ((0, 5, 1, 4), (3, 900, 7, 8)):
         assert _ecmp_pick(*args) == _ecmp_pick(*args)
-    routes_a = _net(16)._routes
-    routes_b = _net(16)._routes
+    routes_a = all_routes(_net(16))
+    routes_b = all_routes(_net(16))
     assert routes_a == routes_b
 
 
 def test_ecmp_seed_changes_path_selection():
-    base = _net(16)._routes
-    other = build_network(Environment(),
-                          DAWNING_3000.replace(ecmp_seed=2), 16,
-                          topology="fat_tree")._routes
+    base = all_routes(_net(16))
+    other = all_routes(build_network(Environment(),
+                                     DAWNING_3000.replace(ecmp_seed=2), 16,
+                                     topology="fat_tree"))
     assert base != other
     # ... but only among equal-cost choices: same hop counts throughout.
     assert {p: len(r) for p, r in base.items()} == \
