@@ -11,7 +11,8 @@ Drives the :mod:`repro.experiments.scale` cells through the same
   grows), and
 * wall-clock and events-processed, for the host-side cost trajectory,
   with ``build_s`` — cell start to the first ``Environment.run`` (the
-  cluster build) — split out of ``wall_s``.
+  cluster build) — split out of ``wall_s``, and ``gc_s`` — host seconds
+  inside cyclic garbage collections over the whole cell.
 
 The full sweep (the committed ``BENCH_scale.json``) covers 16/64/256/
 1024 ranks on ``single_switch`` and ``fat_tree``; barrier everywhere,
@@ -30,7 +31,7 @@ import time
 from repro.experiments.runner import run_cell
 from repro.sim import Environment
 
-from benchmarks.perf.common import write_bench
+from benchmarks.perf.common import GcTimer, write_bench
 
 SEED = 1
 
@@ -79,7 +80,7 @@ def _first_run_stamp():
 
 def _time_point(op: str, topology: str, ranks: int, policy: str) -> dict:
     gc.collect()
-    with _first_run_stamp() as first_run:
+    with _first_run_stamp() as first_run, GcTimer() as gc_time:
         start = time.perf_counter()
         payload = run_cell("scale.point", n_ranks=ranks, topology=topology,
                            collectives=policy, op=op)
@@ -96,6 +97,7 @@ def _time_point(op: str, topology: str, ranks: int, policy: str) -> dict:
         "events": payload["events"],
         "build_s": round(build, 6),
         "wall_s": round(end - start, 6),
+        "gc_s": round(gc_time.seconds, 6),
     }
 
 
@@ -104,7 +106,7 @@ def run(out_path="BENCH_scale.json", smoke: bool = False) -> dict:
     return write_bench(
         out_path, "scale",
         units={"latency_us": "simulated us", "wall_s": "seconds",
-               "build_s": "seconds",
+               "build_s": "seconds", "gc_s": "seconds",
                "events": "count", "stage_table": "simulated us"},
         results=results, seed=SEED,
         extra={"smoke": smoke})
@@ -123,7 +125,8 @@ def main(argv: list[str] | None = None) -> int:
     for r in doc["results"]:
         print(f"{r['name']:36s} {r['latency_us']:9.2f} us "
               f"(bound: {r['bounding_stage']}, "
-              f"build {r['build_s']:.2f} s, wall {r['wall_s']:.1f} s)")
+              f"build {r['build_s']:.2f} s, gc {r['gc_s']:.2f} s, "
+              f"wall {r['wall_s']:.1f} s)")
     return 0
 
 

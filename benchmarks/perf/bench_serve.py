@@ -8,7 +8,9 @@ and records, per ``(arrivals, rho)`` point:
   deterministic for a given seed, so the CI gate compares them against
   the committed baseline (goodput within tolerance, p99 not regressing
   at the pre-saturation point);
-* wall-clock and events-processed, for the host-side cost trajectory.
+* wall-clock and events-processed, for the host-side cost trajectory,
+  with ``gc_s`` — host seconds inside cyclic garbage collections over
+  the whole point.
 
 The full sweep runs both arrival processes over loads crossing
 saturation; ``--smoke`` keeps one pre-saturation and one overload
@@ -25,7 +27,7 @@ import time
 
 from repro.experiments.runner import run_cell
 
-from benchmarks.perf.common import write_bench
+from benchmarks.perf.common import GcTimer, write_bench
 
 SEED = 1
 
@@ -44,10 +46,11 @@ def _points(smoke: bool) -> list[tuple[str, float]]:
 
 def _time_point(arrivals: str, rho: float) -> dict:
     gc.collect()
-    wall = time.perf_counter()
-    payload = run_cell("serve.point", rho=rho, policy="round_robin",
-                       arrivals=arrivals)
-    wall = time.perf_counter() - wall
+    with GcTimer() as gc_time:
+        wall = time.perf_counter()
+        payload = run_cell("serve.point", rho=rho, policy="round_robin",
+                           arrivals=arrivals)
+        wall = time.perf_counter() - wall
     return {
         "name": f"{arrivals}/{rho}",
         "arrivals": arrivals, "rho": rho,
@@ -63,6 +66,7 @@ def _time_point(arrivals: str, rho: float) -> dict:
         "bounding_stage": payload["bounding_stage"],
         "events": payload["events"],
         "wall_s": round(wall, 6),
+        "gc_s": round(gc_time.seconds, 6),
     }
 
 
@@ -75,7 +79,7 @@ def run(out_path="BENCH_serve.json", smoke: bool = False) -> dict:
                "goodput_rps": "requests/second (simulated)",
                "p50_us": "simulated us", "p99_us": "simulated us",
                "p999_us": "simulated us", "events": "count",
-               "wall_s": "seconds"},
+               "wall_s": "seconds", "gc_s": "seconds"},
         results=results, seed=SEED,
         extra={"smoke": smoke,
                "requests_per_point":
@@ -95,7 +99,8 @@ def main(argv: list[str] | None = None) -> int:
     for r in doc["results"]:
         print(f"{r['name']:16s} goodput {r['goodput_rps']:10,.0f} rps  "
               f"p99 {r['p99_us']:9.1f} us  p99.9 {r['p999_us']:9.1f} us  "
-              f"shed {r['shed']:4d}  (wall {r['wall_s']:.1f} s)")
+              f"shed {r['shed']:4d}  (gc {r['gc_s']:.2f} s, "
+              f"wall {r['wall_s']:.1f} s)")
     return 0
 
 

@@ -18,6 +18,7 @@ gate allows 20 % of noise headroom).
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import subprocess
@@ -86,3 +87,30 @@ def write_bench(path: Path | str, suite: str, units: dict[str, str],
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc
+
+
+class GcTimer:
+    """Context manager: host seconds spent inside cyclic garbage
+    collections while it is active, timed with ``gc.callbacks``.
+
+    A profiler charges collection time to whichever function happened
+    to allocate when a collection started, so it is spread over every
+    layer; this timer shows it as one number.
+    """
+
+    def __init__(self):
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def _hook(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._started
+
+    def __enter__(self) -> "GcTimer":
+        gc.callbacks.append(self._hook)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._hook)

@@ -39,7 +39,11 @@ class IntranodeTransport:
     """Sender-side driver of the shared rings, one per BclLibrary."""
 
     def __init__(self, lib: "BclLibrary"):
-        self.lib = lib
+        # Keep only what the transport uses, not the library itself:
+        # a back-reference would make every library a reference cycle.
+        self.proc = lib.proc
+        self.kernel = lib.kernel
+        self.module = lib.module
         self.cfg = lib.cfg
         self.env = lib.env
         self._rings: dict[int, SharedRing] = {}  # dst_pid -> outbound ring
@@ -52,7 +56,7 @@ class IntranodeTransport:
 
     # ------------------------------------------------------------ sending
     def _target_port(self, dest: "BclAddress"):
-        node = self.lib.proc.node
+        node = self.proc.node
         state = node.nic.ports.get(dest.port) if node.nic else None
         if state is None:
             raise BclSecurityError(
@@ -67,17 +71,17 @@ class IntranodeTransport:
         """Outbound ring to a co-resident process (trap on first use)."""
         ring = self._rings.get(dst_pid)
         if ring is None:
-            proc = self.lib.proc
-            ring = yield from self.lib.kernel.syscall(
+            proc = self.proc
+            ring = yield from self.kernel.syscall(
                 proc, "bcl_shm_setup",
-                self.lib.module.create_shm_ring(proc, dst_pid))
+                self.module.create_shm_ring(proc, dst_pid))
             self._rings[dst_pid] = ring
         return ring
 
     def send(self, port: "BclPort", dest: "BclAddress", vaddr: int,
              nbytes: int, message_id: int, rma_offset: int = 0) -> Generator:
         """Stream one message through the shared ring (trap-free)."""
-        proc = self.lib.proc
+        proc = self.proc
         state, user_port = self._target_port(dest)
         ring = yield from self.ring_to(state.owner_pid)
         lock = self._ring_locks.setdefault(state.owner_pid,
@@ -130,7 +134,7 @@ class IntranodeTransport:
         None when the message had to be dropped (no pool buffer /
         unposted channel), mirroring the inter-node semantics.
         """
-        proc = self.lib.proc
+        proc = self.proc
         header: ShmEntry = (yield ring.entries.get())
         ring.check_sequence(header)
         if header.kind != "header":
