@@ -62,18 +62,24 @@ class _StageAggregator:
     """Tracer listener folding records into per-canonical-stage totals.
 
     Armed only for the timed window; keeps ``tracer.records`` trimmed
-    so a 5M-event run does not hold 5M record objects.
+    so a 5M-event run does not hold 5M record objects.  The stage group
+    depends only on a record's ``(stage, category)``, so it is looked
+    up once per pair.
     """
 
     def __init__(self, tracer):
         self.tracer = tracer
         self.armed = False
         self.totals_ns: dict[str, int] = {}
+        self._groups: dict[tuple[str, str], str] = {}
         tracer.add_listener(self._on_record)
 
     def _on_record(self, record) -> None:
         if self.armed:
-            group = canonical_stage(record)
+            key = (record.stage, record.category)
+            group = self._groups.get(key)
+            if group is None:
+                group = self._groups[key] = canonical_stage(record)
             self.totals_ns[group] = (self.totals_ns.get(group, 0)
                                      + record.duration_ns)
         if len(self.tracer.records) >= _TRIM_THRESHOLD:

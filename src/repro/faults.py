@@ -41,7 +41,7 @@ shows the fault alongside the go-back-N recovery).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
@@ -365,13 +365,13 @@ class FaultInjector:
         if plan.corrupt_rate and self.rng.random() < plan.corrupt_rate:
             self.corruptions += 1
             self._record("corrupt", packet)
-            return [(0, replace(packet, corrupted=True))]
+            return [(0, packet.copy(corrupted=True))]
         if plan.duplicate_rate and self.rng.random() < plan.duplicate_rate:
             self.duplicates += 1
             self._account_dup(packet)
             self._record("duplicate", packet)
             return [(0, packet), (us(plan.duplicate_delay_us),
-                                  replace(packet))]
+                                  packet.copy())]
         if plan.reorder_rate and self.rng.random() < plan.reorder_rate:
             self.reorders += 1
             self._record("reorder", packet)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 __all__ = ["PacketType", "Packet", "FlyweightPayload", "compute_crc",
@@ -159,14 +159,38 @@ class Packet:
             return not self.corrupted
         return (not self.corrupted) and compute_crc(self.payload) == self.crc
 
+    def copy(self, **changes) -> "Packet":
+        """Field-for-field copy with ``changes`` applied.
+
+        Unlike :func:`dataclasses.replace` this runs no ``__init__``:
+        ``packet_id`` is kept and ``crc`` is not restamped, so the CRC
+        stays the one computed when the packet was created.  The copy
+        shares the payload object with the original.
+        """
+        if not changes.keys() <= _PACKET_FIELDS:
+            unknown = sorted(changes.keys() - _PACKET_FIELDS)
+            raise TypeError(f"unknown Packet fields {unknown}")
+        state = self.__dict__.copy()
+        state.update(changes)
+        clone = object.__new__(self.__class__)
+        clone.__dict__ = state
+        return clone
+
     def hop(self) -> tuple[int, "Packet"]:
         """Consume the head of the source route.
 
-        Returns ``(output_port, packet_with_remaining_route)``.
+        Returns ``(output_port, packet_with_remaining_route)``.  The
+        packet is copied rather than advanced in place: the sender's
+        go-back-N buffer keeps the very object it sent for retransmit,
+        and ``wire_bytes`` counts the *remaining* route.
         """
-        if not self.route:
+        route = self.route
+        if not route:
             raise ValueError(f"packet {self.packet_id} has an empty route")
-        return self.route[0], replace(self, route=self.route[1:])
+        return route[0], self.copy(route=route[1:])
+
+
+_PACKET_FIELDS = frozenset(f.name for f in fields(Packet))
 
 
 def fragment_offsets(total_length: int, mtu: int) -> list[int]:

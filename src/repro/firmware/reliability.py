@@ -16,7 +16,6 @@ machines only, so they can be unit- and property-tested in isolation.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Generator, Optional
 
 from repro.config import CostModel
@@ -83,7 +82,7 @@ class GoBackNSender:
             raise RuntimeError(f"{self.name}: register() with a full window")
         seq = self.next_seq
         self.next_seq += 1
-        stamped = replace(packet, seq=seq)
+        stamped = packet.copy(seq=seq)
         self._unacked[seq] = stamped
         self.bytes_registered += len(stamped.payload)
         if seq == self.base:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.firmware.descriptors import (
     BoundBuffer,
@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hw.network import Network
     from repro.kernel.vm import AddressSpace
 
-__all__ = ["Nic", "NicPortState", "LandingZone"]
+__all__ = ["Nic", "NicPortState", "LandingZone", "PoolFreeList"]
 
 _landing_tokens = itertools.count(1)
 
@@ -55,6 +55,43 @@ class LandingZone:
     received: int = 0
 
 
+class PoolFreeList:
+    """FIFO of a system channel's free pool buffers.
+
+    A deque of buffers plus the set of their indices, so asking whether
+    a buffer is free (the double-return check) is O(1).  Buffers enter
+    only through :meth:`append` and leave only through :meth:`popleft`,
+    which keep the two in step.
+    """
+
+    __slots__ = ("_bufs", "_indices")
+
+    def __init__(self) -> None:
+        self._bufs: deque[PoolBuffer] = deque()
+        self._indices: set[int] = set()
+
+    def append(self, buf: PoolBuffer) -> None:
+        self._bufs.append(buf)
+        self._indices.add(buf.index)
+
+    def popleft(self) -> PoolBuffer:
+        buf = self._bufs.popleft()
+        self._indices.discard(buf.index)
+        return buf
+
+    def __contains__(self, buf: PoolBuffer) -> bool:
+        return buf.index in self._indices
+
+    def __len__(self) -> int:
+        return len(self._bufs)
+
+    def __iter__(self) -> Iterator[PoolBuffer]:
+        return iter(self._bufs)
+
+    def __getitem__(self, position: int) -> PoolBuffer:
+        return self._bufs[position]
+
+
 @dataclass
 class NicPortState:
     """Receive-side state the NIC keeps for one BCL port."""
@@ -65,7 +102,7 @@ class NicPortState:
     recv_queue: "CompletionQueue"
     send_queue: "CompletionQueue"
     #: system channel: FIFO pool of pre-pinned small-message buffers
-    system_pool_free: deque[PoolBuffer] = field(default_factory=deque)
+    system_pool_free: PoolFreeList = field(default_factory=PoolFreeList)
     system_pool_all: dict[int, PoolBuffer] = field(default_factory=dict)
     system_dropped: int = 0
     #: normal channels: posted rendezvous receive descriptors

@@ -163,3 +163,24 @@ def test_pool_buffer_double_return_rejected(cluster):
         state.return_pool_buffer(buf.index)
     with pytest.raises(KeyError):
         state.return_pool_buffer(999)
+
+
+def test_pool_buffer_returns_after_others_cycled(cluster):
+    """Membership follows handouts and returns, in FIFO order."""
+    from tests.test_bcl_channels import setup_pair
+    setup_pair(cluster)
+    state = cluster.node(1).nic.port_state(2)
+    size = len(state.system_pool_free)
+    first, second, third = (state.system_pool_free.popleft()
+                            for _ in range(3))
+    state.return_pool_buffer(second.index)
+    state.return_pool_buffer(first.index)
+    assert second in state.system_pool_free
+    assert third not in state.system_pool_free
+    with pytest.raises(ValueError):
+        state.return_pool_buffer(first.index)
+    state.return_pool_buffer(third.index)
+    assert len(state.system_pool_free) == size
+    assert list(state.system_pool_free)[-3:] == [second, first, third]
+    with pytest.raises(ValueError):
+        state.return_pool_buffer(third.index)
