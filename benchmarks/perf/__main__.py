@@ -40,8 +40,9 @@ def main(argv: list[str] | None = None) -> int:
         doc = module.run(out_path=out)
         print(f"[{name}] wrote {out} ({len(doc['results'])} results)")
         if name == "engine":
-            for scenario, ratio in doc["calendar_vs_heap"].items():
-                print(f"[{name}] calendar/heap {scenario}: {ratio:.2f}x")
+            for scenario, ratio in doc["calendar_vs_reference"].items():
+                print(f"[{name}] calendar/reference {scenario}: "
+                      f"{ratio:.3f}x")
     return 0
 
 

@@ -72,8 +72,7 @@ def _telemetry_percentiles() -> dict:
 
 def run(out_path="BENCH_experiments.json") -> dict:
     results = [_time_cell(name, fn, params) for name, fn, params in CELLS]
-    fly = DAWNING_3000.replace(flyweight_payloads=True,
-                               dma_burst_coalesce=True)
+    fly = DAWNING_3000.replace(flyweight_payloads=True)
     fast = _time_cell("fig9/point-65536-flyweight", "curves.point",
                       {"nbytes": 65536, "intra": False}, cfg=fly)
     results.append(fast)

@@ -9,16 +9,17 @@ committed baseline under ``benchmarks/perf/baseline/`` and fails
 
 * any scenario's ``events_per_sec`` drops more than ``--tolerance``
   (default 20 %) below the baseline, or
-* the calendar/heap speedup ratio of the ``churn`` scenario — the
+* the ``churn`` scenario's ``calendar_vs_reference`` ratio — its
+  events/sec over that of perfbench's frozen reference kernel, the
   scheduler-bound headline number — falls below ``--ratio-floor``
-  (default 2.0).
+  (default 0.51).
 
 Absolute events/sec is machine-dependent, so the drop check only fires
 when the fresh run's metadata reports the same platform string as the
 baseline (CI runners are homogeneous; a laptop comparing itself against
-the CI baseline would be noise).  The ratio check is within-run — both
-schedulers execute on the same interpreter seconds apart — and is
-enforced unconditionally.
+the CI baseline would be noise).  The ratio check is within-run — the
+engine and the kernel execute on the same interpreter seconds apart —
+and is enforced unconditionally.
 
 **scale** — gates ``BENCH_scale.json`` (host vs NIC collectives on
 thousand-rank fabrics) on *simulated* numbers, which are deterministic
@@ -48,7 +49,7 @@ on simulated numbers, also machine-independent:
 Usage::
 
     python ci/perf_gate.py BENCH_engine.json [--baseline PATH]
-        [--tolerance 0.20] [--ratio-floor 2.0]
+        [--tolerance 0.20] [--ratio-floor 0.51]
     python ci/perf_gate.py BENCH_scale.json [--baseline PATH]
         [--nic-advantage 1.5] [--growth-ceiling 2.0]
     python ci/perf_gate.py BENCH_serve.json [--baseline PATH]
@@ -212,8 +213,9 @@ def main(argv: list[str] | None = None) -> int:
                              f"{BASELINE_DIR})")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed fractional events/sec drop")
-    parser.add_argument("--ratio-floor", type=float, default=2.0,
-                        help="minimum calendar/heap ratio for 'churn'")
+    parser.add_argument("--ratio-floor", type=float, default=0.51,
+                        help="minimum calendar/reference ratio for "
+                             "'churn'")
     parser.add_argument("--nic-advantage", type=float, default=1.5,
                         help="minimum host/nic barrier latency ratio "
                              "at >=64 ranks (scale suite)")
@@ -246,16 +248,17 @@ def main(argv: list[str] | None = None) -> int:
         print("perf gate passed")
         return 0
 
-    churn = fresh.get("calendar_vs_heap", {}).get("churn")
+    churn = fresh.get("calendar_vs_reference", {}).get("churn")
     if churn is None:
-        failures.append("fresh run has no calendar_vs_heap.churn ratio")
+        failures.append(
+            "fresh run has no calendar_vs_reference.churn ratio")
     elif churn < args.ratio_floor:
         failures.append(
-            f"calendar/heap churn speedup {churn:.2f}x is below the "
-            f"{args.ratio_floor:.2f}x floor")
+            f"calendar/reference churn ratio {churn:.3f}x is below the "
+            f"{args.ratio_floor:.3f}x floor")
     else:
-        print(f"ok: calendar/heap churn speedup {churn:.2f}x "
-              f">= {args.ratio_floor:.2f}x")
+        print(f"ok: calendar/reference churn ratio {churn:.3f}x "
+              f">= {args.ratio_floor:.3f}x")
 
     same_platform = (fresh["meta"].get("platform")
                      == base["meta"].get("platform"))
@@ -282,7 +285,10 @@ def main(argv: list[str] | None = None) -> int:
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
-        line = _attribution(args.baseline, args.fresh, "events_per_sec")
+        metric = "events_per_sec"
+        if churn is None or churn < args.ratio_floor:
+            metric = "calendar_vs_reference/churn"
+        line = _attribution(args.baseline, args.fresh, metric)
         if line:
             print(f"attribution: {line}", file=sys.stderr)
         return 1

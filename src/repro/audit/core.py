@@ -16,7 +16,7 @@ kinds of checks exist:
   processed before the clock, a non-monotonic sequence number, a
   credit balance above the initial grant) and name the offending
   event/packet;
-* **quiesce checks** fire when :meth:`Environment.run` drains the heap
+* **quiesce checks** fire when :meth:`Environment.run` drains the queue
   dry — the only instant where conservation equations must balance
   (per-flow byte conservation, orphaned waiters, reassembly residue,
   pin-down table consistency).
@@ -498,7 +498,7 @@ class Auditor:
             event=repr(event), t_ns=now)])
 
     def on_quiesce(self, env: "Environment") -> None:
-        """The heap ran dry: every conservation equation must balance."""
+        """The queue ran dry: every conservation equation must balance."""
         self.quiesce_checks += 1
         violations: list[Violation] = []
         for checker in self.checkers:

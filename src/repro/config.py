@@ -177,11 +177,6 @@ class CostModel:
     #: only content checks differ (delivery oracles that verify bytes
     #: must run with real payloads).
     flyweight_payloads: bool = False
-    #: Model a host DMA as one coalesced bus hold covering all bursts
-    #: instead of re-arbitrating the PCI bus per 4 KB burst.  Total
-    #: transfer time is preserved exactly (per-burst rounding included);
-    #: what coarsens is arbitration granularity under bus contention.
-    dma_burst_coalesce: bool = False
 
     # -------------------------------------------------------- upper layers
     eadi_eager_threshold: int = 4096  # <= goes through the system channel

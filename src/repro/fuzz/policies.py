@@ -1,9 +1,11 @@
 """Tie-break policies: pluggable same-instant event ordering.
 
-The event heap orders by ``(time, tie_key)``.  With no policy installed
-the tie key is the scheduling sequence number — strict FIFO, the
-engine's historical behaviour, byte-identical with or without the hook
-(:class:`FifoTieBreak` maps ``(when, seq) -> seq`` exactly).
+The event queue pops in ``(time, tie_key)`` order.  With no policy
+installed the tie key is the scheduling sequence number — strict FIFO,
+the engine's historical behaviour, byte-identical with or without the
+hook (:class:`FifoTieBreak` maps ``(when, seq) -> seq`` exactly).  A
+policy's keys order the events inside each calendar bucket (see
+:mod:`repro.sim.core`); time still picks the bucket.
 
 :class:`ShuffledTieBreak` replaces the key with a keyed 64-bit hash of
 ``(seed, when, seq)``: events that share a timestamp are processed in
@@ -15,8 +17,8 @@ simulated machine: it respects all causality the simulation expresses
 through time, and permutes only orderings the engine never promised.
 
 The low 64 bits of every shuffled key carry the sequence number, so
-keys stay unique (the heap never has to compare :class:`Event`
-objects) and equal-hash collisions degrade to FIFO instead of raising.
+keys stay unique within a bucket and equal-hash collisions degrade to
+FIFO.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ _C3 = 0x94D049BB133111EB
 
 
 class TieBreakPolicy:
-    """Interface: map a scheduling ``(when, seq)`` pair to a heap tie
-    key.  Keys must be unique per ``seq`` and are compared only among
-    events that share ``when``."""
+    """Interface: map a scheduling ``(when, seq)`` pair to a tie key.
+    Keys must be unique per ``seq`` and are compared only among events
+    that share ``when``."""
 
     def key(self, when: int, seq: int) -> int:  # pragma: no cover
         raise NotImplementedError

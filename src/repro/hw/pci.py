@@ -82,38 +82,20 @@ class PciBus:
         Charges the engine setup cost once, then moves the payload in
         bursts of :data:`DMA_BURST_BYTES`, releasing the bus between
         bursts so concurrent PIO is delayed rather than starved.
-
-        With ``cfg.dma_burst_coalesce`` the whole transfer is one bus
-        hold and one timer: total duration is preserved exactly (the
-        per-burst integer rounding is reproduced burst by burst), so an
-        uncontended run is time-identical; only arbitration granularity
-        under contention coarsens.  That turns a 64 KB transfer from 16
-        scheduled events into 1.
         """
         if nbytes < 0:
             raise ValueError(f"negative DMA length {nbytes}")
         start = self.env.now
         if setup:
             yield self.env.sleep(us(self.cfg.dma_setup_us))
-        if self.cfg.dma_burst_coalesce:
-            if nbytes > 0:
-                n_full, tail = divmod(nbytes, DMA_BURST_BYTES)
-                total = n_full * transfer_time_ns(DMA_BURST_BYTES,
-                                                  self.cfg.dma_mb_s)
-                if tail:
-                    total += transfer_time_ns(tail, self.cfg.dma_mb_s)
-                with self._bus.request() as req:
-                    yield req
-                    yield self.env.sleep(total)
-        else:
-            remaining = nbytes
-            while remaining > 0:
-                burst = min(remaining, DMA_BURST_BYTES)
-                with self._bus.request() as req:
-                    yield req
-                    yield self.env.sleep(
-                        transfer_time_ns(burst, self.cfg.dma_mb_s))
-                remaining -= burst
+        remaining = nbytes
+        while remaining > 0:
+            burst = min(remaining, DMA_BURST_BYTES)
+            with self._bus.request() as req:
+                yield req
+                yield self.env.sleep(
+                    transfer_time_ns(burst, self.cfg.dma_mb_s))
+            remaining -= burst
         self.dma_bytes += nbytes
         if self.tracer is not None:
             self.tracer.record(start, self.env.now, "dma", stage, self.name,

@@ -9,7 +9,7 @@ firmware loop) runs as a :class:`Process` inside one
 The API is deliberately SimPy-like (``env.process``, ``env.timeout``,
 ``yield event``) so the protocol code upstairs reads like ordinary
 concurrent systems code, but the engine is self-contained and fully
-deterministic: ties in the event heap are broken by insertion order,
+deterministic: ties in the event queue are broken by insertion order,
 and no wall-clock or randomness enters the core.
 """
 

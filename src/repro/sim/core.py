@@ -8,7 +8,7 @@ Semantics follow the familiar generator-coroutine discrete-event style:
   events; the process resumes when the yielded event is processed.  A
   failed event is re-raised inside the generator, so protocol code can
   handle simulated faults with ordinary ``try``/``except``.
-* The :class:`Environment` owns the clock and the event heap.  Events
+* The :class:`Environment` owns the clock and the event queue.  Events
   scheduled for the same instant are processed in scheduling order,
   which keeps runs deterministic.
 
@@ -19,7 +19,7 @@ loop is tuned:
   the first waiter attaches (``callbacks`` stays a plain list for
   waiters; it reads as ``None`` once the event is processed, exactly as
   before);
-* the default scheduler is a *calendar queue*: pending events live in
+* the event queue is a *calendar queue*: pending events live in
   per-instant buckets (plain lists in scheduling order) and only the
   set of **distinct** occupied timestamps sits in a binary heap.  An
   event triggered at the current instant — the dominant case: every
@@ -27,11 +27,10 @@ loop is tuned:
   one indexed read, no heap traffic at all; a timeout shares its
   bucket (and therefore its heap entry) with every other event landing
   on the same nanosecond.  Far-future or sparse events degrade
-  gracefully to the distinct-times heap.  Pop order is identical to
-  the classic ``(time, seq)`` heap, so runs are byte-for-byte the
-  same; ``Environment(scheduler="heap")`` keeps the legacy heap for
-  differential testing, and any ``tie_break`` policy forces it (an
-  arbitrary tie key needs a real priority queue);
+  gracefully to the distinct-times heap.  Pop order is that of a
+  classic ``(time, seq)`` priority queue, so runs are byte-for-byte
+  those of the binary-heap scheduler this queue replaced
+  (``tests/test_engine_parity.py`` pins the digests);
 * :meth:`Environment.sleep` recycles processed :class:`Timeout`
   objects from a free pool.  Recycling is opt-in and guarded by an
   explicit ``_recycle`` flag rather than a refcount probe (which
@@ -50,21 +49,27 @@ loop is tuned:
   must therefore not create reference cycles per event;
   ``tests/regressions/test_run_gc.py`` pins that.
 
-Same-instant ordering is *pluggable*: the heap key of an event is
-``(time, tie_key)`` where ``tie_key`` defaults to the scheduling
-sequence number (strict FIFO — byte-identical to the historical
-behaviour).  An :class:`Environment` built with a ``tie_break`` policy
-(any object with a ``key(when, seq) -> int`` method, see
-:mod:`repro.fuzz.policies`) maps each ``(when, seq)`` pair to an
-alternative key, deterministically permuting events that share a
-timestamp.  Every permutation a policy can produce is a legal schedule
-of the simulated machine; the fuzz harness uses this to explore
-tie-break orderings the default FIFO run never exercises.
+Same-instant ordering is *pluggable*: events pop in ``(time,
+tie_key)`` order, where ``tie_key`` defaults to the scheduling sequence
+number (strict FIFO — byte-identical to the historical behaviour).  An
+:class:`Environment` built with a ``tie_break`` policy (any object with
+a ``key(when, seq) -> int`` method, see :mod:`repro.fuzz.policies`)
+maps each ``(when, seq)`` pair to an alternative key, deterministically
+permuting events that share a timestamp.  The calendar keeps that order
+inside the bucket: each event's key is recorded in a dict that exists
+only in tie-break mode, a bucket is sorted by key when it opens, and
+the events triggered since the last pop are merged into its pending
+tail by binary search before the next event is taken — exactly what a
+``(time, key)`` priority queue would pop.  Every permutation a policy
+can produce is a legal schedule of the simulated machine; the fuzz
+harness uses this to explore tie-break orderings the default FIFO run
+never exercises.
 """
 
 from __future__ import annotations
 
 import gc
+from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -164,17 +169,12 @@ class Event:
         self._value = value
         self._scheduled = True
         env = self.env
-        if env._use_heap:
-            tb = env._tie_break
-            seq = env._seq
-            heappush(env._heap,
-                     (env._now, seq if tb is None else tb.key(env._now, seq),
-                      self))
-            env._seq = seq + 1
-        else:
-            # Calendar fast path: triggering always lands on the current
-            # instant, which is exactly the open bucket.
+        if env._keys is None:
+            # Fast path: triggering always lands on the current instant,
+            # which is exactly the open bucket.
             env._bucket.append(self)
+        else:
+            env._push(env._now, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -187,15 +187,10 @@ class Event:
         self._value = exception
         self._scheduled = True
         env = self.env
-        if env._use_heap:
-            tb = env._tie_break
-            seq = env._seq
-            heappush(env._heap,
-                     (env._now, seq if tb is None else tb.key(env._now, seq),
-                      self))
-            env._seq = seq + 1
-        else:
+        if env._keys is None:
             env._bucket.append(self)
+        else:
+            env._push(env._now, self)
         return self
 
     def defuse(self) -> None:
@@ -408,34 +403,25 @@ class Process(Event):
 class Environment:
     """Owner of the virtual clock and the pending-event queue.
 
+    Pending events sit in a calendar queue: per-instant buckets plus a
+    heap of the distinct occupied timestamps.
+
     ``tie_break`` selects the same-instant ordering policy: ``None``
     (the default) keeps strict FIFO scheduling order and is
     byte-identical to an environment without the hook; any object with
     a ``key(when, seq) -> int`` method (e.g.
-    :class:`repro.fuzz.policies.ShuffledTieBreak`) replaces the heap
-    tie key, deterministically permuting same-timestamp events.
-
-    ``scheduler`` picks the queue implementation: ``"calendar"`` (the
-    default) keeps per-instant buckets with a heap of distinct
-    timestamps; ``"heap"`` is the classic ``(time, seq)`` binary heap.
-    Both produce identical schedules for FIFO runs — the heap survives
-    as the differential-testing reference and as the carrier for
-    ``tie_break`` policies, which force it.
+    :class:`repro.fuzz.policies.ShuffledTieBreak`) supplies the key
+    that orders events within a bucket, deterministically permuting
+    same-timestamp events.
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_active_process", "_timeout_pool",
+    __slots__ = ("_now", "_seq", "_active_process", "_timeout_pool",
                  "_audit", "_tie_break", "_telemetry", "_recorder",
-                 "_use_heap", "_bucket", "_pos", "_buckets", "_times",
-                 "_n_events")
+                 "_keys", "_bucket", "_pos", "_merged", "_buckets",
+                 "_times", "_n_events")
 
-    def __init__(self, initial_time: int = 0, tie_break=None,
-                 scheduler: str = "calendar"):
-        if scheduler not in ("calendar", "heap"):
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r} "
-                "(expected 'calendar' or 'heap')")
+    def __init__(self, initial_time: int = 0, tie_break=None):
         self._now: int = initial_time
-        self._heap: list[tuple[int, int, Event]] = []
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         self._timeout_pool: list[Timeout] = []
@@ -457,12 +443,14 @@ class Environment:
                 f"tie_break policy {tie_break!r} has no key(when, seq) "
                 "method")
         self._tie_break = tie_break
-        # An arbitrary tie key needs a real priority queue; the calendar
-        # only preserves FIFO order within a bucket.
-        self._use_heap = scheduler == "heap" or tie_break is not None
+        #: tie-break mode only: pending event -> its tie key
+        self._keys: Optional[dict[Event, int]] = (
+            None if tie_break is None else {})
         #: events pending at the current instant, consumed by index
         self._bucket: list[Event] = []
         self._pos: int = 0
+        #: tie-break mode only: ``_bucket[_pos:_merged]`` is in key order
+        self._merged: int = 0
         #: future (or, via _schedule_at, past) instants -> their buckets
         self._buckets: dict[int, list[Event]] = {}
         #: heap of the *distinct* occupied timestamps in _buckets
@@ -473,11 +461,6 @@ class Environment:
     def tie_break(self):
         """The installed tie-break policy (``None`` = strict FIFO)."""
         return self._tie_break
-
-    @property
-    def scheduler(self) -> str:
-        """Active queue implementation: ``"calendar"`` or ``"heap"``."""
-        return "heap" if self._use_heap else "calendar"
 
     @property
     def events_processed(self) -> int:
@@ -547,13 +530,12 @@ class Environment:
     # -- scheduling ----------------------------------------------------
     def _push(self, when: int, event: Event) -> None:
         """Enqueue a triggered event for processing at ``when``."""
-        if self._use_heap:
-            tb = self._tie_break
+        keys = self._keys
+        if keys is not None:
             seq = self._seq
-            heappush(self._heap,
-                     (when, seq if tb is None else tb.key(when, seq), event))
+            keys[event] = self._tie_break.key(when, seq)
             self._seq = seq + 1
-        elif when == self._now:
+        if when == self._now:
             self._bucket.append(event)
         else:
             bucket = self._buckets.get(when)
@@ -586,43 +568,62 @@ class Environment:
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None when idle."""
-        if self._use_heap:
-            return self._heap[0][0] if self._heap else None
         if self._pos < len(self._bucket):
             return self._now
         return self._times[0] if self._times else None
 
+    def _order_tail(self, bucket: list[Event], pos: int,
+                    merged: int) -> int:
+        """Tie-break mode: put the pending tail ``bucket[pos:]`` in key
+        order, drop the key of ``bucket[pos]`` (the event about to be
+        taken) and return the new ordered end.
+
+        ``bucket[pos:merged]`` is already ordered; what follows it was
+        triggered since the last pop.  A few such events are merged one
+        by one, each a binary search and a list insert.  Many against a
+        short ordered tail (a freshly opened bucket, a wide fan-out) are
+        cheaper to sort at once.  Re-sorting the whole tail on every pop
+        would be quadratic in a long same-instant cascade.
+        """
+        keys = self._keys
+        key = keys.__getitem__
+        fresh = len(bucket) - merged
+        if fresh * 64 >= len(bucket) - pos:
+            bucket[pos:] = sorted(bucket[pos:], key=key)
+        elif fresh:
+            tail = bucket[merged:]
+            del bucket[merged:]
+            for event in tail:
+                insort(bucket, event, pos, key=key)
+        del keys[bucket[pos]]
+        return len(bucket)
+
     def step(self) -> None:
         """Process exactly one event."""
-        if self._use_heap:
-            if not self._heap:
+        bucket = self._bucket
+        pos = self._pos
+        if pos >= len(bucket):
+            if not self._times:
                 raise SimulationError("no scheduled events")
-            when, _, event = heappop(self._heap)
+            when = heappop(self._times)
             if when < self._now:  # pragma: no cover - engine invariant
                 raise SimulationError("time went backwards")
-            if self._recorder is not None and when > self._now:
+            if self._recorder is not None:
                 self._recorder.on_advance(when, self._n_events)
+            bucket = self._bucket = self._buckets.pop(when)
+            pos = self._merged = 0
             self._now = when
-        else:
-            if self._pos >= len(self._bucket):
-                if not self._times:
-                    raise SimulationError("no scheduled events")
-                when = heappop(self._times)
-                if when < self._now:  # pragma: no cover - engine invariant
-                    raise SimulationError("time went backwards")
-                if self._recorder is not None:
-                    self._recorder.on_advance(when, self._n_events)
-                self._bucket = self._buckets.pop(when)
-                self._pos = 0
-                self._now = when
-            event = self._bucket[self._pos]
-            self._pos += 1
-            # Same amortized compaction as the run() loop — step() used
-            # to never compact, so a long-lived same-instant bucket
-            # pinned every consumed event for its whole lifetime.
-            if self._pos >= _COMPACT and self._pos * 2 >= len(self._bucket):
-                del self._bucket[:self._pos]
-                self._pos = 0
+        if self._keys is not None:
+            self._merged = self._order_tail(bucket, pos, self._merged)
+        event = bucket[pos]
+        pos += 1
+        # Same amortized compaction as the run() loop, so a long-lived
+        # same-instant bucket does not pin every consumed event.
+        if pos >= _COMPACT and pos * 2 >= len(bucket):
+            del bucket[:pos]
+            self._merged -= pos
+            pos = 0
+        self._pos = pos
         self._n_events += 1
         callbacks = event._callbacks
         event._callbacks = _PROCESSED
@@ -662,27 +663,18 @@ class Environment:
                 if horizon < self._now:
                     raise SimulationError(
                         f"until={horizon} is in the past (now={self._now})")
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            if self._use_heap:
-                return self._run_heap(stop, horizon)
-            return self._run_calendar(stop, horizon)
-        finally:
-            if collecting:
-                gc.enable()
-
-    def _run_calendar(self, stop: Optional[Event],
-                      horizon: Optional[int]) -> Any:
-        """The calendar-queue run loop (the default path)."""
         buckets = self._buckets
         times = self._times
         pool = self._timeout_pool
         audit = self._audit
         recorder = self._recorder
+        keys = self._keys
         bucket = self._bucket
         pos = self._pos
+        merged = self._merged
         n = self._n_events
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while True:
                 if stop is not None and stop._callbacks is _PROCESSED:
@@ -690,6 +682,8 @@ class Environment:
                         raise stop._value
                     return stop._value
                 if pos < len(bucket):
+                    if keys is not None:
+                        merged = self._order_tail(bucket, pos, merged)
                     # Inlined hot path: one indexed read per event.
                     event = bucket[pos]
                     pos += 1
@@ -712,7 +706,7 @@ class Environment:
                         return None
                     when = heappop(times)
                     bucket = self._bucket = buckets.pop(when)
-                    pos = 0
+                    pos = merged = 0
                     if audit is not None and when < self._now:
                         audit.on_past_event(bucket[0], when, self._now)
                     if recorder is not None:
@@ -742,58 +736,11 @@ class Environment:
                     # half-way mark keeps each element shifted O(1)
                     # times while still bounding memory at ~2x live.
                     del bucket[:pos]
+                    merged -= pos
                     pos = 0
         finally:
             self._pos = pos
+            self._merged = merged
             self._n_events = n
-
-    def _run_heap(self, stop: Optional[Event],
-                  horizon: Optional[int]) -> Any:
-        """The classic binary-heap run loop (tie-break & differential
-        reference path)."""
-        heap = self._heap
-        pool = self._timeout_pool
-        audit = self._audit
-        recorder = self._recorder
-        n = self._n_events
-        try:
-            while True:
-                if stop is not None:
-                    if stop._callbacks is _PROCESSED:
-                        if not stop._ok:
-                            raise stop._value
-                        return stop._value
-                    if not heap:
-                        raise SimulationError(
-                            "simulation ran out of events before the target "
-                            f"event triggered (deadlock at t={self._now} ns)")
-                elif horizon is not None:
-                    if not heap or heap[0][0] > horizon:
-                        if audit is not None and not heap:
-                            audit.on_quiesce(self)
-                        self._now = horizon
-                        return None
-                elif not heap:
-                    if audit is not None:
-                        audit.on_quiesce(self)
-                    return None
-                # Inlined step(): one dispatch per event is the hot path.
-                when, _, event = heappop(heap)
-                if audit is not None and when < self._now:
-                    audit.on_past_event(event, when, self._now)
-                if recorder is not None and when > self._now:
-                    recorder.on_advance(when, n)
-                self._now = when
-                n += 1
-                callbacks = event._callbacks
-                event._callbacks = _PROCESSED
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                    if type(event) is Timeout and event._recycle \
-                            and len(pool) < _POOL_MAX:
-                        pool.append(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            self._n_events = n
+            if collecting:
+                gc.enable()

@@ -190,8 +190,8 @@ def _view_from_bench(doc: dict, path: str) -> RunView:
 
     Per-result numeric fields become ``result-name/field`` metrics;
     per-result ``stage_table`` entries (microseconds) are merged into
-    one nanosecond stage map; ``calendar_vs_heap`` ratios (engine
-    suite) become ``calendar_vs_heap/<scenario>`` metrics.
+    one nanosecond stage map; ``calendar_vs_reference`` ratios (engine
+    suite) become ``calendar_vs_reference/<scenario>`` metrics.
     """
     view = RunView(path=path, schema=doc["schema"],
                    kind=f"bench-{doc.get('suite', 'unknown')}",
@@ -212,8 +212,9 @@ def _view_from_bench(doc: dict, path: str) -> RunView:
         if isinstance(result.get("events"), (int, float)):
             events += int(result["events"])
             saw_events = True
-    for scenario, ratio in (doc.get("calendar_vs_heap") or {}).items():
-        view.metrics[f"calendar_vs_heap/{scenario}"] = float(ratio)
+    for scenario, ratio in (doc.get("calendar_vs_reference")
+                            or {}).items():
+        view.metrics[f"calendar_vs_reference/{scenario}"] = float(ratio)
     if saw_events:
         view.events = events
         view.metrics["events_processed"] = float(events)

@@ -192,7 +192,7 @@ def _probe(env, seen):
 
 
 @pytest.mark.parametrize("tie_break", [None, ShuffledTieBreak(3)],
-                         ids=["calendar", "heap"])
+                         ids=["fifo", "shuffled"])
 def test_setting_restored_after_return(tie_break):
     env = Environment(tie_break=tie_break)
     seen = []

@@ -103,20 +103,12 @@ def test_report_depends_on_seed():
     assert base != other
 
 
-def _no_events(report_dict):
-    """Everything but the engine's event counter (heap vs calendar
-    bookkeeping differs; the *behaviour* must not)."""
-    trimmed = dict(report_dict)
-    trimmed.pop("events")
-    return trimmed
-
-
 def test_fifo_tie_break_hook_is_schedule_equivalent():
     n_ranks = SMALL.n_servers + SMALL.n_client_ranks
     baseline = _report(SMALL, 1.1)
     hooked = _report(SMALL, 1.1, cluster=Cluster(
         n_nodes=n_ranks, env=Environment(tie_break=FifoTieBreak())))
-    assert _no_events(hooked.to_dict()) == _no_events(baseline.to_dict())
+    assert hooked.to_dict() == baseline.to_dict()
 
 
 #: report fields that must survive adversarial same-instant event

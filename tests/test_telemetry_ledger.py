@@ -112,14 +112,14 @@ def test_load_run_normalizes_a_bench_artifact():
             {"name": "pingpong", "events": 200,
              "stage_table": [["wire", 12.5], ["trap", 1.0]]},
         ],
-        "calendar_vs_heap": {"churn": 3.5},
+        "calendar_vs_reference": {"churn": 0.65},
     }
     view = load_run(doc)
     assert view.schema == BENCH_SCHEMA
     assert view.kind == "bench-engine"
     assert view.config_digest == "abc123"
     assert view.metrics["churn/events_per_sec"] == 1e6
-    assert view.metrics["calendar_vs_heap/churn"] == 3.5
+    assert view.metrics["calendar_vs_reference/churn"] == 0.65
     assert "pingpong/note" not in view.metrics
     # stage_table microseconds normalize to nanoseconds
     assert view.stages == {"wire": 12_500, "trap": 1_000}
