@@ -4,8 +4,7 @@ Times the Table 1 architecture comparison, the Table 2 protocol rows,
 the Figure 7 stage timeline and one Figure 8/9 sweep point through the
 same :func:`repro.experiments.runner.run_cell` entry point ``run_all``
 uses (no cache, no worker pool), so the trajectory tracks exactly what
-the evaluation costs.  The Figure 8/9 point is additionally timed with
-``flyweight_payloads`` to track the payoff of length-only payloads.
+the evaluation costs.
 
 A telemetry-enabled ping-pong contributes simulated-latency p50/p99
 from the metrics registry — the Breaking-Band loop's "measure the
@@ -40,12 +39,12 @@ CELLS = tuple(
 )
 
 
-def _time_cell(name: str, fn: str, params: dict, cfg=DAWNING_3000) -> dict:
+def _time_cell(name: str, fn: str, params: dict) -> dict:
     # Collect leftover cyclic garbage (generators, event graphs) from
     # the previous cell so a GC pause does not land inside this timing.
     gc.collect()
     wall = time.perf_counter()
-    run_cell(fn, cfg, **params)
+    run_cell(fn, DAWNING_3000, **params)
     wall = time.perf_counter() - wall
     return {"name": name, "fn": fn, "params": params,
             "wall_s": round(wall, 6)}
@@ -72,10 +71,6 @@ def _telemetry_percentiles() -> dict:
 
 def run(out_path="BENCH_experiments.json") -> dict:
     results = [_time_cell(name, fn, params) for name, fn, params in CELLS]
-    fly = DAWNING_3000.replace(flyweight_payloads=True)
-    fast = _time_cell("fig9/point-65536-flyweight", "curves.point",
-                      {"nbytes": 65536, "intra": False}, cfg=fly)
-    results.append(fast)
     results.append(_telemetry_percentiles())
     return write_bench(
         out_path, "experiments",

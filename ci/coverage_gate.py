@@ -73,6 +73,13 @@ class Collector:
         self.targets = targets
         self.hits: dict[str, set[int]] = {path: set() for path in targets}
         self._use_monitoring = hasattr(sys, "monitoring")
+        # One bound method for every settrace hook and return: reading
+        # ``self._trace`` builds a fresh GC-tracked object each time, so
+        # returning it per event allocates inside the traced code.  A
+        # collection could then start in the return event of
+        # ``Environment.run`` right after it re-enables the collector,
+        # while ``run`` is still on the stack.
+        self._tracer = self._trace
 
     # ---------------------------------------------- sys.monitoring path
     def _start_monitoring(self) -> None:
@@ -102,18 +109,18 @@ class Collector:
         if event == "call":
             if filename not in self.hits:
                 return None             # don't trace lines in this frame
-            return self._trace
+            return self._tracer
         if event == "line":
             self.hits[filename].add(frame.f_lineno)
-        return self._trace
+        return self._tracer
 
     def start(self) -> None:
         if self._use_monitoring:
             self._start_monitoring()
         else:
             import threading
-            threading.settrace(self._trace)
-            sys.settrace(self._trace)
+            threading.settrace(self._tracer)
+            sys.settrace(self._tracer)
 
     def stop(self) -> None:
         if self._use_monitoring:

@@ -49,14 +49,6 @@ from repro.config import DAWNING_3000
 __all__ = ["main", "build_parser"]
 
 
-def _ensure_parent(path: str) -> None:
-    """Create the parent directory of a CLI artifact output, so a
-    fresh ``--*-out deep/new/dir/file.json`` path cannot fail after
-    the run's work is already done."""
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -187,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     ob.add_argument("--metrics", choices=["prom", "json"], default=None,
                     help="also dump the metrics registry")
     ob.add_argument("--spans-out", metavar="FILE", default=None,
-                    help="write the span trees as flow-linked "
-                         "chrome://tracing JSON")
+                    help="write the run's chrome://tracing JSON with "
+                         "flow arrows along each message's span tree")
     ob.add_argument("--ledger-out", metavar="FILE", default=None,
                     help="write a repro-run/1 ledger of this run for "
                          "later `repro diff`")
@@ -362,8 +354,8 @@ def _cmd_timeline(_args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.instrument.export import write_chrome_trace
     from repro.instrument.measure import measure_one_way
+    from repro.telemetry.spans import write_chrome_trace
     cluster = Cluster(n_nodes=2, trace=True)
     measure_one_way(cluster, args.bytes, repeats=1, warmup=1)
     message_id = args.message_id
@@ -425,7 +417,7 @@ def _cmd_faults(args) -> int:
         shown = f"{value:.2f}" if isinstance(value, float) else value
         print(f"  {key:24s} {shown}")
     if args.trace_output is not None:
-        from repro.instrument.export import write_chrome_trace
+        from repro.telemetry.spans import write_chrome_trace
         count = write_chrome_trace(cluster.tracer, args.trace_output)
         print(f"wrote {count} trace events to {args.trace_output} "
               "(faults appear as instant markers)")
@@ -614,14 +606,13 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_observe(args) -> int:
-    import json
-
     from repro.telemetry.observe import (
         render_drilldown,
         render_summary,
         render_top,
         run_ping_pong,
     )
+    from repro.telemetry.spans import write_chrome_trace
 
     cluster, _sample = run_ping_pong(nbytes=args.bytes,
                                      messages=args.messages,
@@ -645,11 +636,9 @@ def _cmd_observe(args) -> int:
         print()
         print(render_drilldown(session, mid))
     if args.spans_out is not None:
-        events = session.chrome_events()
-        _ensure_parent(args.spans_out)
-        with open(args.spans_out, "w", encoding="utf-8") as fh:
-            json.dump({"traceEvents": events, "displayTimeUnit": "ns"}, fh)
-        print(f"\nwrote {len(events)} span events to {args.spans_out} "
+        count = write_chrome_trace(cluster.tracer, args.spans_out,
+                                   flows=session.span_trees())
+        print(f"\nwrote {count} span events to {args.spans_out} "
               "(flow arrows link the lifecycle hops)")
     if args.ledger_out is not None:
         from repro.telemetry.ledger import write_ledger

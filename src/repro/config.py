@@ -170,14 +170,6 @@ class CostModel:
     #: collectives fall back to the host algorithms (LANai SRAM budget)
     nic_coll_max_bytes: int = 4096
 
-    # ------------------------------------------------------- engine tuning
-    #: Carry length-only flyweight payloads instead of real bytes.  All
-    #: virtual timing derives from payload *lengths* (wire occupancy,
-    #: DMA sizes, copy costs), so schedules and clocks are identical;
-    #: only content checks differ (delivery oracles that verify bytes
-    #: must run with real payloads).
-    flyweight_payloads: bool = False
-
     # -------------------------------------------------------- upper layers
     eadi_eager_threshold: int = 4096  # <= goes through the system channel
     eadi_segment_bytes: int = 65536   # rendezvous segment grant size

@@ -13,6 +13,7 @@ from repro.experiments.common import (
 from repro.experiments.timelines import (
     RECV_HOST_STAGES,
     SEND_HOST_STAGES,
+    stage_us,
     traced_zero_byte_timeline,
 )
 from repro.cluster import Cluster
@@ -27,20 +28,20 @@ def run(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
         title="Processor overheads and the semi-user-level tax",
         columns=["metric", "measured", "paper"])
 
-    timeline, one_way = traced_zero_byte_timeline(cfg)
-    send = sum(timeline.stage_us(s) for s in SEND_HOST_STAGES)
-    recv = sum(timeline.stage_us(s) for s in RECV_HOST_STAGES)
+    records, one_way = traced_zero_byte_timeline(cfg)
+    send = sum(stage_us(records, s) for s in SEND_HOST_STAGES)
+    recv = sum(stage_us(records, s) for s in RECV_HOST_STAGES)
     result.add(metric="send processor overhead (us)", measured=send,
                paper=PAPER["send_overhead_us"])
     result.add(metric="send completion overhead (us)",
-               measured=timeline.stage_us("complete_send"),
+               measured=stage_us(records, "complete_send"),
                paper=PAPER["send_complete_us"])
     result.add(metric="recv processor overhead (us)", measured=recv,
                paper=PAPER["recv_overhead_us"])
     result.add(metric="one-way 0-byte latency (us)", measured=one_way,
                paper=PAPER["oneway_0b_inter_us"])
-    reliability = (timeline.stage_us("mcp_send_processing")
-                   + timeline.stage_us("mcp_recv_processing"))
+    reliability = (stage_us(records, "mcp_send_processing")
+                   + stage_us(records, "mcp_recv_processing"))
     result.add(metric="NIC reliable-protocol time (us)",
                measured=reliability, paper=PAPER["reliability_nic_us"])
 

@@ -1,7 +1,8 @@
 """Figures 5-7 — transmission, reception and one-way latency timelines.
 
-A single 0-byte BCL message crosses a traced cluster; the stage trace
-is then split into the three views the paper draws:
+A single 0-byte BCL message crosses a traced cluster; its records, as
+:meth:`~repro.telemetry.spans.SpanBuilder.records_for` gathers them for
+``repro observe``, are then split into the three views the paper draws:
 
 * **Figure 5** (transmission): host-side stages up to "pushed into the
   network" (7.04 us) plus the 0.82 us completion reap;
@@ -20,9 +21,12 @@ from repro.config import DAWNING_3000, CostModel
 from repro.experiments.common import PAPER, ExperimentResult
 from repro.firmware.packet import ChannelKind
 from repro.instrument.measure import measure_one_way
-from repro.sim.trace import StageTimeline
+from repro.sim.time import ns_to_us
+from repro.sim.trace import TraceRecord
+from repro.telemetry.spans import SpanBuilder
 
-__all__ = ["run_fig5", "run_fig6", "run_fig7", "traced_zero_byte_timeline"]
+__all__ = ["run_fig5", "run_fig6", "run_fig7", "stage_us",
+           "traced_zero_byte_timeline"]
 
 #: stages on the host send side (Figure 5's "push into network")
 SEND_HOST_STAGES = ("compose_send_request", "trap_enter", "security_checks",
@@ -34,27 +38,28 @@ RECV_HOST_STAGES = ("poll_recv_event", "check_recv_event")
 
 
 def traced_zero_byte_timeline(cfg: CostModel = DAWNING_3000
-                              ) -> tuple[StageTimeline, float]:
-    """One traced 0-byte message; returns (timeline, one_way_us)."""
+                              ) -> tuple[list[TraceRecord], float]:
+    """One traced 0-byte message; returns (records, one_way_us).
+
+    The records are the measured message's, in (start, end) order, with
+    the receiver's anonymous completion poll adopted into them.
+    """
     cluster = Cluster(n_nodes=2, cfg=cfg, trace=True)
     sample = measure_one_way(cluster, nbytes=0, repeats=1, warmup=1,
                              channel_kind=ChannelKind.NORMAL)
-    mids = sorted({r.message_id for r in cluster.tracer.records
-                   if r.message_id is not None})
-    # The last DATA message is the measured (post-warmup) one; its
-    # records include both nodes' stages.
-    records = cluster.tracer.for_message(mids[-1])
-    # The receiver's poll is charged before the event is known, so it
-    # has no message id; splice the final poll record in.
-    polls = [r for r in cluster.tracer.records
-             if r.stage == "poll_recv_event" and r.message_id is None]
-    if polls:
-        records = records + [polls[-1]]
-    return StageTimeline(records), sample.latency_us
+    spans = SpanBuilder.from_tracer(cluster.tracer)
+    # The last message is the measured (post-warmup) one; its records
+    # include both nodes' stages.
+    return spans.records_for(spans.message_ids()[-1]), sample.latency_us
+
+
+def stage_us(records: list[TraceRecord], stage: str) -> float:
+    """Total duration of ``stage`` across ``records``, in us."""
+    return ns_to_us(sum(r.duration_ns for r in records if r.stage == stage))
 
 
 def run_fig5(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
-    timeline, _ = traced_zero_byte_timeline(cfg)
+    records, _ = traced_zero_byte_timeline(cfg)
     result = ExperimentResult(
         experiment_id="Figure 5",
         title="Transmission timeline for a BCL message (0-byte)",
@@ -64,21 +69,21 @@ def run_fig5(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
               "complete the sending operation.")
     push_total = 0.0
     for stage in SEND_HOST_STAGES:
-        duration = timeline.stage_us(stage)
+        duration = stage_us(records, stage)
         push_total += duration
         result.add(stage=stage, duration_us=duration)
     result.add(stage="TOTAL push into network", duration_us=push_total)
     result.add(stage="(paper: push into network)",
                duration_us=PAPER["send_overhead_us"])
     result.add(stage="complete_send (reap send event)",
-               duration_us=timeline.stage_us("complete_send"))
+               duration_us=stage_us(records, "complete_send"))
     result.add(stage="(paper: completion)",
                duration_us=PAPER["send_complete_us"])
     return result
 
 
 def run_fig6(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
-    timeline, _ = traced_zero_byte_timeline(cfg)
+    records, _ = traced_zero_byte_timeline(cfg)
     result = ExperimentResult(
         experiment_id="Figure 6",
         title="Reception timeline for a BCL message (0-byte)",
@@ -87,7 +92,7 @@ def run_fig6(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
               "was DMA'd into user space by the NIC.")
     total = 0.0
     for stage in RECV_HOST_STAGES:
-        duration = timeline.stage_us(stage)
+        duration = stage_us(records, stage)
         total += duration
         result.add(stage=stage, duration_us=duration)
     result.add(stage="TOTAL reception overhead", duration_us=total)
@@ -97,7 +102,7 @@ def run_fig6(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
 
 
 def run_fig7(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
-    timeline, one_way_us = traced_zero_byte_timeline(cfg)
+    records, one_way_us = traced_zero_byte_timeline(cfg)
     result = ExperimentResult(
         experiment_id="Figure 7",
         title="One-way latency timeline for a 0-length BCL message",
@@ -109,15 +114,16 @@ def run_fig7(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
               "the user-level baseline replaces them with a compact "
               "user-space descriptor write + NIC context check.")
     origin: Optional[float] = None
-    for component, stage, start, end, duration in timeline.as_rows():
-        if stage == "complete_send":
+    for r in records:
+        if r.stage == "complete_send":
             continue  # off the one-way critical path
+        start, end = ns_to_us(r.start_ns), ns_to_us(r.end_ns)
         if origin is None:
             origin = start
-        result.add(stage=stage, component=component,
+        result.add(stage=r.stage, component=r.component,
                    start_us=start - origin, end_us=end - origin,
-                   duration_us=duration,
-                   semi_user_only="yes" if stage in SEMI_USER_ONLY_STAGES
+                   duration_us=r.duration_us,
+                   semi_user_only="yes" if r.stage in SEMI_USER_ONLY_STAGES
                    else "")
     result.add(stage="TOTAL one-way", component="", start_us=None,
                end_us=None, duration_us=one_way_us, semi_user_only="")

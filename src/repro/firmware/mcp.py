@@ -31,7 +31,6 @@ from repro.firmware.descriptors import BclEvent, EventKind, SendRequest
 from repro.config import CostModel
 from repro.firmware.packet import (
     ChannelKind,
-    FlyweightPayload,
     Packet,
     PacketType,
     fragment_offsets,
@@ -264,7 +263,7 @@ class Mcp:
                 yield from self._gather_with_cut_through(
                     frag_len, request.message_id)
                 frag_segs = slice_segments(segments, offset, frag_len)
-                payload = self._read_payload(frag_segs, frag_len)
+                payload = self.nic.host_memory.read_gather(frag_segs)
                 callbacks.append(lambda s=staging: self._staging.release(s))
             else:
                 payload = b""
@@ -535,8 +534,8 @@ class Mcp:
             if frag_len:
                 yield from self._gather_with_cut_through(
                     frag_len, packet.message_id)
-                payload = self._read_payload(
-                    slice_segments(segments, offset, frag_len), frag_len)
+                payload = self.nic.host_memory.read_gather(
+                    slice_segments(segments, offset, frag_len))
             else:
                 payload = b""
             response = Packet(
@@ -579,19 +578,6 @@ class Mcp:
             yield from self._deliver_event(owner, owner.recv_queue, event)
 
     # ----------------------------------------------------------- plumbing
-    def _read_payload(self, frag_segs: list[tuple[int, int]],
-                      frag_len: int):
-        """Materialize a fragment's payload from host memory.
-
-        With ``cfg.flyweight_payloads`` the O(bytes) gather copy is
-        replaced by a length-only flyweight — the scatter list has
-        already been resolved and validated, so addressing errors
-        surface identically; only the byte copy is elided.
-        """
-        if self.cfg.flyweight_payloads:
-            return FlyweightPayload(frag_len)
-        return self.nic.host_memory.read_gather(frag_segs)
-
     def _gather_with_cut_through(self, frag_len: int,
                                  message_id: Optional[int]) -> Generator:
         """Host->NIC DMA of a fragment, releasing the injector early.
@@ -625,8 +611,7 @@ class Mcp:
         remainder = min(len(packet.payload), self.cfg.pipeline_chunk_bytes)
         yield from self.nic.pci.dma(remainder, stage="dma_nic_to_host",
                                     message_id=packet.message_id)
-        if type(packet.payload) is not FlyweightPayload:
-            self.nic.host_memory.write_scatter(segments, packet.payload)
+        self.nic.host_memory.write_scatter(segments, packet.payload)
 
     def _track_reassembly(self, port: NicPortState,
                           packet: Packet) -> tuple[bool, str]:

@@ -20,59 +20,12 @@ import zlib
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-__all__ = ["PacketType", "Packet", "FlyweightPayload", "compute_crc",
-           "segment_message", "CRC_SEED"]
+__all__ = ["PacketType", "Packet", "compute_crc", "segment_message",
+           "CRC_SEED"]
 
 CRC_SEED = 0x4243_4C00  # "BCL\0"
 
 _packet_ids = itertools.count(1)
-
-
-class FlyweightPayload:
-    """Length-only stand-in for a payload's bytes.
-
-    Every virtual timing in the simulator derives from payload
-    *lengths* (wire occupancy, DMA sizes, copy costs), so carrying real
-    bytes matters only to content checks.  With
-    ``CostModel.flyweight_payloads`` the MCP skips the host-memory
-    gather/scatter copies and carries one of these instead; ``len()``,
-    truthiness and slicing behave exactly like the bytes they replace,
-    and corruption detection still works through the packet's
-    ``corrupted`` flag plus a deterministic length-derived pseudo-CRC.
-
-    Only safe for transfers whose payload content is opaque to the
-    receiver (BCL-level data): the EADI upper layer packs protocol
-    headers *into* payloads and must run with real bytes.
-    """
-
-    __slots__ = ("nbytes",)
-
-    def __init__(self, nbytes: int):
-        if nbytes < 0:
-            raise ValueError(f"negative payload length {nbytes}")
-        self.nbytes = nbytes
-
-    def __len__(self) -> int:
-        return self.nbytes
-
-    def __bool__(self) -> bool:
-        return self.nbytes > 0
-
-    def __getitem__(self, item) -> "FlyweightPayload":
-        if not isinstance(item, slice) or (item.step or 1) != 1:
-            raise TypeError("FlyweightPayload only supports unit-step slices")
-        start, stop, _ = item.indices(self.nbytes)
-        return FlyweightPayload(max(0, stop - start))
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is FlyweightPayload
-                and other.nbytes == self.nbytes)
-
-    def __hash__(self) -> int:
-        return hash((FlyweightPayload, self.nbytes))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FlyweightPayload({self.nbytes})"
 
 
 class PacketType(enum.Enum):
@@ -97,11 +50,6 @@ class ChannelKind(enum.Enum):
 
 
 def compute_crc(payload) -> int:
-    if type(payload) is FlyweightPayload:
-        # No bytes to sum: a deterministic length-derived stand-in keeps
-        # crc_ok() meaningful (corruption is carried by the flag).
-        return zlib.crc32(payload.nbytes.to_bytes(8, "little"),
-                          CRC_SEED) & 0xFFFF_FFFF
     return zlib.crc32(payload, CRC_SEED) & 0xFFFF_FFFF
 
 
@@ -127,7 +75,7 @@ class Packet:
     channel_index: int = 0
     offset: int = 0              # byte offset of this fragment
     total_length: int = 0        # total message length
-    payload: bytes = b""         # bytes, or FlyweightPayload (length-only)
+    payload: bytes = b""
     crc: int = 0
     ack_seq: int = 0             # for ACK/NACK: cumulative sequence
     rma_offset: int = 0          # for RMA ops: offset within bound buffer

@@ -64,11 +64,6 @@ def measure_one_way(cluster, nbytes: int, repeats: int = 5,
     receiver completion, over the requested channel kind."""
     env = cluster.env
     total = warmup + repeats
-    # Flyweight runs never materialize payload bytes, so there is
-    # nothing to verify (timing is length-derived and identical either
-    # way); the verdict stays True so reports are byte-identical.
-    flyweight = bool(getattr(cluster.cfg, "flyweight_payloads", False))
-    verify_payload = verify_payload and not flyweight
     result = LatencySample(nbytes)
     posted: Store = Store(env)       # receiver -> sender: buffer ready
     start_times: list[int] = []
@@ -109,8 +104,7 @@ def measure_one_way(cluster, nbytes: int, repeats: int = 5,
         buf = proc.alloc(max(nbytes, 1))
         for i in range(total):
             yield posted.get()                    # buffer is posted
-            if not flyweight:
-                proc.write(buf, _pattern(nbytes, i))  # prep, unmeasured
+            proc.write(buf, _pattern(nbytes, i))  # prep, unmeasured
             start_times.append(env.now)
             yield from port.send(dest, buf, nbytes)
             yield from port.wait_send()           # reap, off critical path

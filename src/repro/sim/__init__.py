@@ -25,7 +25,7 @@ from repro.sim.core import (
 )
 from repro.sim.resources import Resource, Store
 from repro.sim.time import MICROSECOND, MILLISECOND, SECOND, ns_to_us, us, us_to_ns
-from repro.sim.trace import StageTimeline, TraceRecord, Tracer
+from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -36,7 +36,6 @@ __all__ = [
     "Process",
     "Resource",
     "SimulationError",
-    "StageTimeline",
     "Store",
     "Timeout",
     "TraceRecord",

@@ -1,20 +1,23 @@
-"""Tracing and stage-timeline instrumentation.
+"""Stage tracing: the record every observer reads.
 
 The paper's Figures 5-7 are *timelines*: the one-way path of a BCL
 message broken into named stages with per-stage durations.  Every
 component in this reproduction reports the stages it executes to a
-shared :class:`Tracer`; :class:`StageTimeline` then reconstructs the
-per-message breakdown the figures show.
+shared :class:`Tracer`.  Readers live in :mod:`repro.telemetry`:
+:class:`~repro.telemetry.spans.SpanBuilder` gathers one message's
+records (the per-message view Figures 5-7 and ``repro observe`` share)
+and :func:`~repro.telemetry.spans.write_chrome_trace` exports a run for
+``chrome://tracing`` / Perfetto.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from repro.sim.time import ns_to_us
 
-__all__ = ["TraceRecord", "Tracer", "StageTimeline"]
+__all__ = ["TraceRecord", "Tracer"]
 
 
 #: ``data`` of a record built without any: read-only, so no two
@@ -107,74 +110,3 @@ class Tracer:
             for listener, exc in failed:
                 self.listener_errors.append((listener, exc))
                 self.remove_listener(listener)
-
-    # -- queries --------------------------------------------------------
-    def for_message(self, message_id: int) -> list[TraceRecord]:
-        return [r for r in self.records if r.message_id == message_id]
-
-    def by_category(self, category: str) -> list[TraceRecord]:
-        return [r for r in self.records if r.category == category]
-
-    def by_stage(self, stage: str) -> list[TraceRecord]:
-        return [r for r in self.records if r.stage == stage]
-
-    def total_us(self, *, category: Optional[str] = None,
-                 stage: Optional[str] = None,
-                 message_id: Optional[int] = None) -> float:
-        total = 0
-        for r in self.records:
-            if category is not None and r.category != category:
-                continue
-            if stage is not None and r.stage != stage:
-                continue
-            if message_id is not None and r.message_id != message_id:
-                continue
-            total += r.duration_ns
-        return ns_to_us(total)
-
-
-class StageTimeline:
-    """Ordered per-stage breakdown of one message's critical path.
-
-    Built from the trace records of a single message, sorted by start
-    time.  Overlapping stages (pipelined DMA, for instance) are kept
-    as-is; ``critical_path_us`` reports last-end minus first-start,
-    which is what the paper's end-to-end timelines measure.
-    """
-
-    def __init__(self, records: list[TraceRecord]):
-        self.records = sorted(records, key=lambda r: (r.start_ns, r.end_ns))
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def critical_path_us(self) -> float:
-        if not self.records:
-            return 0.0
-        start = min(r.start_ns for r in self.records)
-        end = max(r.end_ns for r in self.records)
-        return ns_to_us(end - start)
-
-    def stage_us(self, stage: str) -> float:
-        return ns_to_us(sum(r.duration_ns for r in self.records
-                            if r.stage == stage))
-
-    def as_rows(self) -> list[tuple[str, str, float, float, float]]:
-        """Rows of (component, stage, start_us, end_us, duration_us)."""
-        return [(r.component, r.stage, ns_to_us(r.start_ns),
-                 ns_to_us(r.end_ns), r.duration_us) for r in self.records]
-
-    def format(self, title: str = "timeline") -> str:
-        lines = [f"{title}  (total {self.critical_path_us:.2f} us)"]
-        if self.records:
-            origin = min(r.start_ns for r in self.records)
-            for r in self.records:
-                lines.append(
-                    f"  [{ns_to_us(r.start_ns - origin):7.2f} -> "
-                    f"{ns_to_us(r.end_ns - origin):7.2f} us] "
-                    f"{r.duration_us:6.2f} us  {r.component:<22s} {r.stage}")
-        return "\n".join(lines)

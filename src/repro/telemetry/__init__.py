@@ -8,8 +8,9 @@ query instead of an aggregate experiment output:
 
 * :mod:`repro.telemetry.spans` — every message gets a causal span
   tree stitched across its lifecycle (send trap -> checks ->
-  pin-down -> SRQ PIO fill -> wire -> DMA -> poll), exported as JSONL
-  and as flow-linked Chrome/Perfetto events;
+  pin-down -> SRQ PIO fill -> wire -> DMA -> poll), exported as JSONL;
+  the module also holds the Chrome/Perfetto trace exporter, which draws
+  those trees as flow arrows;
 * :mod:`repro.telemetry.metrics` — a registry of counters, gauges and
   log-scaled histograms (exact p50/p95/p99) that the kernel, firmware,
   NIC, link and upper layers register into, with Prometheus-style text
@@ -69,7 +70,8 @@ from repro.telemetry.session import TelemetrySession
 from repro.telemetry.spans import (
     Span,
     SpanBuilder,
-    spans_to_chrome,
+    chrome_trace_events,
+    write_chrome_trace,
     write_spans_jsonl,
 )
 
@@ -91,6 +93,7 @@ __all__ = [
     "TelemetrySession",
     "attribute_records",
     "canonical_stage",
+    "chrome_trace_events",
     "config_digest",
     "diff_runs",
     "disable",
@@ -100,7 +103,7 @@ __all__ = [
     "load_run",
     "make_ledger",
     "render_postmortem",
-    "spans_to_chrome",
+    "write_chrome_trace",
     "write_ledger",
     "write_spans_jsonl",
 ]

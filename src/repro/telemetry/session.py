@@ -33,7 +33,7 @@ from repro.telemetry.critical_path import (
     canonical_stage,
 )
 from repro.telemetry.metrics import Histogram, MetricsRegistry
-from repro.telemetry.spans import Span, SpanBuilder, spans_to_chrome
+from repro.telemetry.spans import Span, SpanBuilder
 
 __all__ = ["TelemetrySession"]
 
@@ -139,9 +139,6 @@ class TelemetrySession:
 
     def span_trees(self) -> list[Span]:
         return self.spans.build_all()
-
-    def chrome_events(self) -> list[dict]:
-        return spans_to_chrome(self.span_trees())
 
     # ------------------------------------------------------------ ledger
     def to_ledger(self, kind: str = "run", *, seed: Optional[int] = None,

@@ -18,22 +18,29 @@ the event (and its message id) is known, so the matching anonymous
 poll whose end meets the message's ``check_recv_event`` start on the
 same component.
 
-Exports: JSONL (one span per line, parent ids intact) and Chrome
-trace events where consecutive component spans are linked by flow
-events (``ph:"s"``/``ph:"f"``), so Perfetto draws the causal arrow
-from the send-side CPU through the NICs to the receive-side poll.
+Exports: JSONL (one span per line, parent ids intact) and the Chrome
+trace of a tracer, loadable in ``chrome://tracing`` / Perfetto with one
+row per simulated component.  Given span trees as ``flows``, the Chrome
+export links each message's consecutive component spans by flow events
+(``ph:"s"``/``ph:"f"``), so Perfetto draws the causal arrow from the
+send-side CPU through the NICs to the receive-side poll::
+
+    cluster = Cluster(n_nodes=2, trace=True)
+    ...
+    write_chrome_trace(cluster.tracer, "run.json")
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
-from typing import IO, Any, Optional, Union
+from typing import IO, Any, Iterable, Optional, Union
 
 from repro.sim.trace import TraceRecord, Tracer
 
-__all__ = ["Span", "SpanBuilder", "spans_to_chrome", "write_spans_jsonl",
-           "LAYER_OF_CATEGORY"]
+__all__ = ["Span", "SpanBuilder", "chrome_trace_events", "write_chrome_trace",
+           "write_spans_jsonl", "LAYER_OF_CATEGORY"]
 
 #: trace category -> stack layer (the BCL->EADI->MPI/PVM layering plus
 #: the hardware below it)
@@ -218,15 +225,26 @@ def write_spans_jsonl(spans: list[Span],
     return len(rows)
 
 
-def spans_to_chrome(spans: list[Span]) -> list[dict]:
-    """Chrome trace events with causal flow links.
+#: stable pseudo-pid for the whole cluster in the trace viewer
+_TRACE_PID = 1
 
-    Stage spans become complete events ("ph":"X") on their component's
-    row; each component-to-component hop inside a message gets a flow
-    start ("ph":"s") at the end of the upstream component span and a
-    binding-point flow finish ("ph":"f") at the start of the
-    downstream one, sharing an id — Perfetto then draws the causal
-    arrows of the message's lifecycle.
+
+def chrome_trace_events(tracer: Tracer, message_id: Optional[int] = None,
+                        flows: Iterable[Span] = ()) -> list[dict]:
+    """Convert trace records to Chrome trace-event dicts.
+
+    Complete events ("ph": "X") with microsecond timestamps; the
+    component name becomes the thread name so each component renders as
+    its own row.  Zero-duration ``fault`` records (injected packet
+    drops, corruptions, duplications, reorders — see
+    :mod:`repro.faults`) become instant events ("ph": "i"), so a
+    Perfetto timeline shows each fault as a marker on its link's row,
+    right next to the go-back-N recovery activity it triggered.
+
+    Each span tree in ``flows`` adds a flow start ("ph": "s") at the
+    end of every component span and a binding-point flow finish
+    ("ph": "f") at the start of the next one, sharing an id — Perfetto
+    then draws the causal arrows of the message's lifecycle.
     """
     events: list[dict] = []
     components: dict[str, int] = {}
@@ -234,26 +252,40 @@ def spans_to_chrome(spans: list[Span]) -> list[dict]:
     def tid_of(component: str) -> int:
         return components.setdefault(component, len(components) + 1)
 
-    for root in spans:
+    for record in tracer.records:
+        if message_id is not None and record.message_id != message_id:
+            continue
+        tid = tid_of(record.component)
+        args = ({"message_id": record.message_id} | dict(record.data)) \
+            if record.message_id is not None else dict(record.data)
+        if record.category == "fault" and record.duration_ns == 0:
+            events.append({
+                "name": record.stage,
+                "cat": record.category,
+                "ph": "i",
+                "s": "t",                      # thread-scoped marker
+                "pid": _TRACE_PID,
+                "tid": tid,
+                "ts": record.start_ns / 1000.0,
+                "args": args,
+            })
+            continue
+        events.append({
+            "name": record.stage,
+            "cat": record.category,
+            "ph": "X",
+            "pid": _TRACE_PID,
+            "tid": tid,
+            "ts": record.start_ns / 1000.0,    # chrome wants us
+            "dur": record.duration_ns / 1000.0,
+            "args": args,
+        })
+    for root in flows:
         hops = [c for c in root.children if c.component]
-        for hop in hops:
-            for stage in hop.children:
-                events.append({
-                    "name": stage.name,
-                    "cat": stage.category or "span",
-                    "ph": "X",
-                    "pid": 1,
-                    "tid": tid_of(stage.component),
-                    "ts": stage.start_ns / 1000.0,
-                    "dur": stage.duration_ns / 1000.0,
-                    "args": {"message_id": root.message_id,
-                             "span_id": stage.span_id,
-                             "layer": stage.layer, **stage.attrs},
-                })
         for upstream, downstream in zip(hops, hops[1:]):
-            flow_id = f"{root.span_id}:{upstream.span_id}"
             common = {"name": root.name, "cat": "message-flow",
-                      "pid": 1, "id": flow_id}
+                      "pid": _TRACE_PID,
+                      "id": f"{root.span_id}:{upstream.span_id}"}
             # Hops can overlap (e.g. trap_exit runs while the MCP
             # fetches the descriptor); the arrow must not depart after
             # it arrives, so clamp the start to the downstream start.
@@ -264,7 +296,32 @@ def spans_to_chrome(spans: list[Span]) -> list[dict]:
             events.append({**common, "ph": "f", "bp": "e",
                            "tid": tid_of(downstream.component),
                            "ts": downstream.start_ns / 1000.0})
+    # Thread-name metadata so rows are labelled.
     for component, tid in components.items():
-        events.append({"name": "thread_name", "ph": "M", "pid": 1,
-                       "tid": tid, "args": {"name": component}})
+        events.append({
+            "name": "thread_name",
+            "ph": "M",
+            "pid": _TRACE_PID,
+            "tid": tid,
+            "args": {"name": component},
+        })
     return events
+
+
+def write_chrome_trace(tracer: Tracer, destination: Union[str, IO[str]],
+                       message_id: Optional[int] = None,
+                       flows: Iterable[Span] = ()) -> int:
+    """Write the trace to a path or file object; returns #events."""
+    events = chrome_trace_events(tracer, message_id, flows)
+    payload = {"traceEvents": events, "displayTimeUnit": "ns"}
+    if isinstance(destination, str):
+        # A fresh output directory must not fail the dump after the
+        # traced run already did its work (same contract as
+        # benchmarks' write_bench and the ledger writer).
+        parent = os.path.dirname(os.path.abspath(destination))
+        os.makedirs(parent, exist_ok=True)
+        with open(destination, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+    else:
+        json.dump(payload, destination)
+    return len(events)

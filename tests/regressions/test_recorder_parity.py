@@ -16,9 +16,9 @@ import json
 from repro.cluster import Cluster
 from repro.config import LOSSY_DAWNING
 from repro.faults import FaultPlan
-from repro.instrument.export import chrome_trace_events
 from repro.instrument.measure import measure_one_way
 from repro.telemetry import recorder as recorder_mod
+from repro.telemetry.spans import chrome_trace_events
 
 
 def _run(recorder: bool, **cluster_kwargs):

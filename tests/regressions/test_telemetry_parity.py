@@ -16,9 +16,9 @@ from repro.cluster import Cluster
 from repro.config import LOSSY_DAWNING
 from repro.faults import FaultPlan
 from repro.fuzz import FifoTieBreak
-from repro.instrument.export import chrome_trace_events
 from repro.instrument.measure import measure_one_way
 from repro.sim import Environment
+from repro.telemetry.spans import chrome_trace_events
 
 
 def _run(telemetry: bool, env=None, **cluster_kwargs):

@@ -28,10 +28,10 @@ import pytest
 from repro.cluster import Cluster
 from repro.fuzz import ShuffledTieBreak, generate_workload, run_workload
 from repro.fuzz.generator import workload_seed
-from repro.instrument.export import chrome_trace_events
 from repro.instrument.measure import measure_one_way
 from repro.serve import ServeConfig, run_serve
 from repro.sim import Environment
+from repro.telemetry.spans import chrome_trace_events
 
 
 def _sha(text: str) -> str:

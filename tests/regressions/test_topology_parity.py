@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.instrument.export import chrome_trace_events
 from repro.instrument.measure import measure_one_way
+from repro.telemetry.spans import chrome_trace_events
 from repro.upper.job import run_spmd
 
 

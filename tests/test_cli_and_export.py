@@ -9,9 +9,9 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.cluster import Cluster
-from repro.instrument.export import chrome_trace_events, write_chrome_trace
 from repro.instrument.measure import measure_one_way
 from repro.sim.trace import Tracer
+from repro.telemetry.spans import chrome_trace_events, write_chrome_trace
 
 
 # ------------------------------------------------------------------ export

@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 
 from repro.cluster import Cluster
-from repro.instrument.export import chrome_trace_events
 from repro.instrument.measure import measure_one_way
+from repro.telemetry.spans import chrome_trace_events
 from repro.upper.job import run_spmd
 from repro.workloads import run_sample_sort
 

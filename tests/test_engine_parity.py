@@ -5,9 +5,7 @@ the same pop order, and the heap ran beside it as a differential
 reference until the digests below were recorded from both.  Every
 observable — the latency samples, payload verdicts, the final clock,
 the event count and the full canonicalized trace — must still match
-those digests in clean, faulted and telemetry-enabled runs.  Flyweight
-payloads are a time-exact fast path, so they join the same equivalence
-class on the simulated-time observables.
+those digests in clean, faulted and telemetry-enabled runs.
 """
 
 from __future__ import annotations
@@ -18,11 +16,11 @@ import json
 import pytest
 
 from repro.cluster import Cluster
-from repro.config import DAWNING_3000, LOSSY_DAWNING
+from repro.config import LOSSY_DAWNING
 from repro.faults import FaultPlan
-from repro.instrument.export import chrome_trace_events
 from repro.instrument.measure import measure_one_way
 from repro.sim import Environment
+from repro.telemetry.spans import chrome_trace_events
 
 
 def _observe(env, **cluster_kwargs):
@@ -76,29 +74,3 @@ def test_events_processed_counts_and_matches():
     assert env.events_processed == 100
     assert env.now == 6
 
-
-def _time_observables(cfg, nbytes=65536):
-    cluster = Cluster(n_nodes=2, cfg=cfg)
-    sample = measure_one_way(cluster, nbytes, repeats=3, warmup=1)
-    return (tuple(sample.samples_us), sample.received_payloads_ok,
-            cluster.env.now)
-
-
-def test_flyweight_payloads_time_identical():
-    """Length-only payloads never change the simulated clock."""
-    real = _time_observables(DAWNING_3000)
-    fly = _time_observables(DAWNING_3000.replace(flyweight_payloads=True))
-    assert fly == real
-
-
-def test_flyweight_time_identical_under_faults():
-    """CRC, retransmit and recovery schedules are length-derived too."""
-    def run(cfg):
-        cluster = Cluster(n_nodes=2, cfg=cfg,
-                          fault_plan=FaultPlan(seed=11, drop_rate=0.15))
-        sample = measure_one_way(cluster, 65536, repeats=3, warmup=1)
-        return (tuple(sample.samples_us), sample.received_payloads_ok,
-                cluster.env.now)
-
-    assert run(LOSSY_DAWNING.replace(flyweight_payloads=True)) \
-        == run(LOSSY_DAWNING)

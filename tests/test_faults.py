@@ -343,7 +343,7 @@ def test_null_plan_byte_identical_to_no_injector():
 
 # ----------------------------------------------- trace + experiment wiring
 def test_fault_events_export_as_instant_markers():
-    from repro.instrument.export import chrome_trace_events
+    from repro.telemetry.spans import chrome_trace_events
 
     cluster = Cluster(n_nodes=2, cfg=LOSSY, trace=True,
                       fault_plan=FaultPlan(drop_seqs=(1,)))

@@ -20,9 +20,9 @@ from repro.fuzz import (
     generate_workload,
     run_workload,
 )
-from repro.instrument.export import chrome_trace_events
 from repro.instrument.measure import measure_one_way
 from repro.sim import Environment, SimulationError
+from repro.telemetry.spans import chrome_trace_events
 
 
 # ------------------------------------------------------------ unit level

@@ -1,4 +1,4 @@
-"""Tracer, timelines, cluster report, and completion-queue overflow."""
+"""Tracer, cluster report, and completion-queue overflow."""
 
 from __future__ import annotations
 
@@ -11,25 +11,13 @@ from repro.firmware.descriptors import BclEvent, EventKind
 from repro.instrument.report import cluster_report
 from repro.instrument.measure import measure_one_way
 from repro.sim import Environment
-from repro.sim.trace import StageTimeline, Tracer
+from repro.sim.trace import Tracer
 
 from tests.conftest import run_procs
 from tests.test_bcl_channels import setup_pair
 
 
 # ------------------------------------------------------------------ tracer
-def test_tracer_records_and_queries():
-    tracer = Tracer()
-    tracer.record(0, 100, "cpu", "work", "c0", message_id=1)
-    tracer.record(100, 300, "dma", "xfer", "pci", message_id=1)
-    tracer.record(50, 80, "cpu", "other", "c1", message_id=2)
-    assert len(tracer.for_message(1)) == 2
-    assert tracer.total_us(category="cpu") == pytest.approx(0.13)
-    assert tracer.total_us(message_id=1) == pytest.approx(0.3)
-    assert [r.stage for r in tracer.by_category("dma")] == ["xfer"]
-    assert len(tracer.by_stage("work")) == 1
-
-
 def test_tracer_disabled_records_nothing():
     tracer = Tracer(enabled=False)
     tracer.record(0, 10, "cpu", "work", "c0")
@@ -72,18 +60,6 @@ def test_tracer_remove_listener():
     tracer.remove_listener(seen.append)    # unknown listener: no error
     tracer.record(0, 10, "cpu", "work", "c0")
     assert seen == []
-
-
-def test_stage_timeline_critical_path_and_format():
-    tracer = Tracer()
-    tracer.record(0, 1000, "cpu", "a", "c0", message_id=1)
-    tracer.record(500, 3_000, "dma", "b", "pci", message_id=1)
-    timeline = StageTimeline(tracer.for_message(1))
-    assert timeline.critical_path_us == pytest.approx(3.0)
-    assert timeline.stage_us("a") == pytest.approx(1.0)
-    text = timeline.format("test")
-    assert "test" in text and "a" in text and "b" in text
-    assert len(timeline) == 2
 
 
 # ----------------------------------------------------------- cluster report

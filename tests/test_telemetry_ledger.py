@@ -65,8 +65,8 @@ def test_write_ledger_creates_parent_dirs(tmp_path):
 def test_chrome_trace_writer_creates_parent_dirs(tmp_path):
     """All CLI artifact writers share the mkdir-parents contract."""
     from repro.cluster import Cluster
-    from repro.instrument.export import write_chrome_trace
     from repro.instrument.measure import measure_one_way
+    from repro.telemetry.spans import write_chrome_trace
 
     cluster = Cluster(n_nodes=2, trace=True)
     measure_one_way(cluster, 0, repeats=1, warmup=0)

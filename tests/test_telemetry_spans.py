@@ -13,7 +13,7 @@ from repro.sim.trace import Tracer
 from repro.telemetry.spans import (
     LAYER_OF_CATEGORY,
     SpanBuilder,
-    spans_to_chrome,
+    chrome_trace_events,
     write_spans_jsonl,
 )
 
@@ -123,8 +123,9 @@ def test_jsonl_roundtrip(tmp_path):
 def test_chrome_flow_events_pair_up(tmp_path):
     """Satellite: flow start/finish ids must pair after a JSON
     round-trip, linking consecutive component hops of one message."""
-    builder = SpanBuilder.from_tracer(_traced_cluster().tracer)
-    events = spans_to_chrome(builder.build_all())
+    tracer = _traced_cluster().tracer
+    builder = SpanBuilder.from_tracer(tracer)
+    events = chrome_trace_events(tracer, flows=builder.build_all())
     path = tmp_path / "flows.json"
     path.write_text(json.dumps({"traceEvents": events}))
     events = json.loads(path.read_text())["traceEvents"]
@@ -148,16 +149,52 @@ def test_chrome_flow_events_pair_up(tmp_path):
 
 
 def test_chrome_stage_events_on_component_rows():
-    builder = SpanBuilder.from_tracer(_traced_cluster().tracer)
-    events = spans_to_chrome(builder.build_all())
+    tracer = _traced_cluster().tracer
+    builder = SpanBuilder.from_tracer(tracer)
+    events = chrome_trace_events(tracer, flows=builder.build_all())
     spans = [e for e in events if e["ph"] == "X"]
     tid_name = {e["tid"]: e["args"]["name"] for e in events
                 if e["ph"] == "M"}
     assert spans
     for event in spans:
-        assert event["args"]["span_id"]
-        assert event["args"]["message_id"] is not None
         assert tid_name[event["tid"]]        # every row is labelled
+    # every record of every stitched message is on its component's row
+    for mid in builder.message_ids():
+        for record in builder.records_for(mid):
+            if record.message_id is None:
+                continue                     # adopted anonymous poll
+            assert any(e["name"] == record.stage
+                       and e["args"].get("message_id") == mid
+                       and tid_name[e["tid"]] == record.component
+                       for e in spans)
+
+
+def test_observe_export_is_the_tracer_export_plus_flows(tmp_path,
+                                                         monkeypatch):
+    """``repro observe --spans-out`` writes exactly the tracer's Chrome
+    trace, plus one flow start/finish pair per hop of each message."""
+    from repro import cli
+    from repro.telemetry import observe
+
+    real = observe.run_ping_pong
+    clusters = []
+
+    def run_ping_pong(**kwargs):
+        cluster, sample = real(**kwargs)
+        clusters.append(cluster)
+        return cluster, sample
+
+    monkeypatch.setattr(observe, "run_ping_pong", run_ping_pong)
+    path = tmp_path / "spans.json"
+    assert cli.main(["observe", "--spans-out", str(path)]) == 0
+    cluster, = clusters
+    events = json.loads(path.read_text())["traceEvents"]
+    flows = [e for e in events if e["ph"] in ("s", "f")]
+    rest = [e for e in events if e["ph"] not in ("s", "f")]
+    assert rest == chrome_trace_events(cluster.tracer)
+    hops = sum(len(root.children) - 1
+               for root in cluster.telemetry.span_trees())
+    assert len(flows) == 2 * hops > 0
 
 
 # ------------------------------------------------- tracer listener safety
