@@ -32,8 +32,9 @@ and therefore machine-independent:
   grow latency at most ``--growth-ceiling`` (default 2.0x; linear
   growth would be 4x);
 * any point also present in the baseline must reproduce its
-  ``latency_us`` exactly — a drifted simulated latency means the
-  default-path behaviour changed, which is a parity break, not noise.
+  ``latency_us``, ``events`` and ``stage_table`` exactly — a drifted
+  simulated latency, event count or stage total means the default-path
+  behaviour changed, which is a parity break, not noise.
 
 **serve** — gates ``BENCH_serve.json`` (RPC tier offered-load sweep)
 on simulated numbers, also machine-independent:
@@ -96,6 +97,10 @@ def load(path: str) -> dict:
     return doc
 
 
+#: scale-point outputs a baseline point must reproduce exactly
+SCALE_EXACT = ("latency_us", "events", "stage_table")
+
+
 def _gate_scale(fresh: dict, base: dict, args,
                 failures: list[str]) -> None:
     """Simulated-latency checks for the scale suite (deterministic,
@@ -153,14 +158,18 @@ def _gate_scale(fresh: dict, base: dict, args,
         ref = base_points.get(result.get("name"))
         if ref is None:
             continue
-        got, want = result["latency_us"], ref["latency_us"]
-        if got != want:
+        drifted = [key for key in SCALE_EXACT
+                   if result.get(key) != ref.get(key)]
+        for key in drifted:
             failures.append(
-                f"simulated latency drift in {result['name']}: "
-                f"{got} us vs committed {want} us — the default path "
-                "changed; regenerate BENCH_scale.json deliberately")
-        else:
-            print(f"ok: {result['name']}: {got} us == baseline")
+                f"simulated {key} drift in {result['name']}: "
+                f"{result.get(key)} vs committed {ref.get(key)} — the "
+                "default path changed; regenerate BENCH_scale.json "
+                "deliberately")
+        if not drifted:
+            print(f"ok: {result['name']}: {result['latency_us']} us, "
+                  f"{result['events']} events and the stage table == "
+                  "baseline")
 
 
 def _gate_serve(fresh: dict, base: dict, args,

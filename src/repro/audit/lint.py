@@ -14,7 +14,10 @@ Two passes over the AST of every file:
 
 1. **registry** — collect every ``def``; a function is a *generator*
    when its own body (nested defs/lambdas excluded) contains ``yield``
-   or ``yield from``.  Names are recorded globally and per class.
+   or ``yield from``, or when it is annotated ``-> Generator``: a
+   forwarder that returns the inner generator instead of stacking a
+   ``yield from`` layer is just as silent when called bare.  Names are
+   recorded globally and per class.
 2. **check** — flag every expression statement that is a bare call
    whose callee resolves *unambiguously* to a generator:
    ``self.name(...)`` resolves through the enclosing class first, then
@@ -64,7 +67,15 @@ class LintViolation:
 
 
 def _is_generator(fn: ast.FunctionDef) -> bool:
-    """True when fn's own body yields (nested defs/lambdas excluded)."""
+    """True when fn's own body yields (nested defs/lambdas excluded) or
+    fn is annotated to return a ``Generator``."""
+    ann = fn.returns
+    if isinstance(ann, ast.Subscript):
+        ann = ann.value
+    if isinstance(ann, ast.Attribute):
+        ann = ast.Name(ann.attr)
+    if isinstance(ann, ast.Name) and ann.id == "Generator":
+        return True
     stack = list(fn.body)
     while stack:
         node = stack.pop()

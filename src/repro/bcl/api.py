@@ -100,7 +100,7 @@ class BclPort:
 
     def _user(self, cost_us: float, stage: str,
               message_id: Optional[int] = None) -> Generator:
-        yield from self.lib.proc.cpu.execute(
+        return self.lib.proc.cpu.execute(
             cost_us, category="bcl", stage=stage, message_id=message_id)
 
     def _check_open(self) -> None:
@@ -135,9 +135,7 @@ class BclPort:
     def send_system(self, dest: BclAddress, vaddr: int,
                     nbytes: int) -> Generator:
         """Small-message send through the destination's system channel."""
-        mid = yield from self.send(dest.with_channel(ChannelKind.SYSTEM),
-                                   vaddr, nbytes)
-        return mid
+        return self.send(dest.with_channel(ChannelKind.SYSTEM), vaddr, nbytes)
 
     # ------------------------------------------------------------- receiving
     def post_recv(self, channel_index: int, vaddr: int,

@@ -9,9 +9,11 @@ timed collective with the host-side dissemination/tree algorithms or
 the MCP firmware fan-in/fan-out tree (``collectives="nic"``).
 
 Each payload carries an aggregate *critical-path stage table*: every
-trace record emitted during the timed window, grouped by the
-Figure-7 canonical stage (:func:`repro.telemetry.critical_path.
-canonical_stage`), with the bounding (largest) stage named — at small
+span traced during the timed window, grouped by the Figure-7
+canonical stage (:func:`repro.telemetry.critical_path.
+canonical_stage`), with the bounding (largest) stage named.  The table
+is folded from raw spans as they are traced; the tracer keeps no
+records for it, so a thousand-rank cell runs in bounded memory.  At small
 scale host collectives are bounded by per-hop software stages, at
 large scale by ``wire``/``wait``; the NIC tree's table shows ``mcp``
 taking over the coordination work.
@@ -31,7 +33,7 @@ from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
 from repro.experiments.common import ExperimentResult
 from repro.sim.time import ns_to_us
-from repro.telemetry.critical_path import canonical_stage
+from repro.telemetry.critical_path import stage_group
 from repro.upper.job import run_spmd
 
 __all__ = ["measure_scale_point", "measure_congestion_point",
@@ -40,12 +42,6 @@ __all__ = ["measure_scale_point", "measure_congestion_point",
 
 #: collective operations the sweep times
 SCALE_OPS = ("barrier", "allreduce")
-
-#: cap on stored trace records; the aggregating listener folds spans
-#: into per-stage totals and trims the raw list, so thousand-rank
-#: traced runs stay in bounded memory
-_TRIM_THRESHOLD = 65536
-
 
 def scale_ranks() -> tuple[int, ...]:
     """Sweep sizes (env-overridable: ``REPRO_SCALE_RANKS=16,64``)."""
@@ -59,36 +55,38 @@ def scale_topologies() -> tuple[str, ...]:
 
 
 class _StageAggregator:
-    """Tracer listener folding records into per-canonical-stage totals.
+    """Raw-span subscriber folding spans into per-canonical-stage totals.
 
-    Armed only for the timed window; keeps ``tracer.records`` trimmed
-    so a 5M-event run does not hold 5M record objects.  The stage group
-    depends only on a record's ``(stage, category)``, so it is looked
-    up once per pair.
+    Armed only for the timed window.  It sums nanoseconds per ``(stage,
+    category)`` pair and maps each pair to its stage group once, in
+    :meth:`table`, so no :class:`~repro.sim.trace.TraceRecord` is built
+    for it.  While it is attached the tracer keeps no records: a
+    5M-event run holds none, and builds none unless an ``add_listener``
+    listener asks for them.
     """
 
     def __init__(self, tracer):
         self.tracer = tracer
         self.armed = False
-        self.totals_ns: dict[str, int] = {}
-        self._groups: dict[tuple[str, str], str] = {}
-        tracer.add_listener(self._on_record)
+        self._pair_ns: dict[tuple[str, str], int] = {}
+        tracer.keep_records = False
+        tracer.add_span_listener(self._on_record)
 
-    def _on_record(self, record) -> None:
+    def _on_record(self, start_ns, end_ns, category, stage, _component,
+                   _message_id) -> None:
         if self.armed:
-            key = (record.stage, record.category)
-            group = self._groups.get(key)
-            if group is None:
-                group = self._groups[key] = canonical_stage(record)
-            self.totals_ns[group] = (self.totals_ns.get(group, 0)
-                                     + record.duration_ns)
-        if len(self.tracer.records) >= _TRIM_THRESHOLD:
-            self.tracer.records.clear()
+            pair_ns = self._pair_ns
+            key = (stage, category)
+            pair_ns[key] = pair_ns.get(key, 0) + end_ns - start_ns
 
     def table(self) -> list[list]:
         """``[[stage, total_us], ...]`` sorted by descending time."""
+        totals: dict[str, int] = {}
+        for (stage, category), ns in self._pair_ns.items():
+            group = stage_group(stage, category)
+            totals[group] = totals.get(group, 0) + ns
         return [[stage, ns_to_us(ns)]
-                for stage, ns in sorted(self.totals_ns.items(),
+                for stage, ns in sorted(totals.items(),
                                         key=lambda kv: (-kv[1], kv[0]))]
 
 

@@ -3,8 +3,8 @@
 Each cell runs one ``(rho, policy, arrivals)`` point of the RPC tier
 (:func:`repro.serve.run_serve`) on a traced cluster and reports tail
 latency (p50/p99/p99.9), goodput, shed/queued counts and the aggregate
-critical-path stage table for the run (the PR 5 telemetry attribution,
-same listener the scale sweep uses).
+critical-path stage table for the run (the telemetry attribution,
+folded from raw spans by the same aggregator the scale sweep uses).
 
 The default load axis crosses saturation — 0.5 through 1.4 x nominal
 service capacity — so the merged table shows the knee: goodput flat-

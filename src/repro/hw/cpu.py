@@ -42,14 +42,19 @@ class Cpu:
         if cost_us < 0:
             raise ValueError(f"negative CPU cost {cost_us}")
         duration = us(self.cfg.scaled_host_us(cost_us) if scale else cost_us)
-        with self._resource.request() as req:
+        resource = self._resource
+        req = resource.request()
+        try:
             yield req
-            start = self.env.now
-            yield self.env.sleep(duration)
+            env = self.env
+            start = env.now
+            yield env.sleep(duration)
             self.busy_ns += duration
             if self.tracer is not None:
-                self.tracer.record(start, self.env.now, category, stage,
+                self.tracer.record(start, start + duration, category, stage,
                                    self.name, message_id)
+        finally:
+            resource.release(req)
 
     @property
     def utilisation_ns(self) -> int:

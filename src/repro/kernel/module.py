@@ -73,13 +73,13 @@ class BclKernelModule:
     def _kwork(self, proc: "UserProcess", cost_us: float, stage: str,
                message_id: Optional[int] = None) -> Generator:
         """Kernel CPU work on the caller's processor."""
-        yield from proc.cpu.execute(cost_us, category="kernel", stage=stage,
-                                    message_id=message_id)
+        return proc.cpu.execute(cost_us, category="kernel", stage=stage,
+                                message_id=message_id)
 
     def _checks(self, proc: "UserProcess", stage: str = "security_checks",
                 message_id: Optional[int] = None) -> Generator:
-        yield from self._kwork(proc, self.cfg.security_check_us, stage,
-                               message_id)
+        return self._kwork(proc, self.cfg.security_check_us, stage,
+                           message_id)
 
     def _pio_fill(self, proc: "UserProcess", words: int, stage: str,
                   message_id: Optional[int] = None) -> Generator:

@@ -50,27 +50,46 @@ class TraceRecord(NamedTuple):
 
 
 class Tracer:
-    """Collects :class:`TraceRecord`\\ s; may be disabled for speed."""
+    """Collects :class:`TraceRecord`\\ s; may be disabled for speed.
+
+    Two kinds of subscriber read the stream.  An ``add_listener``
+    listener receives every record as a :class:`TraceRecord`, the same
+    object ``records`` keeps.  A raw-span subscriber
+    (:meth:`add_span_listener`) receives ``(start_ns, end_ns, category,
+    stage, component, message_id)`` and costs no record at all: a record
+    is built only when the tracer keeps records (``keep_records``) or a
+    listener is attached.  Stage folds subscribe raw and switch
+    ``keep_records`` off, so a thousand-rank traced cell holds no
+    records and builds none unless someone listens.
+    """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
+        #: append every record to ``records`` (off while a raw-span
+        #: fold is the only reader)
+        self.keep_records = True
         self.records: list[TraceRecord] = []
         self._listeners: list[Callable[[TraceRecord], None]] = []
+        self._span_listeners: list[Callable[..., None]] = []
         #: (listener, exception) pairs for listeners detached after
         #: raising — observers must not abort the simulation
-        self.listener_errors: list[tuple[Callable[[TraceRecord], None],
-                                         BaseException]] = []
+        self.listener_errors: list[tuple[Callable, BaseException]] = []
 
     def clear(self) -> None:
-        """Reset for a fresh trial: drop records AND detach listeners.
+        """Reset for a fresh trial: drop records, detach every listener
+        and raw-span subscriber, and forget failed listeners.
 
         Listeners are typically bound to per-trial objects (exporters,
-        recovery trackers); a tracer reused across trials used to keep
-        them, so every re-attached listener fired once per prior trial
-        as well — duplicating downstream records.
+        recovery trackers, stage folds); a tracer reused across trials
+        used to keep them, so every re-attached listener fired once per
+        prior trial as well — duplicating downstream records — and
+        ``listener_errors`` still named the previous trial's failures.
         """
         self.records.clear()
         self._listeners.clear()
+        self._span_listeners.clear()
+        self.listener_errors.clear()
+        self.keep_records = True
 
     def add_listener(self, fn: Callable[[TraceRecord], None]) -> None:
         self._listeners.append(fn)
@@ -82,6 +101,11 @@ class Tracer:
         except ValueError:
             pass
 
+    def add_span_listener(self, fn: Callable[..., None]) -> None:
+        """Subscribe ``fn(start_ns, end_ns, category, stage, component,
+        message_id)`` to every span; no record is built for it."""
+        self._span_listeners.append(fn)
+
     def record(self, start_ns: int, end_ns: int, category: str, stage: str,
                component: str, message_id: Optional[int] = None,
                **data: Any) -> None:
@@ -90,23 +114,34 @@ class Tracer:
         if end_ns < start_ns:
             raise ValueError(
                 f"stage {stage!r} ends ({end_ns}) before it starts ({start_ns})")
-        rec = TraceRecord(start_ns, end_ns, category, stage, component,
-                          message_id, data)
-        self.records.append(rec)
+        # Subscribers are observers (stage folds, exporters, span
+        # builders, recovery trackers); one raising must not abort the
+        # simulation mid-event.  Record the failure once and detach the
+        # offender so it cannot fail on every subsequent span.
         failed = None
-        for listener in self._listeners:
+        for fn in self._span_listeners:
             try:
-                listener(rec)
+                fn(start_ns, end_ns, category, stage, component, message_id)
             except Exception as exc:
-                # Listeners are observers (exporters, span builders,
-                # recovery trackers); one raising must not abort the
-                # simulation mid-event.  Record the failure once and
-                # detach the offender so it cannot fail on every
-                # subsequent record.
                 if failed is None:
                     failed = []
-                failed.append((listener, exc))
+                failed.append((fn, exc))
+        listeners = self._listeners
+        if self.keep_records or listeners:
+            rec = TraceRecord(start_ns, end_ns, category, stage, component,
+                              message_id, data)
+            if self.keep_records:
+                self.records.append(rec)
+            for listener in listeners:
+                try:
+                    listener(rec)
+                except Exception as exc:
+                    if failed is None:
+                        failed = []
+                    failed.append((listener, exc))
         if failed:
-            for listener, exc in failed:
-                self.listener_errors.append((listener, exc))
-                self.remove_listener(listener)
+            for fn, exc in failed:
+                self.listener_errors.append((fn, exc))
+                for subscribers in (self._listeners, self._span_listeners):
+                    if fn in subscribers:
+                        subscribers.remove(fn)

@@ -30,7 +30,7 @@ from repro.sim.time import ns_to_us
 from repro.sim.trace import TraceRecord
 
 __all__ = ["CriticalPathReport", "StageShare", "attribute_records",
-           "FIGURE7_STAGES", "canonical_stage"]
+           "FIGURE7_STAGES", "canonical_stage", "stage_group"]
 
 #: the stage set of the paper's Figure 7, in path order
 FIGURE7_STAGES = ("compose", "trap", "check", "translate/pin", "SRQ fill",
@@ -84,12 +84,17 @@ _CATEGORY_GROUP = {
 }
 
 
+def stage_group(stage: str, category: str) -> str:
+    """Map a span's ``(stage, category)`` to its Figure-7 stage group."""
+    group = _STAGE_GROUP.get(stage)
+    if group is None:
+        group = _CATEGORY_GROUP.get(category, category)
+    return group
+
+
 def canonical_stage(record: TraceRecord) -> str:
     """Map one trace record to its Figure-7 stage group."""
-    group = _STAGE_GROUP.get(record.stage)
-    if group is None:
-        group = _CATEGORY_GROUP.get(record.category, record.category)
-    return group
+    return stage_group(record.stage, record.category)
 
 
 @dataclass

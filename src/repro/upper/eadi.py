@@ -220,9 +220,12 @@ class EadiEndpoint:
 
     # ------------------------------------------------------------- helpers
     def _charge(self, cost_us: float, stage: str) -> Generator:
-        if cost_us > 0:
-            yield from self.lib.proc.cpu.execute(cost_us, category="upper",
-                                                 stage=stage)
+        # Not a generator itself (it returns the CPU charge, or () for
+        # no cost); the annotation keeps the bare-call lint covering it.
+        if cost_us <= 0:
+            return ()
+        return self.lib.proc.cpu.execute(cost_us, category="upper",
+                                         stage=stage)
 
     def _copy_cost(self, nbytes: int) -> float:
         return self.cfg.memcpy_setup_us + nbytes / self.cfg.memcpy_mb_s

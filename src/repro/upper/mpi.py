@@ -64,40 +64,33 @@ class MpiEndpoint(Collectives):
     # ---------------------------------------------------- point to point
     def send(self, dst_rank: int, vaddr: int, nbytes: int,
              tag: int = 0) -> Generator:
-        yield from self.eadi.send(dst_rank, vaddr, nbytes, tag)
+        return self.eadi.send(dst_rank, vaddr, nbytes, tag)
 
     def isend(self, dst_rank: int, vaddr: int, nbytes: int,
               tag: int = 0) -> Generator:
-        op = yield from self.eadi.isend(dst_rank, vaddr, nbytes, tag)
-        return op
+        return self.eadi.isend(dst_rank, vaddr, nbytes, tag)
 
     def recv(self, src_rank: int, tag: int, vaddr: int,
              capacity: int) -> Generator:
-        status = yield from self.eadi.recv(src_rank, tag, vaddr, capacity)
-        return status
+        return self.eadi.recv(src_rank, tag, vaddr, capacity)
 
     def irecv(self, src_rank: int, tag: int, vaddr: int,
               capacity: int) -> Generator:
-        op = yield from self.eadi.irecv(src_rank, tag, vaddr, capacity)
-        return op
+        return self.eadi.irecv(src_rank, tag, vaddr, capacity)
 
     def wait(self, op) -> Generator:
-        status = yield from self.eadi.wait(op)
-        return status
+        return self.eadi.wait(op)
 
     def waitall(self, ops) -> Generator:
-        statuses = yield from self.eadi.waitall(ops)
-        return statuses
+        return self.eadi.waitall(ops)
 
     def iprobe(self, src_rank: int = ANY_SOURCE,
                tag: int = ANY_TAG) -> Generator:
-        found = yield from self.eadi.iprobe(src_rank, tag)
-        return found
+        return self.eadi.iprobe(src_rank, tag)
 
     def probe(self, src_rank: int = ANY_SOURCE,
               tag: int = ANY_TAG) -> Generator:
-        found = yield from self.eadi.probe(src_rank, tag)
-        return found
+        return self.eadi.probe(src_rank, tag)
 
     def sendrecv(self, dst_rank: int, send_vaddr: int, send_bytes: int,
                  src_rank: int, recv_vaddr: int, recv_capacity: int,
@@ -112,20 +105,18 @@ class MpiEndpoint(Collectives):
     # -------------------------------- hooks used by the Collectives mixin
     def _send(self, dst: int, vaddr: int, nbytes: int,
               tag: int) -> Generator:
-        yield from self.send(dst, vaddr, nbytes, tag)
+        return self.send(dst, vaddr, nbytes, tag)
 
     def _isend(self, dst: int, vaddr: int, nbytes: int,
                tag: int) -> Generator:
-        op = yield from self.isend(dst, vaddr, nbytes, tag)
-        return op
+        return self.isend(dst, vaddr, nbytes, tag)
 
     def _recv(self, src: int, tag: int, vaddr: int,
               capacity: int) -> Generator:
-        status = yield from self.recv(src, tag, vaddr, capacity)
-        return status
+        return self.recv(src, tag, vaddr, capacity)
 
     def _wait(self, op) -> Generator:
-        yield from self.wait(op)
+        return self.wait(op)
 
     # ------------------------------------------------------------ teardown
     def close(self) -> None:

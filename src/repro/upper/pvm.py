@@ -83,22 +83,22 @@ class PvmTask(Collectives):
         self._send_len += len(data)
 
     def pack_bytes(self, data: bytes) -> Generator:
-        yield from self._append(struct.pack("<I", len(data)) + data)
+        return self._append(struct.pack("<I", len(data)) + data)
 
     def pack_int(self, *values: int) -> Generator:
-        yield from self._append(struct.pack(f"<{len(values)}q", *values))
+        return self._append(struct.pack(f"<{len(values)}q", *values))
 
     def pack_double(self, *values: float) -> Generator:
-        yield from self._append(struct.pack(f"<{len(values)}d", *values))
+        return self._append(struct.pack(f"<{len(values)}d", *values))
 
     def pack_array(self, array: np.ndarray) -> Generator:
-        yield from self._append(np.ascontiguousarray(array).tobytes())
+        return self._append(np.ascontiguousarray(array).tobytes())
 
     # ------------------------------------------------------------ messaging
     def send(self, tid: int, msgtag: int) -> Generator:
         """pvm_send: ship the current send buffer to a task."""
-        yield from self.eadi.send(tid, self._send_buf, self._send_len,
-                                  msgtag)
+        return self.eadi.send(tid, self._send_buf, self._send_len,
+                              msgtag)
 
     def recv(self, tid: int = ANY_SOURCE,
              msgtag: int = ANY_TAG) -> Generator:
@@ -152,17 +152,15 @@ class PvmTask(Collectives):
 
     def _send(self, dst: int, vaddr: int, nbytes: int,
               tag: int) -> Generator:
-        yield from self.eadi.send(dst, vaddr, nbytes, tag)
+        return self.eadi.send(dst, vaddr, nbytes, tag)
 
     def _isend(self, dst: int, vaddr: int, nbytes: int,
                tag: int) -> Generator:
-        op = yield from self.eadi.isend(dst, vaddr, nbytes, tag)
-        return op
+        return self.eadi.isend(dst, vaddr, nbytes, tag)
 
     def _recv(self, src: int, tag: int, vaddr: int,
               capacity: int) -> Generator:
-        status = yield from self.eadi.recv(src, tag, vaddr, capacity)
-        return status
+        return self.eadi.recv(src, tag, vaddr, capacity)
 
     def _wait(self, op) -> Generator:
-        yield from self.eadi.wait(op)
+        return self.eadi.wait(op)

@@ -22,6 +22,16 @@ class Endpoint:
         self._charge(3)          # BUG: generator discarded
         self.plain()             # fine: not a generator
         yield from self._charge(1)
+        self._forward()          # BUG: returned generator discarded
+        self._cost(0)            # BUG: returns () here, a charge otherwise
+
+    def _forward(self) -> Generator:
+        return self._charge(2)
+
+    def _cost(self, n) -> Generator:
+        if n <= 0:
+            return ()
+        return self._charge(n)
 
 
 def helper():
@@ -51,7 +61,8 @@ def test_flags_bare_generator_calls(tmp_path):
     bad.write_text(BAD_SOURCE)
     violations = lint_paths([str(bad)])
     assert [(v.name, v.line) for v in violations] == [
-        ("_charge", 9), ("helper", 19)]
+        ("_charge", 9), ("_forward", 12), ("_cost", 13),
+        ("helper", 29)]
     assert "yield from" in violations[0].message
 
 
@@ -60,7 +71,8 @@ def test_pragma_and_allowlist(tmp_path):
     bad.write_text(BAD_SOURCE)
     # The pragma'd call on the last line is already exempt; --allow
     # silences the rest by name.
-    violations = lint_paths([str(bad)], allow=["_charge", "helper"])
+    violations = lint_paths([str(bad)], allow=["_charge", "_forward",
+                                                 "_cost", "helper"])
     assert violations == []
 
 

@@ -51,6 +51,25 @@ def test_tracer_clear_detaches_listeners():
     assert len(seen) == 3          # one callback per record, not 1+2+3
     assert len(tracer.records) == 1
 
+    # A raw-span fold, a failed listener and record keeping switched
+    # off must not leak into the next trial either.
+    spans = []
+
+    def broken(_rec):
+        raise RuntimeError("observer bug")
+
+    tracer.add_span_listener(lambda *span: spans.append(span))
+    tracer.add_listener(broken)
+    tracer.keep_records = False
+    tracer.record(0, 10, "cpu", "work", "c0")
+    assert len(spans) == 1 and len(tracer.listener_errors) == 1
+    tracer.clear()
+    assert tracer.listener_errors == []
+    assert tracer.keep_records
+    tracer.record(0, 10, "cpu", "work", "c0")
+    assert len(spans) == 1         # the span subscriber was detached
+    assert len(tracer.records) == 1
+
 
 def test_tracer_remove_listener():
     tracer = Tracer()
@@ -60,6 +79,24 @@ def test_tracer_remove_listener():
     tracer.remove_listener(seen.append)    # unknown listener: no error
     tracer.record(0, 10, "cpu", "work", "c0")
     assert seen == []
+
+
+def test_raising_span_listener_is_detached():
+    """A raw-span subscriber gets the same isolation as a listener: its
+    first failure is recorded, it is detached, tracing goes on."""
+    tracer = Tracer()
+    calls = []
+
+    def broken(*span):
+        calls.append(span)
+        raise RuntimeError("fold bug")
+
+    tracer.add_span_listener(broken)
+    tracer.record(0, 10, "cpu", "work", "c0", 7)
+    tracer.record(10, 20, "cpu", "work", "c0")
+    assert calls == [(0, 10, "cpu", "work", "c0", 7)]
+    assert [fn for fn, _ in tracer.listener_errors] == [broken]
+    assert len(tracer.records) == 2
 
 
 # ----------------------------------------------------------- cluster report
