@@ -27,7 +27,6 @@ from repro.instrument.measure import (
     LatencySample,
     measure_intra_node,
     measure_one_way,
-    sweep_message_sizes,
 )
 from repro.instrument.recovery import RecoveryTracker, recovery_summary
 
@@ -47,6 +46,5 @@ __all__ = [
     "measure_intra_node",
     "measure_one_way",
     "recovery_summary",
-    "sweep_message_sizes",
     "__version__",
 ]

@@ -17,10 +17,27 @@ differences measured are purely architectural — the paper's setting.
 
 from repro.baselines.kernel_level import KernelSocket, KernelSocketLibrary
 from repro.baselines.user_level import UserLevelLibrary, UserLevelPort
+from repro.bcl.api import BclLibrary
 
 __all__ = [
     "KernelSocket",
     "KernelSocketLibrary",
     "UserLevelLibrary",
     "UserLevelPort",
+    "library_for",
 ]
+
+
+def library_for(architecture: str) -> type[BclLibrary]:
+    """The BCL-API library class that drives a cluster of ``architecture``.
+
+    ``kernel_level`` has no BCL-API library: its stack is reached
+    through sockets (see ``measure_kernel_level_latency``).
+    """
+    if architecture == "user_level":
+        return UserLevelLibrary
+    if architecture == "semi_user":
+        return BclLibrary
+    raise ValueError(
+        f"architecture {architecture!r} has no BCL-API library; measure "
+        "the kernel-level stack with measure_kernel_level_latency")

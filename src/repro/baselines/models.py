@@ -37,10 +37,9 @@ class ProtocolPreset:
     """How to measure one Table 2 row."""
 
     name: str
-    #: builds a fresh cluster configured for this protocol
+    #: builds a fresh cluster configured for this protocol; its
+    #: architecture picks the library that drives it
     make_cluster: Callable[[], Cluster]
-    #: which library drives it ("bcl" or "user_level")
-    library: str
     #: measure the intra-node row too (only BCL supports SMP specially)
     smp_support: bool
     #: analytic latency adjustment (us) applied to measured numbers
@@ -70,21 +69,21 @@ def _bip_cluster(cfg: CostModel = DAWNING_3000) -> Cluster:
 def table2_presets(cfg: CostModel = DAWNING_3000) -> list[ProtocolPreset]:
     return [
         ProtocolPreset(
-            name="BCL", library="bcl", smp_support=True,
+            name="BCL", smp_support=True,
             make_cluster=lambda: _bcl_cluster(cfg),
             notes="semi-user-level; reliable; SMP intra-node path"),
         ProtocolPreset(
-            name="GM", library="user_level", smp_support=False,
+            name="GM", smp_support=False,
             make_cluster=lambda: _gm_cluster(cfg),
             notes="user-level (Myricom GM class); reliable firmware"),
         ProtocolPreset(
-            name="AM-II", library="user_level", smp_support=False,
+            name="AM-II", smp_support=False,
             make_cluster=lambda: _gm_cluster(cfg),
             latency_adjust_us=AM2_HANDLER_DISPATCH_US,
             extra_copy_mb_s=cfg.memcpy_mb_s,
             notes="active messages: +handler dispatch, +1 recv-side copy"),
         ProtocolPreset(
-            name="BIP", library="user_level", smp_support=False,
+            name="BIP", smp_support=False,
             make_cluster=lambda: _bip_cluster(cfg),
             notes="no flow control / error correction; 1 KB packets"),
     ]

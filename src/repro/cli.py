@@ -315,12 +315,11 @@ def _cmd_latency(args) -> int:
         measure_architecture_latency,
         measure_kernel_level_latency,
     )
-    from repro.instrument.measure import measure_intra_node
+    from repro.instrument.measure import measure_one_way
 
     if args.intra_node:
-        sample = measure_intra_node(Cluster(n_nodes=1), args.bytes,
-                                    repeats=args.repeats)
-        value = sample.latency_us
+        value = measure_one_way(Cluster(n_nodes=1), args.bytes,
+                                repeats=args.repeats).latency_us
     elif args.architecture == "kernel_level":
         value = measure_kernel_level_latency(args.bytes,
                                              repeats=args.repeats)
@@ -333,15 +332,11 @@ def _cmd_latency(args) -> int:
 
 
 def _cmd_bandwidth(args) -> int:
-    from repro.instrument.measure import measure_intra_node, measure_one_way
+    from repro.instrument.measure import measure_one_way
     print(f"{'bytes':>9}  {'latency us':>11}  {'MB/s':>8}")
     for nbytes in args.sizes:
-        if args.intra_node:
-            sample = measure_intra_node(Cluster(n_nodes=1), nbytes,
-                                        repeats=2, warmup=1)
-        else:
-            sample = measure_one_way(Cluster(n_nodes=2), nbytes,
-                                     repeats=2, warmup=1)
+        sample = measure_one_way(Cluster(n_nodes=1 if args.intra_node else 2),
+                                 nbytes, repeats=2, warmup=1)
         print(f"{nbytes:>9}  {sample.latency_us:>11.2f}  "
               f"{sample.bandwidth_mb_s:>8.1f}")
     return 0
@@ -359,11 +354,15 @@ def _cmd_trace(args) -> int:
     cluster = Cluster(n_nodes=2, trace=True)
     measure_one_way(cluster, args.bytes, repeats=1, warmup=1)
     message_id = args.message_id
-    if message_id is not None and message_id < 0:
+    if message_id is not None:
         mids = sorted({r.message_id for r in cluster.tracer.records
                        if r.message_id is not None})
-        if -message_id <= len(mids):
+        if message_id < 0 and -message_id <= len(mids):
             message_id = mids[message_id]
+        if message_id not in mids:
+            print(f"repro trace: error: no traced message "
+                  f"{args.message_id} (have {mids})", file=sys.stderr)
+            return 2
     count = write_chrome_trace(cluster.tracer, args.output,
                                message_id=message_id)
     scope = "" if message_id is None else f" for message {message_id}"
@@ -684,12 +683,15 @@ def _cmd_scale(args) -> int:
               f"{p['elapsed_us']:.2f} us, {p['bandwidth_mb_s']:.1f} MB/s "
               f"aggregate, tail spread {p['tail_spread_us']:.2f} us")
     if args.ledger_out:
-        from repro.telemetry.ledger import make_ledger, write_ledger
+        from repro.telemetry.ledger import (
+            fold_stage_rows,
+            make_ledger,
+            write_ledger,
+        )
         stages: dict[str, int] = {}
         events = 0
         for p in points.values():
-            for stage, us in p.get("stage_table") or []:
-                stages[stage] = stages.get(stage, 0) + int(round(us * 1000))
+            fold_stage_rows(stages, p.get("stage_table"))
             events += int(p.get("events", 0))
         doc = make_ledger(
             "scale", cfg=DAWNING_3000, events=events or None,

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.bcl.api import BclLibrary
-from repro.baselines.user_level import UserLevelLibrary
+from repro.baselines import library_for
 from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
 from repro.experiments.common import ExperimentResult
@@ -71,7 +70,7 @@ def _rotating_send_latency(cfg: CostModel, architecture: str,
     architecture uses)."""
     cluster = Cluster(n_nodes=2, cfg=cfg, architecture=architecture)
     env = cluster.env
-    lib_cls = UserLevelLibrary if architecture == "user_level" else BclLibrary
+    lib_cls = library_for(architecture)
     sync: Store = Store(env)
     starts: list[int] = []
     samples: list[float] = []
@@ -295,35 +294,7 @@ def nack_transfer_us(cfg: CostModel, nack: bool) -> float:
     """End-to-end 20 KB transfer time with one packet dropped."""
     varied = cfg.replace(retransmit_timeout_us=5000.0, nack_enabled=nack)
     cluster = Cluster(n_nodes=2, cfg=varied, fault_injector=_DropOnce())
-    env = cluster.env
-    ready: Store = Store(env)
-    elapsed = {}
-    payload = b"n" * 20000
-
-    def receiver():
-        proc = cluster.spawn(1)
-        port = yield from BclLibrary(proc).create_port()
-        buf = proc.alloc(len(payload))
-        yield from port.post_recv(0, buf, len(payload))
-        ready.try_put(port.address)
-        yield from port.wait_recv()
-        elapsed["us"] = ns_to_us(env.now - elapsed["t0"])
-
-    def sender():
-        proc = cluster.spawn(0)
-        port = yield from BclLibrary(proc).create_port()
-        address = yield ready.get()
-        buf = proc.alloc(len(payload))
-        proc.write(buf, payload)
-        elapsed["t0"] = env.now
-        yield from port.send(
-            address.with_channel(ChannelKind.NORMAL, 0), buf,
-            len(payload))
-
-    done = env.process(receiver(), name="nack.recv")
-    env.process(sender(), name="nack.send")
-    env.run(until=done)
-    return elapsed["us"]
+    return measure_one_way(cluster, 20000, repeats=1, warmup=0).latency_us
 
 
 def merge_nack(cfg: CostModel, times: list) -> ExperimentResult:

@@ -7,12 +7,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.baselines.kernel_level import KernelSocketLibrary
-from repro.baselines.user_level import UserLevelLibrary
-from repro.bcl.api import BclLibrary
 from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
-from repro.firmware.packet import ChannelKind
-from repro.instrument.measure import measure_intra_node, measure_one_way
+from repro.instrument.measure import measure_one_way
 from repro.sim import Store
 from repro.sim.time import ns_to_us
 
@@ -23,7 +20,6 @@ __all__ = [
     "result_from_payload",
     "measure_architecture_latency",
     "measure_kernel_level_latency",
-    "measure_user_level_one_way",
     "format_table",
 ]
 
@@ -133,57 +129,7 @@ def measure_architecture_latency(architecture: str, nbytes: int = 0,
                                  repeats: int = 3, warmup: int = 2) -> float:
     """0-copy one-way latency (us) for semi_user or user_level."""
     cluster = Cluster(n_nodes=2, cfg=cfg, architecture=architecture)
-    if architecture == "user_level":
-        return measure_user_level_one_way(cluster, nbytes, repeats,
-                                          warmup).latency_us
     return measure_one_way(cluster, nbytes, repeats, warmup).latency_us
-
-
-def measure_user_level_one_way(cluster: Cluster, nbytes: int,
-                               repeats: int = 3, warmup: int = 2):
-    """One-way latency through the user-level baseline library."""
-    from repro.instrument.measure import LatencySample, _pattern
-
-    env = cluster.env
-    total = warmup + repeats
-    result = LatencySample(nbytes)
-    posted: Store = Store(env)
-    start_times: list[int] = []
-    done = env.event()
-
-    def receiver():
-        proc = cluster.spawn(1)
-        port = yield from UserLevelLibrary(proc).create_port()
-        buf = proc.alloc(max(nbytes, 1))
-        posted.try_put(("addr", port.address))
-        for i in range(total):
-            yield from port.post_recv(0, buf, nbytes)
-            posted.try_put(("ready", i))
-            yield from port.wait_recv()
-            elapsed = ns_to_us(env.now - start_times[i])
-            if i >= warmup:
-                result.samples_us.append(elapsed)
-            if nbytes and proc.read(buf, nbytes) != _pattern(nbytes, i):
-                result.received_payloads_ok = False
-        done.succeed()
-
-    def sender():
-        proc = cluster.spawn(0)
-        port = yield from UserLevelLibrary(proc).create_port()
-        _, address = yield posted.get()
-        dest = address.with_channel(ChannelKind.NORMAL, 0)
-        buf = proc.alloc(max(nbytes, 1))
-        for i in range(total):
-            yield posted.get()
-            proc.write(buf, _pattern(nbytes, i))
-            start_times.append(env.now)
-            yield from port.send(dest, buf, nbytes)
-            yield from port.wait_send()
-
-    env.process(receiver(), name="ul.receiver")
-    env.process(sender(), name="ul.sender")
-    env.run(until=done)
-    return result
 
 
 def measure_kernel_level_latency(nbytes: int = 0,

@@ -21,41 +21,20 @@ from typing import Any, Optional, Sequence
 from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
 from repro.experiments.common import PAPER, ExperimentResult
-from repro.instrument.measure import measure_intra_node, measure_one_way
+from repro.instrument.measure import measure_one_way
 
-__all__ = ["run_fig8", "run_fig9", "sweep", "measure_point",
-           "merge_fig8", "merge_fig9", "DEFAULT_SIZES"]
+__all__ = ["run_fig8", "run_fig9", "measure_point", "merge_fig8",
+           "merge_fig9", "DEFAULT_SIZES"]
 
 DEFAULT_SIZES = (0, 4, 64, 256, 1024, 4096, 16384, 65536, 131072)
-
-
-def sweep(sizes: Sequence[int] = DEFAULT_SIZES,
-          cfg: CostModel = DAWNING_3000,
-          intra_node: bool = False,
-          repeats: int = 2, warmup: int = 1) -> list:
-    """Fresh-cluster one-way measurements across sizes."""
-    samples = []
-    for nbytes in sizes:
-        if intra_node:
-            cluster = Cluster(n_nodes=1, cfg=cfg)
-            samples.append(measure_intra_node(cluster, nbytes, repeats,
-                                              warmup))
-        else:
-            cluster = Cluster(n_nodes=2, cfg=cfg)
-            samples.append(measure_one_way(cluster, nbytes, repeats, warmup))
-    return samples
 
 
 # ------------------------------------------------------------- runner cells
 def measure_point(cfg: CostModel, nbytes: int,
                   intra: bool) -> dict[str, Any]:
     """One sweep point on a fresh cluster (a runner cell)."""
-    if intra:
-        sample = measure_intra_node(Cluster(n_nodes=1, cfg=cfg), nbytes,
-                                    repeats=2, warmup=1)
-    else:
-        sample = measure_one_way(Cluster(n_nodes=2, cfg=cfg), nbytes,
-                                 repeats=2, warmup=1)
+    sample = measure_one_way(Cluster(n_nodes=1 if intra else 2, cfg=cfg),
+                             nbytes, repeats=2, warmup=1)
     return {"bytes": nbytes, "intra": intra,
             "latency_us": sample.latency_us,
             "bandwidth_mb_s": sample.bandwidth_mb_s if nbytes else 0.0}

@@ -8,7 +8,6 @@ from repro.experiments.common import (
     PAPER,
     ExperimentResult,
     measure_architecture_latency,
-    measure_user_level_one_way,
 )
 from repro.experiments.timelines import (
     RECV_HOST_STAGES,
@@ -55,7 +54,7 @@ def run(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
 
     big = measure_one_way(Cluster(n_nodes=2, cfg=cfg), 131072, repeats=2,
                           warmup=1)
-    ul_big = measure_user_level_one_way(
+    ul_big = measure_one_way(
         Cluster(n_nodes=2, cfg=cfg, architecture="user_level"), 131072,
         repeats=2, warmup=1)
     result.add(metric="128 KB transfer time (us)", measured=big.latency_us,

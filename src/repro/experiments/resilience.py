@@ -32,7 +32,7 @@ from repro.cluster import Cluster
 from repro.config import DAWNING_3000, LOSSY_DAWNING, CostModel
 from repro.experiments.common import ExperimentResult
 from repro.faults import FaultPlan
-from repro.instrument.measure import measure_intra_node, measure_one_way
+from repro.instrument.measure import measure_one_way
 from repro.instrument.recovery import RecoveryTracker, recovery_summary
 from repro.instrument.stats import bandwidth_mb_s
 
@@ -88,16 +88,10 @@ def measure_resilience_point(cfg: CostModel, loss_pct: float, nbytes: int,
     """
     lossy_cfg = cfg.replace(
         retransmit_timeout_us=LOSSY_DAWNING.retransmit_timeout_us)
-    plan = _plan(loss_pct, nbytes)
-    if intra:
-        cluster = Cluster(n_nodes=1, cfg=lossy_cfg, fault_plan=plan)
-    else:
-        cluster = Cluster(n_nodes=2, cfg=lossy_cfg, fault_plan=plan)
+    cluster = Cluster(n_nodes=1 if intra else 2, cfg=lossy_cfg,
+                      fault_plan=_plan(loss_pct, nbytes))
     tracker = RecoveryTracker(cluster)
-    if intra:
-        sample = measure_intra_node(cluster, nbytes, REPEATS, WARMUP)
-    else:
-        sample = measure_one_way(cluster, nbytes, REPEATS, WARMUP)
+    sample = measure_one_way(cluster, nbytes, REPEATS, WARMUP)
     recovery = recovery_summary(cluster, tracker)
     return {
         "loss_pct": loss_pct,

@@ -35,6 +35,7 @@ from repro.experiments import ablations, curves, extensions, overheads, \
 from repro.experiments.cache import RunCache, default_cache_dir
 from repro.experiments.common import ExperimentResult, result_from_payload, \
     result_to_payload
+from repro.telemetry.ledger import fold_stage_rows
 
 __all__ = ["run_all", "run_cell", "plan", "main", "Cell", "Experiment",
            "EXPERIMENTS"]
@@ -330,9 +331,7 @@ def run_all(cfg: CostModel = DAWNING_3000, include_ablations: bool = True,
             if not isinstance(payload, dict):
                 continue
             ledger_sink["cells"] += 1
-            for stage, us in payload.get("stage_table") or []:
-                stages[stage] = stages.get(stage, 0) \
-                    + int(round(us * 1000))
+            fold_stage_rows(stages, payload.get("stage_table"))
             events = payload.get("events")
             if isinstance(events, (int, float)):
                 ledger_sink["events"] += int(events)

@@ -11,9 +11,8 @@ per-message path).
 
 from __future__ import annotations
 
+from repro.baselines import library_for
 from repro.baselines.kernel_level import KernelSocketLibrary
-from repro.baselines.user_level import UserLevelLibrary
-from repro.bcl.api import BclLibrary
 from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
 from repro.experiments.common import ExperimentResult
@@ -46,7 +45,7 @@ def _count_bcl_like(architecture: str, cfg: CostModel):
     receive-completion."""
     cluster = Cluster(n_nodes=2, cfg=cfg, architecture=architecture)
     env = cluster.env
-    lib_cls = UserLevelLibrary if architecture == "user_level" else BclLibrary
+    lib_cls = library_for(architecture)
     sync: Store = Store(env)
     out = {}
 

@@ -16,12 +16,10 @@ qualitative claims this table must reproduce:
 from __future__ import annotations
 
 from repro.baselines.models import ProtocolPreset, table2_presets
+from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
-from repro.experiments.common import (
-    ExperimentResult,
-    measure_user_level_one_way,
-)
-from repro.instrument.measure import measure_intra_node, measure_one_way
+from repro.experiments.common import ExperimentResult
+from repro.instrument.measure import measure_one_way
 
 __all__ = ["run", "measure_protocol", "merge_protocols"]
 
@@ -43,38 +41,30 @@ def measure_protocol(cfg: CostModel, protocol: str) -> dict:
 
 def _measure(preset: ProtocolPreset) -> dict:
     """Latency (0 B) and bandwidth (128 KB) for one preset."""
-    if preset.library == "bcl":
-        lat = measure_one_way(preset.make_cluster(), 0, repeats=2,
-                              warmup=1).latency_us
-        big = measure_one_way(preset.make_cluster(), BANDWIDTH_BYTES,
-                              repeats=2, warmup=1)
-    else:
-        lat = measure_user_level_one_way(preset.make_cluster(), 0,
-                                         repeats=2, warmup=1).latency_us
-        big = measure_user_level_one_way(preset.make_cluster(),
-                                         BANDWIDTH_BYTES, repeats=2,
-                                         warmup=1)
+    lat = measure_one_way(preset.make_cluster(), 0, repeats=2,
+                          warmup=1).latency_us
+    big = measure_one_way(preset.make_cluster(), BANDWIDTH_BYTES,
+                          repeats=2, warmup=1)
     lat += preset.latency_adjust_us
     transfer_us = big.latency_us
     if preset.extra_copy_mb_s:
-        # AM-II's extra receive-side copy, applied analytically.
+        # AM-II's extra receive-side copy, applied analytically (a
+        # 0-byte message copies nothing, so the latency is unchanged).
         transfer_us += BANDWIDTH_BYTES / preset.extra_copy_mb_s
-        lat_copy = 0.0  # a 0-byte message copies nothing
-        lat += lat_copy
     row = {"inter_latency_us": lat,
            "inter_bandwidth_mb_s": BANDWIDTH_BYTES / transfer_us}
     if preset.smp_support:
-        intra_cluster = preset.make_cluster.__call__()
         # intra runs need a 1-node cluster of the same calibration
-        from repro.cluster import Cluster
-        intra_cluster = Cluster(n_nodes=1, cfg=intra_cluster.cfg,
-                                architecture=intra_cluster.architecture)
-        row["intra_latency_us"] = measure_intra_node(
-            intra_cluster, 0, repeats=2, warmup=1).latency_us
-        intra_cluster = Cluster(n_nodes=1, cfg=intra_cluster.cfg,
-                                architecture=intra_cluster.architecture)
-        row["intra_bandwidth_mb_s"] = measure_intra_node(
-            intra_cluster, BANDWIDTH_BYTES, repeats=2,
+        inter = preset.make_cluster()
+
+        def intra_cluster() -> Cluster:
+            return Cluster(n_nodes=1, cfg=inter.cfg,
+                           architecture=inter.architecture)
+
+        row["intra_latency_us"] = measure_one_way(
+            intra_cluster(), 0, repeats=2, warmup=1).latency_us
+        row["intra_bandwidth_mb_s"] = measure_one_way(
+            intra_cluster(), BANDWIDTH_BYTES, repeats=2,
             warmup=1).bandwidth_mb_s
     else:
         row["intra_latency_us"] = None

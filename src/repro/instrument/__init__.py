@@ -12,7 +12,6 @@ from repro.instrument.measure import (
     LatencySample,
     measure_intra_node,
     measure_one_way,
-    sweep_message_sizes,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "measure_one_way",
     "recovery_summary",
     "summarize",
-    "sweep_message_sizes",
 ]

@@ -2,8 +2,10 @@
 
 These helpers orchestrate the paper's microbenchmarks on a
 :class:`~repro.cluster.Cluster`: one-way latency (sender's compose
-start to the receiver's completed ``wait_recv``), message-size sweeps,
-and the intra-node variants.  Synchronisation between the two test
+start to the receiver's completed ``wait_recv``), inter- or intra-node.
+The library follows the cluster's architecture (BCL on ``semi_user``,
+the user-level baseline on ``user_level``), and a one-node cluster
+measures the intra-node path.  Synchronisation between the two test
 processes (making sure the rendezvous buffer is posted before the send
 starts) happens through zero-cost simulation events, outside the
 measured path — the simulated analogue of the barrier in a real
@@ -15,14 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.bcl.api import BclLibrary
+from repro.baselines import library_for
 from repro.firmware.packet import ChannelKind
 from repro.instrument.stats import Summary, bandwidth_mb_s, summarize
 from repro.sim import Store
 from repro.sim.time import ns_to_us
 
-__all__ = ["LatencySample", "measure_one_way", "measure_intra_node",
-           "sweep_message_sizes"]
+__all__ = ["LatencySample", "measure_one_way", "measure_intra_node"]
 
 
 @dataclass
@@ -58,10 +59,19 @@ def _pattern(nbytes: int, seed: int) -> bytes:
 def measure_one_way(cluster, nbytes: int, repeats: int = 5,
                     warmup: int = 2,
                     channel_kind: ChannelKind = ChannelKind.NORMAL,
-                    sender_node: int = 0, receiver_node: int = 1,
+                    sender_node: int = 0,
+                    receiver_node: Optional[int] = None,
                     verify_payload: bool = True) -> LatencySample:
     """One-way latency of a ``nbytes`` message, sender start to
-    receiver completion, over the requested channel kind."""
+    receiver completion, over the requested channel kind.
+
+    The receiver defaults to node 1, or to node 0 on a one-node cluster
+    (the intra-node path).  Raises ``ValueError`` on a ``kernel_level``
+    cluster, which has no BCL-API library.
+    """
+    library = library_for(cluster.architecture)
+    if receiver_node is None:
+        receiver_node = 0 if len(cluster.nodes) == 1 else 1
     env = cluster.env
     total = warmup + repeats
     result = LatencySample(nbytes)
@@ -71,8 +81,7 @@ def measure_one_way(cluster, nbytes: int, repeats: int = 5,
 
     def receiver():
         proc = cluster.spawn(receiver_node)
-        lib = BclLibrary(proc)
-        port = yield from lib.create_port()
+        port = yield from library(proc).create_port()
         buf = proc.alloc(max(nbytes, 1))
         posted.try_put(("addr", port.address))
         for i in range(total):
@@ -96,8 +105,7 @@ def measure_one_way(cluster, nbytes: int, repeats: int = 5,
 
     def sender():
         proc = cluster.spawn(sender_node)
-        lib = BclLibrary(proc)
-        port = yield from lib.create_port()
+        port = yield from library(proc).create_port()
         kind, address = yield posted.get()
         assert kind == "addr"
         dest = address.with_channel(channel_kind, 0)
@@ -124,27 +132,3 @@ def measure_intra_node(cluster, nbytes: int, repeats: int = 5,
     return measure_one_way(cluster, nbytes, repeats, warmup, channel_kind,
                            sender_node=node, receiver_node=node,
                            verify_payload=verify_payload)
-
-
-def sweep_message_sizes(make_cluster, sizes, repeats: int = 3,
-                        warmup: int = 1, intra_node: bool = False,
-                        channel_kind: Optional[ChannelKind] = None
-                        ) -> list[LatencySample]:
-    """Latency/bandwidth across message sizes (Figures 8 and 9).
-
-    ``make_cluster`` is a zero-argument factory: each size runs on a
-    fresh cluster so queue state never leaks between configurations.
-    """
-    results = []
-    for nbytes in sizes:
-        kind = channel_kind
-        if kind is None:
-            kind = ChannelKind.NORMAL
-        cluster = make_cluster()
-        if intra_node:
-            sample = measure_intra_node(cluster, nbytes, repeats, warmup,
-                                        kind)
-        else:
-            sample = measure_one_way(cluster, nbytes, repeats, warmup, kind)
-        results.append(sample)
-    return results

@@ -37,8 +37,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-__all__ = ["SCHEMA", "RunView", "config_digest", "load_run",
-           "make_ledger", "write_ledger"]
+__all__ = ["SCHEMA", "RunView", "config_digest", "fold_stage_rows",
+           "load_run", "make_ledger", "write_ledger"]
 
 SCHEMA = "repro-run/1"
 BENCH_SCHEMA = "repro-bench/1"
@@ -83,6 +83,13 @@ def run_meta(seed: Optional[int]) -> dict[str, Any]:
 
 
 # -------------------------------------------------------------- assembly
+def fold_stage_rows(stages: dict[str, int], rows) -> None:
+    """Add ``[stage, us]`` rows (a payload's ``stage_table``; ``None``
+    adds nothing) into ``stages`` as whole simulated ns."""
+    for stage, us in rows or ():
+        stages[stage] = stages.get(stage, 0) + int(round(us * 1000))
+
+
 def make_ledger(kind: str, *, seed: Optional[int] = None, cfg=None,
                 events: Optional[int] = None, wall_s: Optional[float] = None,
                 stages: Optional[dict[str, int]] = None,
@@ -206,9 +213,7 @@ def _view_from_bench(doc: dict, path: str) -> RunView:
                                                          (int, float)):
                 continue
             view.metrics[f"{name}/{key}"] = float(value)
-        for stage, us in result.get("stage_table") or []:
-            view.stages[stage] = (view.stages.get(stage, 0)
-                                  + int(round(us * 1000)))
+        fold_stage_rows(view.stages, result.get("stage_table"))
         if isinstance(result.get("events"), (int, float)):
             events += int(result["events"])
             saw_events = True

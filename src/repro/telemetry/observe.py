@@ -28,7 +28,7 @@ def run_ping_pong(nbytes: int = 0, messages: int = 4,
     ``cluster.telemetry``.
     """
     from repro.cluster import Cluster
-    from repro.instrument.measure import measure_intra_node, measure_one_way
+    from repro.instrument.measure import measure_one_way
 
     kwargs = {}
     if drop > 0.0:
@@ -36,14 +36,9 @@ def run_ping_pong(nbytes: int = 0, messages: int = 4,
         from repro.faults import FaultPlan
         kwargs = {"cfg": LOSSY_DAWNING,
                   "fault_plan": FaultPlan(seed=seed, drop_rate=drop)}
-    if intra_node:
-        cluster = Cluster(n_nodes=1, telemetry=True, **kwargs)
-        sample = measure_intra_node(cluster, nbytes, repeats=messages,
-                                    warmup=1)
-    else:
-        cluster = Cluster(n_nodes=2, telemetry=True, **kwargs)
-        sample = measure_one_way(cluster, nbytes, repeats=messages,
-                                 warmup=1)
+    cluster = Cluster(n_nodes=1 if intra_node else 2, telemetry=True,
+                      **kwargs)
+    sample = measure_one_way(cluster, nbytes, repeats=messages, warmup=1)
     return cluster, sample
 
 

@@ -102,6 +102,27 @@ def test_cli_trace(tmp_path, capsys):
     assert json.loads(out_file.read_text())["traceEvents"]
 
 
+@pytest.mark.parametrize("message_id", ["-99", "12345"])
+def test_cli_trace_rejects_unknown_message_id(tmp_path, capsys, message_id):
+    out_file = tmp_path / "t.json"
+    assert main(["trace", "--output", str(out_file), "--bytes", "1024",
+                 "--message-id", message_id]) == 2
+    err = capsys.readouterr().err
+    assert f"no traced message {message_id} (have [" in err
+    assert not out_file.exists()
+
+
+def test_cli_trace_message_id_selects_one_message(tmp_path, capsys):
+    out_file = tmp_path / "t.json"
+    assert main(["trace", "--output", str(out_file), "--bytes", "1024",
+                 "--message-id", "-1"]) == 0
+    events = json.loads(out_file.read_text())["traceEvents"]
+    mids = {e["args"]["message_id"] for e in events
+            if "message_id" in e.get("args", {})}
+    assert len(mids) == 1
+    assert "for message" in capsys.readouterr().out
+
+
 def test_cli_report(capsys):
     assert main(["report", "--bytes", "4096", "--messages", "2"]) == 0
     out = capsys.readouterr().out

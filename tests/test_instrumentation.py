@@ -1,4 +1,5 @@
-"""Tracer, cluster report, and completion-queue overflow."""
+"""Tracer, one-way harness, cluster report, and completion-queue
+overflow."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from repro.cluster import Cluster
 from repro.config import DAWNING_3000
 from repro.firmware.descriptors import BclEvent, EventKind
 from repro.instrument.report import cluster_report
-from repro.instrument.measure import measure_one_way
+from repro.instrument.measure import measure_intra_node, measure_one_way
 from repro.sim import Environment
 from repro.sim.trace import Tracer
 
@@ -97,6 +98,35 @@ def test_raising_span_listener_is_detached():
     assert calls == [(0, 10, "cpu", "work", "c0", 7)]
     assert [fn for fn, _ in tracer.listener_errors] == [broken]
     assert len(tracer.records) == 2
+
+
+# -------------------------------------------------------- one-way harness
+def test_one_way_drives_the_user_level_library():
+    """A user_level cluster is measured through its own library, and
+    the difference to BCL is the paper's 4.17 us semi-user tax."""
+    ul = measure_one_way(Cluster(n_nodes=2, architecture="user_level"), 0)
+    bcl = measure_one_way(Cluster(n_nodes=2), 0)
+    assert ul.received_payloads_ok
+    assert ul.samples_us == [14.157] * 5
+    assert bcl.samples_us == [18.327] * 5
+    big = measure_one_way(Cluster(n_nodes=2, architecture="user_level"),
+                          4096, repeats=2, warmup=1)
+    assert big.received_payloads_ok and big.latency_us > ul.latency_us
+
+
+def test_one_way_rejects_kernel_level_cluster():
+    cluster = Cluster(n_nodes=2, architecture="kernel_level")
+    with pytest.raises(ValueError, match="measure_kernel_level_latency"):
+        measure_one_way(cluster, 0)
+    assert cluster.env.now == 0      # failed before simulating anything
+
+
+@pytest.mark.parametrize("nbytes", [0, 4096])
+def test_one_node_cluster_measures_intra_node(nbytes):
+    one_node = measure_one_way(Cluster(n_nodes=1), nbytes)
+    assert one_node.received_payloads_ok
+    assert one_node.samples_us == \
+        measure_intra_node(Cluster(n_nodes=1), nbytes).samples_us
 
 
 # ----------------------------------------------------------- cluster report

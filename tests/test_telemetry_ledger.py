@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -13,6 +14,7 @@ from repro.telemetry.ledger import (
     SCHEMA,
     RunView,
     config_digest,
+    fold_stage_rows,
     load_run,
     make_ledger,
     write_ledger,
@@ -125,6 +127,42 @@ def test_load_run_normalizes_a_bench_artifact():
     assert view.stages == {"wire": 12_500, "trap": 1_000}
     assert view.events == 1200
     assert view.metrics["events_processed"] == 1200.0
+
+
+def test_fold_stage_rows_rounds_to_whole_ns_and_accumulates():
+    stages = {"wire": 1}
+    fold_stage_rows(stages, [["wire", 12.5], ["trap", 1.0004],
+                             ["wire", 0.25]])
+    fold_stage_rows(stages, None)
+    assert stages == {"wire": 12_751, "trap": 1_000}
+
+
+def _stages_sha(stages) -> str:
+    return hashlib.sha256(
+        json.dumps(stages, sort_keys=True).encode()).hexdigest()
+
+
+# Recorded while ``repro scale --ledger-out`` and the runner's ledger
+# sink each folded stage rows with code of their own (the BENCH view's
+# fold is pinned by test_load_run_normalizes_a_bench_artifact).
+def test_scale_ledger_stages_unchanged(tmp_path, capsys):
+    from repro.cli import main
+    path = tmp_path / "scale.json"
+    assert main(["scale", "--ranks", "8", "--topology", "single_switch",
+                 "--ledger-out", str(path)]) == 0
+    assert _stages_sha(json.loads(path.read_text())["stages"]) == \
+        "5bf664f17de1a93c6e642a235f9f4fa95e92dce473232e4113751169f1db2592"
+
+
+def test_runner_ledger_sink_stages_unchanged(monkeypatch):
+    from repro.experiments.runner import run_all
+    monkeypatch.setenv("REPRO_SCALE_RANKS", "8")
+    monkeypatch.setenv("REPRO_SCALE_TOPOLOGIES", "single_switch")
+    sink: dict = {}
+    run_all(only=["ext-scale"], ledger_sink=sink)
+    assert (sink["cells"], sink["events"]) == (7, 19569)
+    assert _stages_sha(sink["stages"]) == \
+        "2084b344334ba6ac97d416179dd771397ee0428c94a7245152cd4bba0ed2c6ef"
 
 
 def test_load_run_accepts_views_and_rejects_unknown_schemas():
