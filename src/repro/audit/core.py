@@ -254,18 +254,9 @@ class FirmwareChecker:
     # -- quiesce accounting
     @staticmethod
     def _iter_injectors(clusters) -> list:
-        injectors, seen = [], set()
-        for cluster in clusters:
-            candidates = list(cluster.fault_injectors)
-            candidates += [link.injector for link in cluster.network.links]
-            for mcp in cluster.mcps:
-                candidates.append(mcp.egress_injector)
-                candidates.append(mcp.nic.rx_injector)
-            for injector in candidates:
-                if injector is not None and id(injector) not in seen:
-                    seen.add(id(injector))
-                    injectors.append(injector)
-        return injectors
+        return [link.injector for cluster in clusters
+                for link in cluster.network.links
+                if link.injector is not None]
 
     def quiesce(self, auditor: "Auditor") -> list[Violation]:
         now = auditor.env.now
@@ -273,7 +264,7 @@ class FirmwareChecker:
         injectors = self._iter_injectors(auditor.clusters)
 
         def injected(counter: str, flow) -> int:
-            return sum(getattr(inj, counter, {}).get(flow, 0)
+            return sum(getattr(inj, counter).get(flow, 0)
                        for inj in injectors)
 
         for flow, (sender, _mcp) in self.senders.items():
@@ -513,18 +504,12 @@ class Auditor:
     def _raise(self, violations: list[Violation]) -> None:
         self.violations_raised += len(violations)
         # Give the flight recorder (when riding along) its postmortem
-        # before the violation propagates.  dump() is exception-safe by
-        # contract, but guard anyway: a postmortem failure must never
-        # mask the audit violation it documents.
-        recorder = getattr(self.env, "_recorder", None)
-        if recorder is not None:
-            try:
-                recorder.dump(
-                    "audit: " + "; ".join(
-                        f"{v.layer}/{v.rule}" for v in violations),
-                    note="\n".join(v.format() for v in violations))
-            except Exception:
-                pass
+        # before the violation propagates.
+        from repro.telemetry.recorder import dump_on_failure
+        dump_on_failure(
+            "audit: " + "; ".join(f"{v.layer}/{v.rule}" for v in violations),
+            env=self.env,
+            note="\n".join(v.format() for v in violations))
         raise AuditError(violations)
 
     # --------------------------------------- instrumented-module hooks

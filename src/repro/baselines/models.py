@@ -21,6 +21,7 @@ We re-derive the comparison rather than quoting numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from repro.cluster import Cluster
@@ -37,9 +38,10 @@ class ProtocolPreset:
     """How to measure one Table 2 row."""
 
     name: str
-    #: builds a fresh cluster configured for this protocol; its
-    #: architecture picks the library that drives it
-    make_cluster: Callable[[], Cluster]
+    #: builds a fresh cluster configured for this protocol (two nodes
+    #: unless given ``n_nodes``); its architecture picks the library
+    #: that drives it
+    make_cluster: Callable[..., Cluster]
     #: measure the intra-node row too (only BCL supports SMP specially)
     smp_support: bool
     #: analytic latency adjustment (us) applied to measured numbers
@@ -50,40 +52,29 @@ class ProtocolPreset:
     notes: str = ""
 
 
-def _bcl_cluster(cfg: CostModel = DAWNING_3000) -> Cluster:
-    return Cluster(n_nodes=2, cfg=cfg, architecture="semi_user")
-
-
-def _gm_cluster(cfg: CostModel = DAWNING_3000) -> Cluster:
-    return Cluster(n_nodes=2, cfg=cfg, architecture="user_level")
-
-
-def _bip_cluster(cfg: CostModel = DAWNING_3000) -> Cluster:
+def table2_presets(cfg: CostModel = DAWNING_3000) -> list[ProtocolPreset]:
+    gm_cluster = partial(Cluster, cfg=cfg, architecture="user_level")
     # No flow control / error correction; small packets.
     bip_cfg = cfg.replace(mtu=1024, mcp_send_proc_us=1.20,
                           mcp_recv_proc_us=1.10, pipeline_chunk_bytes=512)
-    return Cluster(n_nodes=2, cfg=bip_cfg, architecture="user_level",
-                   reliable=False)
-
-
-def table2_presets(cfg: CostModel = DAWNING_3000) -> list[ProtocolPreset]:
     return [
         ProtocolPreset(
             name="BCL", smp_support=True,
-            make_cluster=lambda: _bcl_cluster(cfg),
+            make_cluster=partial(Cluster, cfg=cfg, architecture="semi_user"),
             notes="semi-user-level; reliable; SMP intra-node path"),
         ProtocolPreset(
             name="GM", smp_support=False,
-            make_cluster=lambda: _gm_cluster(cfg),
+            make_cluster=gm_cluster,
             notes="user-level (Myricom GM class); reliable firmware"),
         ProtocolPreset(
             name="AM-II", smp_support=False,
-            make_cluster=lambda: _gm_cluster(cfg),
+            make_cluster=gm_cluster,
             latency_adjust_us=AM2_HANDLER_DISPATCH_US,
             extra_copy_mb_s=cfg.memcpy_mb_s,
             notes="active messages: +handler dispatch, +1 recv-side copy"),
         ProtocolPreset(
             name="BIP", smp_support=False,
-            make_cluster=lambda: _bip_cluster(cfg),
+            make_cluster=partial(Cluster, cfg=bip_cfg,
+                                 architecture="user_level", reliable=False),
             notes="no flow control / error correction; 1 KB packets"),
     ]

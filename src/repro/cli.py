@@ -318,8 +318,13 @@ def _cmd_latency(args) -> int:
     from repro.instrument.measure import measure_one_way
 
     if args.intra_node:
-        value = measure_one_way(Cluster(n_nodes=1), args.bytes,
-                                repeats=args.repeats).latency_us
+        cluster = Cluster(n_nodes=1, architecture=args.architecture)
+        try:
+            value = measure_one_way(cluster, args.bytes,
+                                    repeats=args.repeats).latency_us
+        except ValueError as exc:   # kernel_level has no BCL-API library
+            print(f"repro latency: error: {exc}", file=sys.stderr)
+            return 2
     elif args.architecture == "kernel_level":
         value = measure_kernel_level_latency(args.bytes,
                                              repeats=args.repeats)
@@ -399,13 +404,12 @@ def _cmd_faults(args) -> int:
         sample = measure_one_way(cluster, args.bytes,
                                  repeats=args.messages, warmup=1)
     except BaseException as exc:
-        if cluster.recorder is not None \
-                and type(exc).__name__ != "AuditError":
-            path = cluster.recorder.dump(
-                f"faults: {type(exc).__name__}", note=str(exc))
-            if path:
-                print(f"repro faults: postmortem written to {path}",
-                      file=sys.stderr)
+        from repro.telemetry.recorder import dump_on_failure
+        path = dump_on_failure(f"faults: {type(exc).__name__}",
+                               env=cluster.env, exc=exc, note=str(exc))
+        if path:
+            print(f"repro faults: postmortem written to {path}",
+                  file=sys.stderr)
         raise
     print(f"plan: {plan.describe()}")
     print(f"{args.bytes}-byte one-way latency under faults: "

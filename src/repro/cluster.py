@@ -21,12 +21,11 @@ single-testbed comparison.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.config import DAWNING_3000, CostModel
 from repro.faults import FaultInjector, FaultPlan, install_plan
 from repro.firmware.mcp import Mcp
-from repro.firmware.packet import Packet
 from repro.hw.network import Network, build_network
 from repro.hw.node import Node, UserProcess
 from repro.kernel.kernel import Kernel
@@ -47,8 +46,6 @@ class Cluster:
                  topology: str = "single_switch",
                  trace: bool = False,
                  reliable: bool = True,
-                 fault_injector: Optional[Callable[[Packet],
-                                                   Optional[Packet]]] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  env: Optional[Environment] = None,
                  audit: Optional[bool] = None,
@@ -82,15 +79,11 @@ class Cluster:
             for node_id in range(n_nodes)
         ]
         self.network: Network = build_network(
-            self.env, cfg, n_nodes, topology, fault_injector)
+            self.env, cfg, n_nodes, topology)
         #: seeded per-link injectors, when a fault_plan is installed
         self.fault_plan = fault_plan
         self.fault_injectors: list[FaultInjector] = []
         if fault_plan is not None:
-            if fault_injector is not None:
-                raise ValueError(
-                    "pass either fault_injector (legacy callback) or "
-                    "fault_plan, not both")
             self.fault_injectors = install_plan(self, fault_plan)
         self.mcps: list[Mcp] = []
         for node in self.nodes:

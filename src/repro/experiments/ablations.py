@@ -29,6 +29,7 @@ from repro.baselines import library_for
 from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
 from repro.experiments.common import ExperimentResult
+from repro.faults import FaultPlan
 from repro.firmware.packet import ChannelKind
 from repro.instrument.measure import measure_intra_node, measure_one_way
 from repro.sim import Store
@@ -275,25 +276,12 @@ def run_reliability(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
                                    for _, reliable in RELIABILITY_CONFIGS])
 
 
-class _DropOnce:
-    """Fault injector: drop the first copy of DATA seq=1 on the wire."""
-
-    def __init__(self):
-        self.dropped = False
-
-    def __call__(self, packet):
-        from repro.firmware.packet import PacketType
-        if (not self.dropped and packet.ptype is PacketType.DATA
-                and packet.route and packet.seq == 1):
-            self.dropped = True
-            return None
-        return packet
-
-
 def nack_transfer_us(cfg: CostModel, nack: bool) -> float:
-    """End-to-end 20 KB transfer time with one packet dropped."""
+    """End-to-end 20 KB transfer time with DATA seq 1's first wire copy
+    dropped (a scripted plan: it draws no randomness)."""
     varied = cfg.replace(retransmit_timeout_us=5000.0, nack_enabled=nack)
-    cluster = Cluster(n_nodes=2, cfg=varied, fault_injector=_DropOnce())
+    cluster = Cluster(n_nodes=2, cfg=varied,
+                      fault_plan=FaultPlan(drop_seqs=(1,)))
     return measure_one_way(cluster, 20000, repeats=1, warmup=0).latency_us
 
 

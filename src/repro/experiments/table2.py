@@ -16,7 +16,6 @@ qualitative claims this table must reproduce:
 from __future__ import annotations
 
 from repro.baselines.models import ProtocolPreset, table2_presets
-from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
 from repro.experiments.common import ExperimentResult
 from repro.instrument.measure import measure_one_way
@@ -29,9 +28,9 @@ BANDWIDTH_BYTES = 131072
 def measure_protocol(cfg: CostModel, protocol: str) -> dict:
     """Measure one named preset from :func:`table2_presets` (a cell).
 
-    Presets carry closures (cluster factories), so parallel-runner
-    cells are keyed by preset *name* and the preset is rebuilt here,
-    inside the worker.
+    Presets carry cluster factories, so parallel-runner cells are
+    keyed by preset *name* and the preset is rebuilt here, inside the
+    worker.
     """
     for preset in table2_presets(cfg):
         if preset.name == protocol:
@@ -54,17 +53,11 @@ def _measure(preset: ProtocolPreset) -> dict:
     row = {"inter_latency_us": lat,
            "inter_bandwidth_mb_s": BANDWIDTH_BYTES / transfer_us}
     if preset.smp_support:
-        # intra runs need a 1-node cluster of the same calibration
-        inter = preset.make_cluster()
-
-        def intra_cluster() -> Cluster:
-            return Cluster(n_nodes=1, cfg=inter.cfg,
-                           architecture=inter.architecture)
-
         row["intra_latency_us"] = measure_one_way(
-            intra_cluster(), 0, repeats=2, warmup=1).latency_us
+            preset.make_cluster(n_nodes=1), 0, repeats=2,
+            warmup=1).latency_us
         row["intra_bandwidth_mb_s"] = measure_one_way(
-            intra_cluster(), BANDWIDTH_BYTES, repeats=2,
+            preset.make_cluster(n_nodes=1), BANDWIDTH_BYTES, repeats=2,
             warmup=1).bandwidth_mb_s
     else:
         row["intra_latency_us"] = None

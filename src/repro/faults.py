@@ -4,9 +4,10 @@ The paper's reliability claim — BCL "performs data checking and
 guarantees reliable transmission in the on-card control program" — is
 reproduced by the go-back-N state machines in
 :mod:`repro.firmware.reliability`.  This module provides the adversary:
-a seeded, fully deterministic fault model that can be attached to any
-:class:`~repro.hw.link.Link`, to a NIC's receive path, or to the MCP's
-egress path, and exercises every recovery branch of the protocol.
+a seeded, fully deterministic fault model that sits on the fabric's
+:class:`~repro.hw.link.Link` objects and exercises every recovery
+branch of the protocol.  :func:`install_plan` (what
+``Cluster(fault_plan=...)`` calls) is the one place that puts it there.
 
 Two objects make up a campaign:
 
@@ -18,9 +19,9 @@ Two objects make up a campaign:
   scenarios.  Plans are plain data: picklable, hashable, comparable —
   the same plan and seed always produce the same packet-level fate
   sequence, serial or under ``--jobs N``.
-* :class:`FaultInjector` — the per-attachment-point runtime.  Each
-  injector derives its PRNG stream from ``(plan.seed, scope name)``,
-  so a cluster-wide installation is deterministic regardless of how
+* :class:`FaultInjector` — the per-link runtime.  Each injector
+  derives its PRNG stream from ``(plan.seed, scope name)``, so a
+  cluster-wide installation is deterministic regardless of how
   many links exist or in which order packets interleave across links.
 
 Injectors speak the *adjudication protocol*: ``adjudicate(packet)``
@@ -28,9 +29,10 @@ returns a list of ``(extra_delay_ns, packet)`` deliveries — ``[]``
 drops the packet, one zero-delay entry passes it through, a corrupted
 copy models wire bit errors (caught by the packet CRC), two entries
 duplicate, and a delayed single entry reorders the packet past its
-successors.  The legacy single-callback hook (``packet -> packet |
-None``) is still accepted everywhere an injector is and is wrapped in
-:class:`CallbackInjector`.
+successors.  A test that needs an adversary no plan can express sets
+``link.injector`` to a subclass that overrides :meth:`adjudicate`;
+calling :meth:`FaultInjector._account_drop` keeps its drops on the
+per-flow ledger the invariant auditor balances.
 
 Every fault is recorded as a :class:`FaultEvent` (and, when a tracer
 is attached, as a zero-duration ``fault`` trace record that the Chrome
@@ -53,12 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "Brownout",
-    "CallbackInjector",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
     "GilbertElliott",
-    "as_injector",
     "derive_seed",
     "install_plan",
 ]
@@ -109,7 +109,7 @@ class GilbertElliott:
 @dataclass(frozen=True)
 class Brownout:
     """A timed degradation window: between ``start_us`` and ``end_us``
-    (simulation time) the attachment point drops packets at
+    (simulation time) the link drops packets at
     ``drop_rate`` (default: everything — a full link outage)."""
 
     start_us: float
@@ -218,7 +218,7 @@ class FaultEvent:
     t_ns: int
     kind: str          # drop | burst_drop | brownout_drop | scripted_drop
                        # | corrupt | duplicate | reorder
-    scope: str         # attachment point (link/NIC/MCP name)
+    scope: str         # link name
     ptype: str         # packet type value ("data", "ack", ...)
     seq: int
     message_id: int
@@ -228,7 +228,10 @@ class FaultEvent:
 
 
 class FaultInjector:
-    """Runtime fault adjudicator for one attachment point.
+    """Runtime fault adjudicator for one link.
+
+    :func:`install_plan` sets one on every fabric link as
+    ``link.injector``; ``scope`` is the link's name.
 
     Deterministic: the PRNG stream depends only on ``(plan.seed,
     scope)`` and the order of adjudicated packets, which the simulator
@@ -311,8 +314,8 @@ class FaultInjector:
         """Decide the fate of ``packet``: a list of deliveries.
 
         ``[]`` means dropped; otherwise each ``(extra_delay_ns, pkt)``
-        entry is delivered after the attachment point's normal latency
-        plus the extra delay.
+        entry is delivered after the link's propagation delay plus the
+        extra delay.
         """
         plan = self.plan
         if not self.eligible(packet):
@@ -390,46 +393,6 @@ class FaultInjector:
                 "scripted_drops": self.scripted_drops,
                 "corruptions": self.corruptions,
                 "duplicates": self.duplicates, "reorders": self.reorders}
-
-
-class CallbackInjector:
-    """Adapter: the legacy single-callback hook as an injector.
-
-    Wraps ``packet -> packet | None`` (None drops) so existing test
-    injectors and the ``Cluster(fault_injector=...)`` argument keep
-    working against the adjudication protocol.  Cannot duplicate or
-    reorder — that is exactly the limitation :class:`FaultPlan`
-    removes.
-    """
-
-    def __init__(self, fn: Callable[[Packet], Optional[Packet]]):
-        self.fn = fn
-        # Same per-flow drop ledger as FaultInjector, so callback drops
-        # of sequenced packets stay visible to the audit layer.
-        self.flow_drop_packets: dict[tuple[int, int], int] = {}
-        self.flow_drop_bytes: dict[tuple[int, int], int] = {}
-
-    def adjudicate(self, packet: Packet) -> Outcome:
-        result = self.fn(packet)
-        if result is None:
-            if packet.ptype in SEQUENCED_TYPES:
-                flow = (packet.src_nic, packet.dst_nic)
-                self.flow_drop_packets[flow] = \
-                    self.flow_drop_packets.get(flow, 0) + 1
-                self.flow_drop_bytes[flow] = \
-                    self.flow_drop_bytes.get(flow, 0) + len(packet.payload)
-            return []
-        return [(0, result)]
-
-
-def as_injector(hook) -> Optional[object]:
-    """Normalise a fault hook: injector objects pass through, bare
-    callables are wrapped, None stays None."""
-    if hook is None or hasattr(hook, "adjudicate"):
-        return hook
-    if callable(hook):
-        return CallbackInjector(hook)
-    raise TypeError(f"not a fault injector or callback: {hook!r}")
 
 
 def install_plan(cluster: "Cluster", plan: FaultPlan) -> list[FaultInjector]:

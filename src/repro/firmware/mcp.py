@@ -98,9 +98,6 @@ class Mcp:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.unroutable = 0
-        #: optional fault adjudicator on the egress path (packets lost
-        #: or mangled between injection and the wire; see repro.faults)
-        self.egress_injector = None
         #: notified with each lazily-created GoBackNSender (recovery
         #: metrics hook; see repro.instrument.recovery)
         self.on_new_sender: Optional[Callable[[GoBackNSender], None]] = None
@@ -318,27 +315,10 @@ class Mcp:
             yield self.env.sleep(us(cfg.wire_inject_us) + serialization)
             self._trace(start, "wire", "wire_inject", packet.message_id,
                         nbytes=len(packet.payload))
-            # Egress fault domain: the packet was injected (costs and
-            # completion callbacks stand) but may be lost or mangled
-            # between the engine and the wire.
-            if self.egress_injector is not None:
-                outcomes = self.egress_injector.adjudicate(packet)
-            else:
-                outcomes = ((0, packet),)
-            for extra_delay, out_packet in outcomes:
-                if extra_delay:
-                    self.env.process(
-                        self._send_delayed(out_packet, extra_delay),
-                        name=f"{self.name}.late_inject")
-                else:
-                    yield self.nic.endpoint.send(out_packet)
+            yield self.nic.endpoint.send(packet)
             for callback in callbacks:
                 callback()
             yield self.env.sleep(gap)
-
-    def _send_delayed(self, packet: Packet, delay_ns: int) -> Generator:
-        yield self.env.sleep(delay_ns)
-        yield self.nic.endpoint.send(packet)
 
     # -------------------------------------------------------- recv engine
     def _recv_engine(self) -> Generator:

@@ -81,11 +81,9 @@ def run_campaign(base_seed: int, runs: int, n_schedules: int = 5,
         # shrunk spec.
         from repro.telemetry import recorder as _recorder_mod
         if _recorder_mod.enabled():
-            rec = _recorder_mod.last()
-            if rec is not None:
-                rec.dump(f"fuzz: oracle {failure.oracle} "
-                         f"(workload {index})",
-                         note=failure.describe())
+            _recorder_mod.dump_on_failure(
+                f"fuzz: oracle {failure.oracle} (workload {index})",
+                note=failure.describe())
         if shrink:
             result.shrunk.append(
                 shrink_failure(spec, failure, seeds,

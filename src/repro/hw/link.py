@@ -13,14 +13,16 @@ Backpressure: each direction has a small bounded inbox; when a
 downstream link is saturated the upstream sender's ``send`` blocks,
 which is the discrete analogue of wormhole flow control.
 
-Fault injection: a link may carry an *injector* (see
-:mod:`repro.faults`) that adjudicates each packet into zero or more
-deliveries — drop, corrupt, duplicate, or delay/reorder.  Faulted
-packets still occupy the serialization window (the bits crossed the
-wire before being lost), so lossy links congest realistically.  A
-duplicated packet is one physical wire crossing adjudicated into two
-deliveries, so it holds exactly one window — occupancy accounts wire
-time, not delivery count.
+Fault injection: a link may carry a
+:class:`~repro.faults.FaultInjector` (set by
+:func:`~repro.faults.install_plan`, the one way a fault reaches a
+packet) that adjudicates each packet into zero or more deliveries —
+drop, corrupt, duplicate, or delay/reorder.  Faulted packets still
+occupy the serialization window (the bits crossed the wire before
+being lost), so lossy links congest realistically.  A duplicated
+packet is one physical wire crossing adjudicated into two deliveries,
+so it holds exactly one window — occupancy accounts wire time, not
+delivery count.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional
 
 from repro.config import CostModel
-from repro.faults import as_injector
 from repro.firmware.packet import Packet
 from repro.sim import Environment, Store, us
 from repro.sim.time import transfer_time_ns
@@ -71,15 +72,13 @@ class LinkEndpoint:
 class Link:
     """A bidirectional link: two independent directed channels."""
 
-    def __init__(self, env: Environment, cfg: CostModel, name: str,
-                 fault_injector: Optional[Callable[[Packet], Packet]] = None):
+    def __init__(self, env: Environment, cfg: CostModel, name: str):
         self.env = env
         self.cfg = cfg
         self.name = name
-        #: Fault adjudicator (see :mod:`repro.faults`): either a full
-        #: :class:`~repro.faults.FaultInjector` or a wrapped legacy
-        #: callback (packet -> packet | None-to-drop).
-        self.injector = as_injector(fault_injector)
+        #: :class:`~repro.faults.FaultInjector` adjudicating every packet
+        #: this link carries; ``None`` passes them through untouched
+        self.injector = None
         self.a = LinkEndpoint(self, f"{name}.a")
         self.b = LinkEndpoint(self, f"{name}.b")
         self.a.peer, self.b.peer = self.b, self.a

@@ -45,17 +45,15 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.config import CostModel
-from repro.firmware.packet import Packet
 from repro.hw.link import Link, LinkEndpoint
 from repro.hw.switch import Switch
 from repro.sim import Environment
 
 __all__ = ["Network", "build_network"]
 
-FaultInjector = Callable[[Packet], Optional[Packet]]
 #: equal-cost candidates of one tier: (pivot switch, up-prefix ports)
 Tier = tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -230,9 +228,8 @@ class Network:
         return served
 
     # -- construction helpers (used by build_network) -------------------
-    def _add_link(self, name: str,
-                  fault_injector: Optional[FaultInjector] = None) -> Link:
-        link = Link(self.env, self.cfg, name, fault_injector)
+    def _add_link(self, name: str) -> Link:
+        link = Link(self.env, self.cfg, name)
         self.links.append(link)
         return link
 
@@ -245,25 +242,23 @@ class Network:
 
 
 def build_network(env: Environment, cfg: CostModel, n_nodes: int,
-                  topology: str = "single_switch",
-                  fault_injector: Optional[FaultInjector] = None) -> Network:
+                  topology: str = "single_switch") -> Network:
     """Build a fabric for ``n_nodes`` nodes.
 
-    ``fault_injector``, if given, is installed on every link (packet ->
-    packet | corrupted packet | None-to-drop); the reliability tests use
-    it to exercise retransmission.
+    Links start fault-free; :func:`repro.faults.install_plan` puts a
+    seeded injector on each of them.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     net = Network(env, cfg, n_nodes, topology)
     if topology == "single_switch":
-        _build_single_switch(net, fault_injector)
+        _build_single_switch(net)
     elif topology == "switch_tree":
-        _build_switch_tree(net, fault_injector)
+        _build_switch_tree(net)
     elif topology == "mesh2d":
-        _build_mesh2d(net, fault_injector)
+        _build_mesh2d(net)
     elif topology == "fat_tree":
-        _build_fat_tree(net, fault_injector)
+        _build_fat_tree(net)
     else:
         raise ValueError(f"unknown topology {topology!r}")
     if cfg.strict_routes:
@@ -271,11 +266,10 @@ def build_network(env: Environment, cfg: CostModel, n_nodes: int,
     return net
 
 
-def _host_link(net: Network, node: int, sw: Switch, port: int,
-               fault_injector: Optional[FaultInjector]) -> None:
+def _host_link(net: Network, node: int, sw: Switch, port: int) -> None:
     """Cable ``node`` to ``sw``'s ``port``; the switch becomes a route
     source whose nearest tier is itself, the pivot ejecting at ``port``."""
-    link = net._add_link(f"link.h{node}-{sw.name}p{port}", fault_injector)
+    link = net._add_link(f"link.h{node}-{sw.name}p{port}")
     net.nic_endpoints[node] = link.a
     sw.connect(port, link.b)
     net.port_map[(sw.name, port)] = ("host", node)
@@ -286,25 +280,22 @@ def _host_link(net: Network, node: int, sw: Switch, port: int,
 
 
 def _switch_link(net: Network, sw_a: Switch, port_a: int, sw_b: Switch,
-                 port_b: int, fault_injector: Optional[FaultInjector]) -> None:
-    link = net._add_link(f"link.{sw_a.name}p{port_a}-{sw_b.name}p{port_b}",
-                         fault_injector)
+                 port_b: int) -> None:
+    link = net._add_link(f"link.{sw_a.name}p{port_a}-{sw_b.name}p{port_b}")
     sw_a.connect(port_a, link.a)
     sw_b.connect(port_b, link.b)
     net.port_map[(sw_a.name, port_a)] = ("sw", sw_b.name)
     net.port_map[(sw_b.name, port_b)] = ("sw", sw_a.name)
 
 
-def _build_single_switch(net: Network,
-                         fault_injector: Optional[FaultInjector]) -> None:
+def _build_single_switch(net: Network) -> None:
     n = net.n_nodes
     sw = net._add_switch("sw0", n_ports=max(2, n))
     for node in range(n):
-        _host_link(net, node, sw, node, fault_injector)
+        _host_link(net, node, sw, node)
 
 
-def _build_switch_tree(net: Network,
-                       fault_injector: Optional[FaultInjector]) -> None:
+def _build_switch_tree(net: Network) -> None:
     """8-port leaves (7 hosts + uplink on port 7) under one root.
 
     A leaf routes to its own hosts directly and to every other host by
@@ -323,21 +314,19 @@ def _build_switch_tree(net: Network,
     for leaf_idx in range(n_leaves):
         leaf = net._add_switch(f"leaf{leaf_idx}", n_ports=8)
         if root is not None:
-            _switch_link(net, leaf, hosts_per_leaf, root, leaf_idx,
-                         fault_injector)
+            _switch_link(net, leaf, hosts_per_leaf, root, leaf_idx)
         for local in range(hosts_per_leaf):
             node = leaf_idx * hosts_per_leaf + local
             if node >= n:
                 break
-            _host_link(net, node, leaf, local, fault_injector)
+            _host_link(net, node, leaf, local)
             if root is not None:
                 net._down[root.name][node] = (leaf_idx, local)
         if root is not None:
             net._up[leaf.name].append(((root.name, (hosts_per_leaf,)),))
 
 
-def _build_mesh2d(net: Network,
-                  fault_injector: Optional[FaultInjector]) -> None:
+def _build_mesh2d(net: Network) -> None:
     """Square-ish 2-D mesh of 5-port routers (ports: 0=N 1=S 2=E 3=W 4=host).
 
     Routes use XY dimension-order routing, as the nwrc1032 wormhole chip
@@ -355,14 +344,11 @@ def _build_mesh2d(net: Network,
             routers[(r, c)] = net._add_switch(f"mesh{r}_{c}", n_ports=5)
     for (r, c), sw in routers.items():
         if c + 1 < cols:
-            _switch_link(net, sw, E_, routers[(r, c + 1)], W_,
-                         fault_injector)
+            _switch_link(net, sw, E_, routers[(r, c + 1)], W_)
         if r + 1 < rows:
-            _switch_link(net, sw, S_, routers[(r + 1, c)], N_,
-                         fault_injector)
+            _switch_link(net, sw, S_, routers[(r + 1, c)], N_)
     for node in range(n):
-        _host_link(net, node, routers[divmod(node, cols)], H_,
-                   fault_injector)
+        _host_link(net, node, routers[divmod(node, cols)], H_)
 
     def steps(a: int, b: int, forward: int, back: int) -> tuple[int, ...]:
         return (forward,) * (b - a) if b >= a else (back,) * (a - b)
@@ -404,8 +390,7 @@ def _ecmp_pick(src: int, dst: int, seed: int, n_choices: int) -> int:
     return digest % n_choices
 
 
-def _build_fat_tree(net: Network,
-                    fault_injector: Optional[FaultInjector]) -> None:
+def _build_fat_tree(net: Network) -> None:
     """k-ary 3-level Clos with source-routed up/down paths + ECMP.
 
     Port conventions (all switches have radix k):
@@ -463,17 +448,15 @@ def _build_fat_tree(net: Network,
     for (p, e), edge_sw in edges.items():
         for i in range(half):
             if (p, i) in aggs:
-                _switch_link(net, edge_sw, half + i, aggs[(p, i)], e,
-                             fault_injector)
+                _switch_link(net, edge_sw, half + i, aggs[(p, i)], e)
     # Wire: agg (p, i)'s up port half+j <-> core (i, j)'s port p.
     for (p, i), agg_sw in aggs.items():
         for j in range(half):
             if (i, j) in cores:
-                _switch_link(net, agg_sw, half + j, cores[(i, j)], p,
-                             fault_injector)
+                _switch_link(net, agg_sw, half + j, cores[(i, j)], p)
     for node in range(n):
         pod, e, h = host_coords(node)
-        _host_link(net, node, edges[(pod, e)], h, fault_injector)
+        _host_link(net, node, edges[(pod, e)], h)
 
     # Down paths: every agg of a pod (every core) reaches a host over
     # the same ports, so the pivots of one tier share one table.

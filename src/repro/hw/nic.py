@@ -155,9 +155,6 @@ class Nic:
         self.spaces: dict[int, "AddressSpace"] = {}
         self.endpoint: Optional[LinkEndpoint] = None
         self.network: Optional["Network"] = None
-        #: optional fault adjudicator on the receive path (packets lost
-        #: or mangled inside the card, after the wire; see repro.faults)
-        self.rx_injector = None
         self.mcp = None          # set by attach_mcp
         self.interrupt_controller = None  # set by the Node
         self.host_memory = None  # set by the Node
@@ -174,19 +171,6 @@ class Nic:
         self.mcp = mcp
 
     def _on_packet(self, _endpoint: LinkEndpoint, packet) -> None:
-        if self.rx_injector is not None:
-            for extra_delay, out_packet in self.rx_injector.adjudicate(packet):
-                if extra_delay:
-                    self.env.process(
-                        self._rx_delayed(out_packet, extra_delay),
-                        name=f"{self.name}.rx_delayed")
-                else:
-                    self.rx_packets.try_put(out_packet)
-            return
-        self.rx_packets.try_put(packet)
-
-    def _rx_delayed(self, packet, delay_ns: int):
-        yield self.env.sleep(delay_ns)
         self.rx_packets.try_put(packet)
 
     # ----------------------------------------------------------- control

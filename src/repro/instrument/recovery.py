@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.faults import LOSS_KINDS, FaultEvent, FaultInjector
+from repro.faults import LOSS_KINDS, FaultEvent
 from repro.firmware.reliability import GoBackNSender
 from repro.instrument.counters import ReliabilityCounters
 from repro.sim.time import ns_to_us
@@ -75,8 +75,7 @@ class RecoveryTracker:
     created after attachment).
     """
 
-    def __init__(self, cluster: "Cluster",
-                 injectors: Optional[list[FaultInjector]] = None):
+    def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
         self.episodes: list[LossEpisode] = []
         self._open: dict[tuple[int, int], LossEpisode] = {}
@@ -84,9 +83,7 @@ class RecoveryTracker:
             mcp.on_new_sender = self._watch_sender
             for sender in mcp._senders.values():
                 self._watch_sender(sender)
-        watched = injectors if injectors is not None \
-            else cluster.fault_injectors
-        for injector in watched:
+        for injector in cluster.fault_injectors:
             injector.listeners.append(self._on_fault)
 
     # ------------------------------------------------------------ wiring

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.faults import FaultInjector
 from repro.instrument.counters import ReliabilityCounters
 from repro.sim.time import ns_to_us
 
@@ -170,9 +169,7 @@ def cluster_report(cluster: "Cluster") -> ClusterReport:
                                       for p in node.nic.ports.values()),
         ))
     for link in cluster.network.links:
-        injector = link.injector
-        faults = (len(injector.events)
-                  if isinstance(injector, FaultInjector) else 0)
+        faults = len(link.injector.events) if link.injector is not None else 0
         report.links.append(LinkReport(
             name=link.name,
             busy_us_a_to_b=ns_to_us(link.busy_ns[link.a]),

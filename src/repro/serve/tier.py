@@ -44,6 +44,7 @@ from repro.serve.rpc import (HEADER_BYTES, K_REQUEST, K_STOP, R_OK, R_SHED,
                              pack_header, unpack_header)
 from repro.serve.switch import FrontSwitch
 from repro.sim.time import ns_to_us
+from repro.telemetry.recorder import dump_on_failure
 from repro.upper.eadi import ANY_SOURCE, ANY_TAG
 from repro.upper.job import run_spmd
 from repro.workloads.serve import schedules
@@ -332,12 +333,9 @@ def run_serve(scfg: ServeConfig, rho: float,
                  placement=list(range(n_ranks)))
     except BaseException as exc:
         # A crashed load point is exactly what the flight recorder is
-        # for: ship the last-K timeline before the exception propagates
-        # (dump() is exception-safe; an AuditError already dumped).
-        recorder = getattr(env, "_recorder", None)
-        if recorder is not None and type(exc).__name__ != "AuditError":
-            recorder.dump(f"serve: {type(exc).__name__} at rho={rho}",
-                          note=str(exc))
+        # for: ship the last-K timeline before the exception propagates.
+        dump_on_failure(f"serve: {type(exc).__name__} at rho={rho}",
+                        env=env, exc=exc, note=str(exc))
         raise
 
     # -------------------------------------------------------- reporting

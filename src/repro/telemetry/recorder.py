@@ -19,10 +19,11 @@ cluster with ``Cluster(recorder=True)``.
 
 When something dies — an audit violation fires
 (:meth:`repro.audit.core.Auditor._raise`), a fault campaign fails its
-oracle, or a serve run raises — the failure path calls :meth:`dump`
-and the recorder writes a ``postmortem-*.json`` artifact (schema
-``repro-postmortem/1``) with the last-K event timeline, the spans open
-at death, and a metrics snapshot if a telemetry session was attached.
+oracle, or a serve run raises — the failure path calls
+:func:`dump_on_failure` and the recorder writes a
+``postmortem-*.json`` artifact (schema ``repro-postmortem/1``) with
+the last-K event timeline, the spans open at death, and a metrics
+snapshot if a telemetry session was attached.
 ``repro postmortem <file>`` renders it.  :meth:`dump` is exception-
 safe by contract: it must never mask the failure that triggered it.
 """
@@ -38,8 +39,9 @@ from typing import Any, Optional
 
 from repro.telemetry.ledger import run_meta
 
-__all__ = ["FlightRecorder", "POSTMORTEM_SCHEMA", "disable", "enable",
-           "enabled", "last", "load_postmortem", "render_postmortem"]
+__all__ = ["FlightRecorder", "POSTMORTEM_SCHEMA", "disable",
+           "dump_on_failure", "enable", "enabled", "last",
+           "load_postmortem", "render_postmortem"]
 
 POSTMORTEM_SCHEMA = "repro-postmortem/1"
 
@@ -74,6 +76,30 @@ def enabled() -> bool:
 def last() -> Optional["FlightRecorder"]:
     """The most recently constructed live recorder, if any."""
     return _LAST() if _LAST is not None else None
+
+
+def dump_on_failure(reason: str, env=None,
+                    exc: Optional[BaseException] = None,
+                    note: Optional[str] = None) -> Optional[str]:
+    """The one crash hook: dump the riding recorder's postmortem.
+
+    The recorder is the one on ``env`` (the environment that failed)
+    or, when no environment is given, :func:`last`.  An ``AuditError``
+    ``exc`` is skipped: the auditor dumped before raising it.  Like
+    :meth:`FlightRecorder.dump` it never raises, since it runs on paths
+    that already are; returns the artifact's path, or ``None`` when
+    nothing was written.
+    """
+    if type(exc).__name__ == "AuditError":
+        return None
+    try:
+        recorder = (last() if env is None
+                    else getattr(env, "_recorder", None))
+        if recorder is None:
+            return None
+        return recorder.dump(reason, note=note)
+    except Exception:
+        return None
 
 
 class FlightRecorder:

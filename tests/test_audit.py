@@ -12,7 +12,7 @@ from repro.cluster import Cluster
 from repro.config import DAWNING_3000, LOSSY_DAWNING
 from repro.experiments.resilience import (
     _plan, measure_resilience_point)
-from repro.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.firmware.packet import PacketType
 from repro.instrument.measure import measure_one_way
 from repro.sim import Environment, Event, Interrupt, Resource, Store
@@ -174,25 +174,21 @@ def test_interrupted_credit_gate_withdraws_itself():
 
 
 # -------------------------------------------------- firmware checkers
-class _SilentDropper:
-    """Drops one DATA packet without recording it (the bug class the
-    conservation equation exists to catch)."""
-
-    def __init__(self):
-        self.dropped = False
+class _SilentDropper(FaultInjector):
+    """Drops one DATA packet without putting it on the per-flow ledger
+    (the bug class the conservation equation exists to catch)."""
 
     def adjudicate(self, packet):
-        if not self.dropped and packet.ptype is PacketType.DATA:
-            self.dropped = True
+        if not self.scripted_drops and packet.ptype is PacketType.DATA:
+            self.scripted_drops = 1
             return []
         return [(0, packet)]
 
 
 def test_silent_link_drop_breaks_byte_conservation():
     cluster = Cluster(n_nodes=2, audit=True)
-    dropper = _SilentDropper()
-    for link in cluster.network.links:
-        link.injector = dropper
+    link = cluster.network.nic_endpoints[0].link   # the sender's first hop
+    link.injector = _SilentDropper(cluster.env, FaultPlan(), link.name)
     sample = measure_one_way(cluster, 16384, repeats=1, warmup=0)
     assert sample.received_payloads_ok   # go-back-N recovered the loss
     with pytest.raises(AuditError) as exc:

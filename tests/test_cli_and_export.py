@@ -81,6 +81,39 @@ def test_cli_latency_intra(capsys):
     assert "2.70" in capsys.readouterr().out
 
 
+def test_cli_latency_intra_honours_architecture(capsys, monkeypatch):
+    """``--intra-node`` measures on a one-node cluster of the requested
+    architecture (it used to build a semi-user cluster whatever the
+    flag said)."""
+    import repro.cli as cli
+    built = []
+
+    def spy(*args, **kwargs):
+        cluster = Cluster(*args, **kwargs)
+        built.append((len(cluster.nodes), cluster.architecture))
+        return cluster
+
+    monkeypatch.setattr(cli, "Cluster", spy)
+    assert main(["latency", "--bytes", "0", "--intra-node",
+                 "--architecture", "user_level", "--repeats", "2"]) == 0
+    assert built == [(1, "user_level")]
+    direct = measure_one_way(Cluster(n_nodes=1, architecture="user_level"),
+                             0, repeats=2).latency_us
+    assert capsys.readouterr().out == \
+        f"0-byte one-way latency (intra-node): {direct:.2f} us\n"
+
+
+def test_cli_latency_intra_kernel_level_is_an_error(capsys):
+    """The kernel-level stack has no BCL-API library to drive: exit 2
+    with the reason, not a traceback or a semi-user number."""
+    assert main(["latency", "--bytes", "0", "--intra-node",
+                 "--architecture", "kernel_level"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro latency: error: architecture "
+                                   "'kernel_level' has no BCL-API library")
+
+
 def test_cli_bandwidth(capsys):
     assert main(["bandwidth", "--sizes", "4096"]) == 0
     out = capsys.readouterr().out

@@ -72,21 +72,16 @@ def test_identical_workload_results():
 
 def test_lossy_runs_are_deterministic_too():
     """Seeded fault injection: the retransmission storm replays exactly."""
-    import random
-    from repro.firmware.packet import PacketType
     from repro.config import DAWNING_3000
+    from repro.faults import FaultPlan
 
     def run():
-        rng = random.Random(5)
-
-        def injector(packet):
-            if packet.ptype is PacketType.ACK or not packet.route:
-                return packet
-            return None if rng.random() < 0.2 else packet
-
         cfg = DAWNING_3000.replace(retransmit_timeout_us=200.0)
-        cluster = Cluster(n_nodes=2, cfg=cfg, fault_injector=injector)
+        cluster = Cluster(n_nodes=2, cfg=cfg,
+                          fault_plan=FaultPlan(seed=5, drop_rate=0.2))
         sample = measure_one_way(cluster, 20000, repeats=2, warmup=1)
         return (tuple(sample.samples_us), cluster.total_retransmissions)
 
-    assert run() == run()
+    first = run()
+    assert first[1] > 0                    # the storm really happened
+    assert first == run()

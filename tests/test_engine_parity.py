@@ -25,7 +25,7 @@ from repro.telemetry.spans import chrome_trace_events
 
 def _observe(env, **cluster_kwargs):
     """One measurement; returns a sha256 over every observable the
-    guard compares."""
+    guard compares, and the cluster it ran on."""
     cluster = Cluster(n_nodes=2, env=env, trace=True, **cluster_kwargs)
     sample = measure_one_way(cluster, 4096, repeats=3, warmup=1)
     events = chrome_trace_events(cluster.tracer)
@@ -38,11 +38,15 @@ def _observe(env, **cluster_kwargs):
     return hashlib.sha256(json.dumps(
         [sample.samples_us, sample.received_payloads_ok, cluster.env.now,
          cluster.env.events_processed, events],
-        sort_keys=True).encode()).hexdigest()
+        sort_keys=True).encode()).hexdigest(), cluster
 
 
 FAULTED = {"cfg": LOSSY_DAWNING,
            "fault_plan": FaultPlan(seed=11, drop_rate=0.15)}
+#: same loss rate, but this seed's drops land on the measured packets,
+#: so the MCP's go-back-N actually retransmits (``FAULTED`` fires none)
+RETRANSMITTING = {"cfg": LOSSY_DAWNING,
+                  "fault_plan": FaultPlan(seed=1, drop_rate=0.15)}
 
 #: recorded while the binary-heap scheduler still ran beside the
 #: calendar queue; both produced each digest byte for byte
@@ -54,6 +58,10 @@ EXPECTED = {
     "telemetry-on":
         "3a6d96218300f3e9303cba929611d19c0dfb33fd8b755ae4a8fa2111d141babe",
 }
+#: recorded on the calendar queue alone, before the legacy fault
+#: callback hook was removed from the links
+RETRANSMITTING_DIGEST = (
+    "0d653cd5fc0a1cf3dffd3a634c4ef7783894f6195dbfae733b30954f4da17cce")
 
 
 @pytest.mark.parametrize("name,kwargs", [
@@ -63,7 +71,14 @@ EXPECTED = {
 ])
 def test_heap_and_calendar_byte_identical(name, kwargs):
     """The calendar queue reproduces the heap's recorded digest."""
-    assert _observe(Environment(), **kwargs) == EXPECTED[name]
+    assert _observe(Environment(), **kwargs)[0] == EXPECTED[name]
+
+
+def test_retransmitting_run_byte_identical():
+    """A faulted run whose recovery path really fires keeps its digest."""
+    digest, cluster = _observe(Environment(), **RETRANSMITTING)
+    assert cluster.total_retransmissions > 0
+    assert digest == RETRANSMITTING_DIGEST
 
 
 def test_events_processed_counts_and_matches():

@@ -2,68 +2,54 @@
 
 from __future__ import annotations
 
-import dataclasses
-import random
-
 import pytest
 
 from repro.cluster import Cluster
+from repro.faults import FaultInjector, FaultPlan
 from repro.firmware.packet import ChannelKind, PacketType
 
 from tests.conftest import run_procs
 from tests.test_bcl_channels import setup_pair
 
 
-class RandomDropper:
-    """Seeded-PRNG loss injector: reproducible but never phase-locked.
+class FirstHopDropper(FaultInjector):
+    """An adversary no :class:`FaultPlan` can express: drops the
+    first-hop packets :meth:`pick` selects.
 
-    (A modular every-nth injector can resonate with the go-back-N
-    retransmission round and drop the same base packet forever; real
-    loss is not phase-locked to the window, so the tests use a PRNG.)
-
-    Installed on every link, it acts only on the first hop — where the
-    source route is still non-empty — so a packet is judged once per
-    end-to-end traversal.
+    It sits on one node's host link, where that node's packets take
+    their first hop, and keeps every drop on the per-flow ledger the
+    invariant auditor balances.
     """
 
-    def __init__(self, probability: float, seed: int = 42):
-        self.probability = probability
-        self.rng = random.Random(seed)
-        self.seen = 0
-        self.dropped = 0
+    def __init__(self, cluster, node: int):
+        link = cluster.network.nic_endpoints[node].link
+        super().__init__(cluster.env, FaultPlan(), link.name)
+        link.injector = self
 
-    def __call__(self, packet):
-        if packet.ptype is PacketType.ACK or not packet.route:
-            return packet
-        self.seen += 1
-        if self.rng.random() < self.probability:
-            self.dropped += 1
-            return None
-        return packet
+    def pick(self, packet) -> bool:
+        raise NotImplementedError
 
-
-class RandomCorrupter:
-    def __init__(self, probability: float, seed: int = 43):
-        self.probability = probability
-        self.rng = random.Random(seed)
-        self.seen = 0
-        self.corrupted = 0
-
-    def __call__(self, packet):
-        if packet.ptype is PacketType.ACK or not packet.route:
-            return packet
-        self.seen += 1
-        if self.rng.random() < self.probability:
-            self.corrupted += 1
-            return dataclasses.replace(packet, corrupted=True)
-        return packet
+    def adjudicate(self, packet):
+        if packet.route and self.pick(packet):
+            self.scripted_drops += 1
+            self._account_drop(packet)
+            self._record("scripted_drop", packet)
+            return []
+        return [(0, packet)]
 
 
-def lossy_cluster(injector):
-    # Short retransmit timeout so tests finish quickly.
+def lossy_cluster(**plan):
+    """Two nodes, a short retransmit timeout so tests finish quickly,
+    and (given any ``plan`` fields) a seeded fault plan on every link."""
     from repro.config import DAWNING_3000
     cfg = DAWNING_3000.replace(retransmit_timeout_us=200.0)
-    return Cluster(n_nodes=2, cfg=cfg, fault_injector=injector)
+    return Cluster(n_nodes=2, cfg=cfg,
+                   fault_plan=FaultPlan(**plan) if plan else None)
+
+
+def injected(cluster, counter: str) -> int:
+    """One fault tally summed over the cluster's per-link injectors."""
+    return sum(getattr(inj, counter) for inj in cluster.fault_injectors)
 
 
 def transfer(cluster, ctx, payload):
@@ -89,29 +75,26 @@ def transfer(cluster, ctx, payload):
 
 @pytest.mark.parametrize("loss", [0.1, 0.25, 0.4])
 def test_message_survives_packet_loss(loss):
-    injector = RandomDropper(loss)
-    cluster = lossy_cluster(injector)
+    cluster = lossy_cluster(seed=42, drop_rate=loss)
     ctx = setup_pair(cluster)
     payload = bytes(i % 256 for i in range(40000))   # 10 packets
     assert transfer(cluster, ctx, payload) == payload
-    assert injector.dropped > 0
+    assert injected(cluster, "drops") > 0
     assert cluster.total_retransmissions > 0
 
 
 def test_message_survives_corruption():
-    injector = RandomCorrupter(0.3)
-    cluster = lossy_cluster(injector)
+    cluster = lossy_cluster(seed=43, corrupt_rate=0.3)
     ctx = setup_pair(cluster)
     payload = bytes((i * 13) % 256 for i in range(20000))
     assert transfer(cluster, ctx, payload) == payload
-    assert injector.corrupted > 0
+    assert injected(cluster, "corruptions") > 0
     mcp1 = cluster.mcps[1]
     assert any(r.corrupt_drops > 0 for r in mcp1._receivers.values())
 
 
 def test_many_messages_in_order_despite_loss():
-    injector = RandomDropper(0.25, seed=7)
-    cluster = lossy_cluster(injector)
+    cluster = lossy_cluster(seed=7, drop_rate=0.25)
     ctx = setup_pair(cluster)
     received = []
 
@@ -149,24 +132,19 @@ def test_duplicate_deliveries_suppressed():
     """Dropped ACKs force retransmission of delivered packets; the
     receiver must not deliver the message twice."""
 
-    class DropAcks:
-        def __init__(self):
-            self.dropped = 0
+    class DropAcks(FirstHopDropper):
+        """Drop the first two acks, let everything else through."""
 
-        def __call__(self, packet):
-            # Drop the first two acks, let everything else through.
-            if packet.ptype is PacketType.ACK and packet.route \
-                    and self.dropped < 2:
-                self.dropped += 1
-                return None
-            return packet
+        def pick(self, packet):
+            return packet.ptype is PacketType.ACK and self.scripted_drops < 2
 
-    injector = DropAcks()
-    cluster = lossy_cluster(injector)
+    cluster = lossy_cluster()
+    injector = DropAcks(cluster, node=1)          # the receiver acks
     ctx = setup_pair(cluster)
     payload = b"d" * 8192
     assert transfer(cluster, ctx, payload) == payload
     cluster.env.run(until=cluster.env.now + 2_000_000)
+    assert injector.scripted_drops == 2
     state = cluster.node(1).nic.port_state(2)
     # exactly one recv event was raised (none pending, none duplicated)
     assert len(ctx["port1"].recv_queue) == 0
@@ -181,18 +159,19 @@ def test_unreliable_bip_mode_delivers_torn_messages():
     failure mode the paper's 5.65 us of protocol processing prevents."""
     from repro.config import DAWNING_3000
 
-    class DropSecond:
-        def __init__(self):
-            self.count = 0
+    class DropSecond(FirstHopDropper):
+        """Drop the second non-ack packet the sender puts on the wire."""
 
-        def __call__(self, packet):
-            if packet.ptype is PacketType.ACK or not packet.route:
-                return packet
+        count = 0
+
+        def pick(self, packet):
+            if packet.ptype is PacketType.ACK:
+                return False
             self.count += 1
-            return None if self.count == 2 else packet
+            return self.count == 2
 
-    cluster = Cluster(n_nodes=2, cfg=DAWNING_3000,
-                      fault_injector=DropSecond(), reliable=False)
+    cluster = Cluster(n_nodes=2, cfg=DAWNING_3000, reliable=False)
+    injector = DropSecond(cluster, node=0)
     ctx = setup_pair(cluster)
     payload = bytes(i % 256 for i in range(20000))   # 5 packets
     outcome = {}
@@ -213,6 +192,7 @@ def test_unreliable_bip_mode_delivers_torn_messages():
         yield from ctx["port0"].send(dest, buf, len(payload))
 
     run_procs(cluster, sender(), receiver())
+    assert injector.scripted_drops == 1
     assert outcome["status"] == "torn"
     assert outcome["data"] != payload          # the hole is real
     assert cluster.total_retransmissions == 0  # nothing repaired it

@@ -146,12 +146,6 @@ def test_install_plan_one_injector_per_link():
         assert isinstance(link.injector, FaultInjector)
 
 
-def test_plan_and_legacy_callback_are_mutually_exclusive():
-    with pytest.raises(ValueError):
-        Cluster(n_nodes=2, fault_plan=FaultPlan(),
-                fault_injector=lambda p: p)
-
-
 # --------------------------------------------------- satellite: occupancy
 def test_dropped_packets_still_charge_link_occupancy():
     """Regression: a faulted packet's bits crossed the wire, so the link
@@ -161,7 +155,8 @@ def test_dropped_packets_still_charge_link_occupancy():
     from repro.hw.link import Link
 
     env = Environment()
-    link = Link(env, DAWNING_3000, "L", fault_injector=lambda p: None)
+    link = Link(env, DAWNING_3000, "L")
+    link.injector = FaultInjector(env, FaultPlan(drop_rate=1.0), link.name)
     delivered = []
     link.b.attach(lambda endpoint, packet: delivered.append(packet))
     packet = data_packet(4096)
@@ -173,6 +168,7 @@ def test_dropped_packets_still_charge_link_occupancy():
     env.run(until=us(1000.0))
     assert delivered == []
     assert link.packets_dropped == 1
+    assert link.injector.drops == 1
     expected = transfer_time_ns(
         packet.wire_bytes(DAWNING_3000.wire_header_bytes),
         DAWNING_3000.wire_mb_s)
@@ -250,35 +246,6 @@ def test_brownout_outage_recovers_after_window():
     payload = bytes(i % 256 for i in range(40000))
     assert transfer(cluster, ctx, payload) == payload
     assert sum(inj.brownout_drops for inj in cluster.fault_injectors) > 0
-    assert cluster.total_retransmissions > 0
-
-
-def test_mcp_egress_injector_attach_point():
-    """An injector on the MCP's egress path (between the send engine and
-    the wire) is adjudicated per packet and recovered from."""
-    cluster = Cluster(n_nodes=2, cfg=LOSSY)
-    env = cluster.env
-    cluster.mcps[0].egress_injector = FaultInjector(
-        env, FaultPlan(drop_seqs=(1,)), "mcp0.egress")
-    ctx = setup_pair(cluster)
-    payload = bytes(i % 256 for i in range(20000))
-    assert transfer(cluster, ctx, payload) == payload
-    assert cluster.mcps[0].egress_injector.scripted_drops == 1
-    assert cluster.total_retransmissions > 0
-
-
-def test_nic_rx_injector_attach_point():
-    """An injector on the receiving NIC (after the wire, inside the
-    card) sees packets whose source route is already consumed, so the
-    plan needs first_hop_only=False."""
-    cluster = Cluster(n_nodes=2, cfg=LOSSY)
-    env = cluster.env
-    plan = FaultPlan(drop_seqs=(1,), first_hop_only=False)
-    cluster.nodes[1].nic.rx_injector = FaultInjector(env, plan, "nic1.rx")
-    ctx = setup_pair(cluster)
-    payload = bytes(i % 256 for i in range(20000))
-    assert transfer(cluster, ctx, payload) == payload
-    assert cluster.nodes[1].nic.rx_injector.scripted_drops == 1
     assert cluster.total_retransmissions > 0
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import DAWNING_3000
+from repro.faults import FaultInjector, FaultPlan
 from repro.firmware.packet import Packet, PacketType
 from repro.hw.link import Link
 from repro.hw.network import build_network
@@ -56,7 +57,9 @@ def test_link_serialization_limits_throughput(env, cfg):
 
 
 def test_link_fault_injector_drop(env, cfg):
-    link = Link(env, cfg, "l", fault_injector=lambda pkt: None)
+    link = Link(env, cfg, "l")
+    link.injector = FaultInjector(
+        env, FaultPlan(drop_rate=1.0, first_hop_only=False), link.name)
     arrived = []
     link.b.attach(lambda _ep, pkt: arrived.append(pkt))
     link.a.attach(lambda _ep, pkt: None)
@@ -68,6 +71,7 @@ def test_link_fault_injector_drop(env, cfg):
     env.run()
     assert arrived == []
     assert link.packets_dropped == 1
+    assert link.injector.drops == 1
 
 
 def test_switch_routes_by_source_route(env, cfg):

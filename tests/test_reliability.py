@@ -211,32 +211,24 @@ def test_receiver_in_order_never_nacks():
 def test_nack_recovers_faster_than_timeout():
     """End to end: with NACK, a dropped mid-message packet is repaired
     long before the (long) retransmission timeout."""
-    import dataclasses as _dc
     from repro.cluster import Cluster
     from repro.config import DAWNING_3000
-    from repro.firmware.packet import ChannelKind
-
-    class DropOnce:
-        def __init__(self):
-            self.dropped = False
-
-        def __call__(self, packet):
-            if (not self.dropped and packet.ptype is PacketType.DATA
-                    and packet.route and packet.seq == 1):
-                self.dropped = True
-                return None
-            return packet
+    from repro.faults import FaultPlan
 
     def run_transfer(nack_enabled):
         cfg = DAWNING_3000.replace(retransmit_timeout_us=5000.0,
                                    nack_enabled=nack_enabled)
-        cluster = Cluster(n_nodes=2, cfg=cfg, fault_injector=DropOnce())
+        # drops the first wire copy of DATA seq 1, once
+        cluster = Cluster(n_nodes=2, cfg=cfg,
+                          fault_plan=FaultPlan(drop_seqs=(1,)))
         from tests.test_bcl_channels import setup_pair
         from tests.test_fault_injection import transfer
         ctx = setup_pair(cluster)
         payload = bytes(i % 256 for i in range(20000))  # 5 packets
         t0 = cluster.env.now
         assert transfer(cluster, ctx, payload) == payload
+        assert sum(inj.scripted_drops
+                   for inj in cluster.fault_injectors) == 1
         return (cluster.env.now - t0) / 1000  # us
 
     with_nack = run_transfer(True)
@@ -305,26 +297,25 @@ def test_lost_fast_retransmit_round_recovers_before_second_timeout():
     roughly two timeouts."""
     from repro.cluster import Cluster
     from repro.config import DAWNING_3000
+    from tests.test_bcl_channels import setup_pair
+    from tests.test_fault_injection import FirstHopDropper, transfer
 
-    class DropThree:
-        def __init__(self):
-            self.drops = 0
+    class DropThree(FirstHopDropper):
+        """Drop the first three wire copies of DATA seq 1 — a plan's
+        ``drop_seqs`` drops only the first."""
 
-        def __call__(self, packet):
-            if (self.drops < 3 and packet.ptype is PacketType.DATA
-                    and packet.route and packet.seq == 1):
-                self.drops += 1
-                return None
-            return packet
+        def pick(self, packet):
+            return (packet.ptype is PacketType.DATA and packet.seq == 1
+                    and self.scripted_drops < 3)
 
     cfg = DAWNING_3000.replace(retransmit_timeout_us=5000.0)
-    cluster = Cluster(n_nodes=2, cfg=cfg, fault_injector=DropThree())
-    from tests.test_bcl_channels import setup_pair
-    from tests.test_fault_injection import transfer
+    cluster = Cluster(n_nodes=2, cfg=cfg)
+    injector = DropThree(cluster, node=0)
     ctx = setup_pair(cluster)
     payload = bytes(i % 256 for i in range(20000))  # 5 packets
     t0 = cluster.env.now
     assert transfer(cluster, ctx, payload) == payload
     elapsed_us = (cluster.env.now - t0) / 1000
+    assert injector.scripted_drops == 3
     assert elapsed_us >= 5000.0            # the watchdog had to fire
     assert elapsed_us < 7500.0             # but not a second time

@@ -135,8 +135,8 @@ def _corrupt_fat_tree_build(monkeypatch, corrupt):
     ``build_network`` validates them."""
     build = network._build_fat_tree
 
-    def corrupted(net, fault_injector):
-        build(net, fault_injector)
+    def corrupted(net):
+        build(net)
         corrupt(net)
 
     monkeypatch.setattr(network, "_build_fat_tree", corrupted)
