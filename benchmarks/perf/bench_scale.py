@@ -24,14 +24,12 @@ wall time without changing the story).  ``--smoke`` restricts to the
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import time
 
 from repro.experiments.runner import run_cell
-from repro.sim import Environment
 
-from benchmarks.perf.common import GcTimer, write_bench
+from benchmarks.perf.common import GcTimer, RunProbe, write_bench
 
 SEED = 1
 
@@ -59,33 +57,14 @@ def _points(smoke: bool) -> list[tuple[str, str, int, str]]:
     return points
 
 
-@contextlib.contextmanager
-def _first_run_stamp():
-    """Yield a list that receives the host time of the first
-    ``Environment.run`` entry inside the block."""
-    stamps: list[float] = []
-    original = Environment.run
-
-    def run(env, until=None):
-        if not stamps:
-            stamps.append(time.perf_counter())
-        return original(env, until)
-
-    Environment.run = run
-    try:
-        yield stamps
-    finally:
-        Environment.run = original
-
-
 def _time_point(op: str, topology: str, ranks: int, policy: str) -> dict:
     gc.collect()
-    with _first_run_stamp() as first_run, GcTimer() as gc_time:
+    with RunProbe() as probe, GcTimer() as gc_time:
         start = time.perf_counter()
         payload = run_cell("scale.point", n_ranks=ranks, topology=topology,
                            collectives=policy, op=op)
         end = time.perf_counter()
-    build = (first_run[0] if first_run else end) - start
+    build = (probe.first_run or end) - start
     return {
         "name": f"{op}/{topology}/{ranks}/{policy}",
         "op": op, "topology": topology, "n_ranks": ranks,
@@ -98,6 +77,7 @@ def _time_point(op: str, topology: str, ranks: int, policy: str) -> dict:
         "build_s": round(build, 6),
         "wall_s": round(end - start, 6),
         "gc_s": round(gc_time.seconds, 6),
+        "retained_objects": probe.retained_objects,
     }
 
 
@@ -107,7 +87,8 @@ def run(out_path="BENCH_scale.json", smoke: bool = False) -> dict:
         out_path, "scale",
         units={"latency_us": "simulated us", "wall_s": "seconds",
                "build_s": "seconds", "gc_s": "seconds",
-               "events": "count", "stage_table": "simulated us"},
+               "events": "count", "retained_objects": "count",
+               "stage_table": "simulated us"},
         results=results, seed=SEED,
         extra={"smoke": smoke})
 

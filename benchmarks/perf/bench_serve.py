@@ -10,7 +10,8 @@ and records, per ``(arrivals, rho)`` point:
   at the pre-saturation point);
 * wall-clock and events-processed, for the host-side cost trajectory,
   with ``gc_s`` — host seconds inside cyclic garbage collections over
-  the whole point.
+  the whole point — and ``retained_objects``, the GC-tracked objects
+  still live when the outermost run returns (recorded, not gated).
 
 The full sweep runs both arrival processes over loads crossing
 saturation; ``--smoke`` keeps one pre-saturation and one overload
@@ -27,7 +28,7 @@ import time
 
 from repro.experiments.runner import run_cell
 
-from benchmarks.perf.common import GcTimer, write_bench
+from benchmarks.perf.common import GcTimer, RunProbe, write_bench
 
 SEED = 1
 
@@ -46,7 +47,7 @@ def _points(smoke: bool) -> list[tuple[str, float]]:
 
 def _time_point(arrivals: str, rho: float) -> dict:
     gc.collect()
-    with GcTimer() as gc_time:
+    with RunProbe() as probe, GcTimer() as gc_time:
         wall = time.perf_counter()
         payload = run_cell("serve.point", rho=rho, policy="round_robin",
                            arrivals=arrivals)
@@ -67,6 +68,7 @@ def _time_point(arrivals: str, rho: float) -> dict:
         "events": payload["events"],
         "wall_s": round(wall, 6),
         "gc_s": round(gc_time.seconds, 6),
+        "retained_objects": probe.retained_objects,
     }
 
 
@@ -79,7 +81,8 @@ def run(out_path="BENCH_serve.json", smoke: bool = False) -> dict:
                "goodput_rps": "requests/second (simulated)",
                "p50_us": "simulated us", "p99_us": "simulated us",
                "p999_us": "simulated us", "events": "count",
-               "wall_s": "seconds", "gc_s": "seconds"},
+               "wall_s": "seconds", "gc_s": "seconds",
+               "retained_objects": "count"},
         results=results, seed=SEED,
         extra={"smoke": smoke,
                "requests_per_point":

@@ -114,3 +114,48 @@ class GcTimer:
 
     def __exit__(self, *exc) -> None:
         gc.callbacks.remove(self._hook)
+
+
+class RunProbe:
+    """Context manager: watches every ``Environment.run`` call inside it.
+
+    * ``first_run`` — host time of the first entry (``None`` if nothing
+      ran), so a caller can split the cluster build out of wall time;
+    * ``retained_objects`` — ``gc.get_count()[0]`` when the outermost
+      call last returned.  The run loop holds the cyclic collector off,
+      so this is the net count of GC-tracked allocations since the last
+      collection as the run ends: about how much the simulation keeps,
+      not how much it churned.  Frees of objects made before that
+      collection count against it, so it moves by a few hundred on runs
+      whose live objects do not change.
+    """
+
+    def __init__(self):
+        self.first_run: float | None = None
+        self.retained_objects: int | None = None
+        self._depth = 0
+        self._original = None
+
+    def __enter__(self) -> "RunProbe":
+        from repro.sim import Environment
+
+        original = self._original = Environment.run
+
+        def run(env, until=None):
+            if self.first_run is None:
+                self.first_run = time.perf_counter()
+            self._depth += 1
+            try:
+                return original(env, until)
+            finally:
+                self._depth -= 1
+                if not self._depth:
+                    self.retained_objects = gc.get_count()[0]
+
+        Environment.run = run
+        return self
+
+    def __exit__(self, *exc) -> None:
+        from repro.sim import Environment
+
+        Environment.run = self._original

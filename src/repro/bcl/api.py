@@ -30,7 +30,7 @@ from repro.firmware.packet import ChannelKind
 from repro.hw.node import UserProcess
 from repro.kernel.errors import BclError, BclSecurityError
 from repro.kernel.shm import SharedRing
-from repro.sim import Event
+from repro.sim import Event, wakeup, wakeup_event
 
 __all__ = ["BclLibrary", "BclPort"]
 
@@ -307,16 +307,9 @@ class BclPort:
     def _shm_arrived(self, ring: SharedRing) -> None:
         """Called by a co-resident sender: a message header is pending."""
         self._shm_pending.append(ring)
-        if self._shm_wakeup is not None:
-            self._shm_wakeup.succeed()
-            self._shm_wakeup = None
+        wakeup(self, "_shm_wakeup")
 
     def _shm_wakeup_event(self) -> Event:
-        ev = Event(self.env)
-        if self._shm_pending:
-            ev.succeed()
-            return ev
-        if self._shm_wakeup is None:
-            self._shm_wakeup = Event(self.env)
-        self._shm_wakeup.callbacks.append(lambda _e: ev.succeed())
-        return ev
+        """An event that fires when a co-resident sender next arrives
+        (at once if a header is already pending)."""
+        return wakeup_event(self, "_shm_wakeup", bool(self._shm_pending))

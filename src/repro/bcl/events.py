@@ -14,7 +14,7 @@ from collections import deque
 from typing import Optional
 
 from repro.firmware.descriptors import BclEvent
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, wakeup, wakeup_event
 
 __all__ = ["CompletionQueue"]
 
@@ -54,9 +54,7 @@ class CompletionQueue:
             return False
         self._events.append(event)
         self.delivered += 1
-        if self._wakeup is not None:
-            self._wakeup.succeed()
-            self._wakeup = None
+        wakeup(self, "_wakeup")
         return True
 
     def try_pop(self) -> Optional[BclEvent]:
@@ -72,12 +70,4 @@ class CompletionQueue:
         If records are already queued the event fires immediately, so
         a waiter can never sleep through a delivery.
         """
-        ev = Event(self.env)
-        if self._events:
-            ev.succeed()
-            return ev
-        if self._wakeup is None:
-            self._wakeup = Event(self.env)
-        # Chain: several waiters may share one underlying wakeup.
-        self._wakeup.callbacks.append(lambda _e: ev.succeed())
-        return ev
+        return wakeup_event(self, "_wakeup", bool(self._events))

@@ -177,7 +177,7 @@ class Network:
         return steps, sw_name
 
     def validate_routes(self) -> None:
-        """Walk every route piece once through the wired fabric.
+        """Prove every route piece against the wired fabric.
 
         Checks that every port index is within the radix of the switch
         it is consumed at and every hop lands on a wired link; that each
@@ -190,10 +190,32 @@ class Network:
         naming the first offending piece — topology-builder bugs fail at
         :func:`build_network` time instead of as silent
         ``Switch.route_errors`` drops.
+
+        A down path whose first hop is valid, lands on switch ``S`` and
+        continues exactly as ``S``'s own already-proven down path to the
+        same node is proven by that hop alone: the walk from ``S`` is the
+        one ``S``'s piece passed.  Each ``(pivot, first port)`` hop is
+        checked once.  Every other piece is walked in full, in the same
+        order as a walk of every piece, so the first bad piece raises
+        exactly the error a full walk would.
         """
+        proven: dict[str, set[int]] = {}
         for pivot, down in self._down.items():
+            mine = proven[pivot] = set()
+            lands: dict[int, Optional[str]] = {}
             for dst, ports in down.items():
+                if len(ports) > 1:
+                    port = ports[0]
+                    if port in lands:
+                        nxt = lands[port]
+                    else:
+                        nxt = lands[port] = self._lands_on(pivot, port)
+                    if nxt is not None and dst in proven.get(nxt, ()) \
+                            and self._down[nxt][dst] == ports[1:]:
+                        mine.add(dst)
+                        continue
                 self._walk(f"down path {pivot}->{dst}", pivot, ports, dst)
+                mine.add(dst)
         served_by: dict[Tier, set[int]] = {}
         for sw_name, tiers in self._up.items():
             reached: set[int] = set()
@@ -213,6 +235,17 @@ class Network:
                 raise ValueError(
                     f"topology {self.topology!r} leaves node "
                     f"{min(unreached)} unreachable from switch {sw_name}")
+
+    def _lands_on(self, sw_name: str, port: int) -> Optional[str]:
+        """The switch that ``sw_name``'s ``port`` is cabled to, or
+        ``None`` if that hop is out of radix, unwired or faces a host."""
+        sw = self._switch_by_name.get(sw_name)
+        if sw is None or not 0 <= port < sw.n_ports:
+            return None
+        target = self.port_map.get((sw_name, port))
+        if target is None or target[0] != "sw":
+            return None
+        return target[1]
 
     def _tier_serves(self, tier: Tier) -> set[int]:
         """Nodes the tier routes to (its first pivot's), once every

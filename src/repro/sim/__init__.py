@@ -22,6 +22,9 @@ from repro.sim.core import (
     Process,
     SimulationError,
     Timeout,
+    Wake,
+    wakeup,
+    wakeup_event,
 )
 from repro.sim.resources import Resource, Store
 from repro.sim.time import MICROSECOND, MILLISECOND, SECOND, ns_to_us, us, us_to_ns
@@ -40,6 +43,9 @@ __all__ = [
     "Timeout",
     "TraceRecord",
     "Tracer",
+    "Wake",
+    "wakeup",
+    "wakeup_event",
     "MICROSECOND",
     "MILLISECOND",
     "SECOND",

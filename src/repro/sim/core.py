@@ -46,8 +46,11 @@ loop is tuned:
   allocates short-lived objects, and a collection every few hundred of
   them walks the whole live cluster to free nothing: reference counting
   already frees each event, packet and record as it dies.  Model code
-  must therefore not create reference cycles per event;
-  ``tests/regressions/test_run_gc.py`` pins that.
+  must therefore not create reference cycles per event, and a finished
+  wait must not stay reachable: a triggered :class:`AnyOf`/:class:`AllOf`
+  detaches from its unprocessed constituents, and :func:`wakeup_event`
+  chains waiter events, not closures;
+  ``tests/regressions/test_run_gc.py`` pins both.
 
 Same-instant ordering is *pluggable*: events pop in ``(time,
 tie_key)`` order, where ``tie_key`` defaults to the scheduling sequence
@@ -82,6 +85,9 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
+    "Wake",
+    "wakeup",
+    "wakeup_event",
 ]
 
 
@@ -250,14 +256,20 @@ class _ConditionBase(Event):
             if ev.env is not env:
                 raise SimulationError("cannot mix events from different environments")
         # Wire up after validation so a raise leaves no dangling callbacks.
+        # Once a processed constituent has triggered the condition, the
+        # rest would only call a _check that returns at once: leave them
+        # unwired.
+        check = self._check
         for ev in self.events:
+            if self._value is not _PENDING:
+                break
             cbs = ev._callbacks
             if cbs is _PROCESSED:
-                self._check(ev)
+                check(ev)
             elif cbs is None:
-                ev._callbacks = [self._check]
+                ev._callbacks = [check]
             else:
-                cbs.append(self._check)
+                cbs.append(check)
         if not self.events and not self.triggered:
             self.succeed(self._result())
 
@@ -270,26 +282,45 @@ class _ConditionBase(Event):
         if not event.ok:
             event.defuse()
             self.fail(event.value)
-            return
-        self._n_done += 1
-        if self._satisfied():
+        else:
+            self._n_done += 1
+            if not self._satisfied():
+                return
             self.succeed(self._result())
+        self._detach()
+
+    def _detach(self, orphaned: bool = False) -> None:
+        """Take ``_check`` off every constituent not yet processed.
+
+        Called once the condition has triggered: a constituent that
+        never fires (a wakeup nobody signals, a withdrawn credit gate)
+        would otherwise hold the condition, its value dict and every
+        other constituent for the rest of the run.  The removed
+        ``_check`` could only have returned at once, so no outcome
+        changes: a constituent that fails later is unhandled exactly as
+        before, and no orphan hook runs.
+
+        With ``orphaned`` (the condition lost its last waiter before
+        triggering), a pending constituent left with no callbacks is
+        told so, so queue-backed constituents (Store getters, Resource
+        requests, credit gates) withdraw themselves instead of absorbing
+        a later hand-off into a dead condition.
+        """
+        check = self._check
+        for ev in self.events:
+            cbs = ev._callbacks
+            if cbs is not _PROCESSED and cbs and check in cbs:
+                cbs.remove(check)
+                if not cbs:
+                    ev._callbacks = None
+                    if orphaned and ev._value is _PENDING:
+                        ev._on_orphaned()
 
     def _satisfied(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def _on_orphaned(self) -> None:
-        # The condition lost its last waiter before triggering: detach
-        # _check from every pending constituent, and propagate
-        # orphanhood so queue-backed constituents (Store getters,
-        # Resource requests, credit gates) withdraw themselves instead
-        # of absorbing a later hand-off into a dead condition.
-        for ev in self.events:
-            cbs = ev._callbacks
-            if cbs is not _PROCESSED and cbs and self._check in cbs:
-                cbs.remove(self._check)
-                if not cbs and ev._value is _PENDING:
-                    ev._on_orphaned()
+        self._detach(orphaned=True)
 
 
 class AllOf(_ConditionBase):
@@ -308,6 +339,53 @@ class AnyOf(_ConditionBase):
 
     def _satisfied(self) -> bool:
         return self._n_done >= 1
+
+
+class Wake(Event):
+    """A waiter's own event on a shared wakeup chain.
+
+    The waiter event itself is the callback on the shared event:
+    processing the shared event calls it, and the call succeeds it.  A
+    parked wait therefore allocates this one event, and no closure,
+    cell or bound method.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, _event: Event) -> None:
+        self.succeed()
+
+
+def wakeup_event(owner: Any, attr: str, ready: bool) -> Wake:
+    """An event that fires on the next :func:`wakeup` of ``owner.attr``.
+
+    ``ready`` means the condition the waiter waits for already holds:
+    the event then succeeds at once, so a waiter never sleeps through a
+    signal.  Otherwise the event is chained onto the shared event held
+    in ``owner.attr``, which is created here on the first wait.  Several
+    waiters share one shared event and are woken in the order they
+    parked.
+    """
+    ev = Wake(owner.env)
+    if ready:
+        ev.succeed()
+        return ev
+    shared = getattr(owner, attr)
+    if shared is None:
+        shared = Event(owner.env)
+        shared._callbacks = [ev]
+        setattr(owner, attr, shared)
+    else:
+        shared._callbacks.append(ev)
+    return ev
+
+
+def wakeup(owner: Any, attr: str) -> None:
+    """Wake every waiter parked on ``owner.attr`` and start a new chain."""
+    shared = getattr(owner, attr)
+    if shared is not None:
+        shared.succeed()
+        setattr(owner, attr, None)
 
 
 class Process(Event):
@@ -649,9 +727,13 @@ class Environment:
         exception, and a nested call leaves it off.  Reference counting
         still frees every event, packet and record as it dies, so model
         code must not create reference cycles per event: such a cycle
-        lives until the next collection after the run.
-        ``tests/regressions/test_run_gc.py`` pins that representative
-        runs leave none.
+        lives until the next collection after the run.  Nor may a
+        finished wait stay reachable: a triggered condition detaches
+        from its unprocessed constituents, and shared wakeups chain the
+        waiters' own :class:`Wake` events (:func:`wakeup_event`) rather
+        than a closure per wait.  ``tests/regressions/test_run_gc.py``
+        pins that representative runs leave no cycles and retain no
+        finished wait.
         """
         stop: Optional[Event] = None
         horizon: Optional[int] = None

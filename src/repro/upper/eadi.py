@@ -273,10 +273,6 @@ class EadiEndpoint:
                     waiters.remove(gate)
                     if not waiters:
                         del self._credit_waiters[dst_rank]
-                # Nothing can trigger the withdrawn gate now; dropping
-                # its waiter list unties it from the fired condition,
-                # which would otherwise leave the pair as a cycle.
-                gate._callbacks = None
             if self._stall_hist is not None:
                 self._stall_hist.observe(self.env.now - stalled_at)
             yield from self.progress()

@@ -8,7 +8,7 @@ and climb again — the structure that makes the Clos deadlock-free), and
 ECMP selection must be a pure function of ``(src, dst, ecmp_seed)``.
 
 Routes are composed from per-switch up-prefixes and per-pivot down
-paths.  ``build_network`` walks every piece and checks every ECMP
+paths.  ``build_network`` proves every piece and checks every ECMP
 tier's coverage at build time when ``cfg.strict_routes`` (the default),
 so a buggy builder fails fast instead of bleeding
 ``Switch.route_errors`` at forwarding time.
@@ -195,6 +195,36 @@ def test_host_port_beyond_radix_rejected_at_build_at_1024_ranks(
     _corrupt_fat_tree_build(monkeypatch, corrupt)
     with pytest.raises(ValueError, match="port 16 is outside ft.p15.e7's "
                                          "radix 16"):
+        _net("fat_tree", 1024)
+
+
+def test_core_piece_off_its_agg_piece_rejected_at_1024_ranks(monkeypatch):
+    """A core's down path whose first hop is fine but whose tail no
+    longer matches the aggregation switch it lands on is walked in full,
+    so the bad last hop is still caught and named on the core's piece."""
+    def corrupt(net):
+        down = net._down["ft.c0_0"]
+        pod, edge, port = down[1023]
+        down[1023] = (pod, edge, port - 1)
+
+    _corrupt_fat_tree_build(monkeypatch, corrupt)
+    with pytest.raises(ValueError, match=r"down path ft\.c0_0->1023 hop 2: "
+                                         "ejects at host 1022"):
+        _net("fat_tree", 1024)
+
+
+def test_agg_piece_corruption_rejected_at_1024_ranks(monkeypatch):
+    """A bad aggregation-switch piece is named on that switch, not
+    proven away by a core piece that reuses its tail.  The pod's aggs
+    share one table, so one agg gets its own corrupted copy."""
+    def corrupt(net):
+        down = net._down["ft.p15.a3"] = dict(net._down["ft.p15.a3"])
+        down[1023] = (net.meta["k"],) + down[1023][1:]
+
+    _corrupt_fat_tree_build(monkeypatch, corrupt)
+    with pytest.raises(ValueError, match=r"down path ft\.p15\.a3->1023 hop 0:"
+                                         r" port 16 is outside ft\.p15\.a3's"
+                                         " radix 16"):
         _net("fat_tree", 1024)
 
 

@@ -12,6 +12,9 @@ from repro.sim import (
     Interrupt,
     SimulationError,
     Timeout,
+    Wake,
+    wakeup,
+    wakeup_event,
 )
 
 
@@ -171,6 +174,86 @@ def test_any_of_fires_on_first(env):
     env.timeout(50, value="slow")
     env.run(until=env.any_of([t1, env.event()]))
     assert env.now == 10
+
+
+def _noop(_event):
+    pass
+
+
+def test_triggered_condition_detaches_from_pending_constituents(env):
+    never = env.event()
+    shared = env.event()
+    other = env.event()
+    shared.callbacks.append(_noop)
+    fast = env.timeout(10, value="fast")
+    cond = env.any_of([fast, never, shared])
+    env.run(until=cond)
+    assert never._callbacks is None          # back to "no waiters"
+    assert shared.callbacks == [_noop]       # other waiters stay
+    # A constituent that fails after the trigger is still unhandled.
+    late = env.all_of([env.timeout(5), other])
+    env.run(until=env.any_of([late, env.timeout(1)]))
+    assert late._callbacks is None
+    other.fail(RuntimeError("late"))
+    with pytest.raises(RuntimeError, match="late"):
+        env.run()
+
+
+def test_condition_triggered_while_wiring_leaves_rest_unwired(env):
+    done = env.event()
+    done.succeed("v")
+    env.run()
+    pending = env.event()
+    cond = env.any_of([done, pending])
+    assert cond.triggered
+    assert pending._callbacks is None
+
+
+def test_failed_condition_detaches(env):
+    bad = env.event()
+    pending = env.event()
+    cond = env.any_of([bad, pending])
+    bad.fail(ValueError("x"))
+    with pytest.raises(ValueError):
+        env.run(until=cond)
+    assert pending._callbacks is None
+
+
+def _after(env, delay, fn):
+    yield env.timeout(delay)
+    fn()
+
+
+class _Owner:
+    def __init__(self, env):
+        self.env = env
+        self.slot = None
+
+
+def test_wakeup_chain_wakes_waiters_in_park_order(env):
+    owner = _Owner(env)
+    woken = []
+
+    def waiter(name):
+        yield wakeup_event(owner, "slot", ready=False)
+        woken.append((env.now, name))
+
+    for name in "abc":
+        env.process(waiter(name))
+    env.run()
+    assert owner.slot is not None            # created by the first wait
+    assert all(type(cb) is Wake for cb in owner.slot.callbacks)
+    env.process(_after(env, 7, lambda: wakeup(owner, "slot")))
+    env.run()
+    assert woken == [(7, "a"), (7, "b"), (7, "c")]
+    assert owner.slot is None
+    wakeup(owner, "slot")                    # no waiters: a no-op
+
+
+def test_wakeup_event_ready_fires_at_once(env):
+    owner = _Owner(env)
+    ev = wakeup_event(owner, "slot", ready=True)
+    assert ev.triggered and owner.slot is None
 
 
 def test_all_of_empty_fires_immediately(env):
