@@ -11,8 +11,12 @@ Drives the :mod:`repro.experiments.scale` cells through the same
   grows), and
 * wall-clock and events-processed, for the host-side cost trajectory,
   with ``build_s`` — cell start to the first ``Environment.run`` (the
-  cluster build) — split out of ``wall_s``, and ``gc_s`` — host seconds
-  inside cyclic garbage collections over the whole cell.
+  cluster build) — split out of ``wall_s``, ``gc_s`` — host seconds
+  inside cyclic garbage collections over the whole cell — and
+  ``retained_objects``/``retained_kib``, a census of the live objects
+  as the run ends (:class:`~benchmarks.perf.common.RunProbe`; the
+  census is timed out of ``wall_s`` and ``gc_s``; ``ci/perf_gate.py``
+  gates ``retained_kib``).
 
 The full sweep (the committed ``BENCH_scale.json``) covers 16/64/256/
 1024 ranks on ``single_switch`` and ``fat_tree``; barrier everywhere,
@@ -29,7 +33,7 @@ import time
 
 from repro.experiments.runner import run_cell
 
-from benchmarks.perf.common import GcTimer, RunProbe, write_bench
+from benchmarks.perf.common import RunProbe, write_bench
 
 SEED = 1
 
@@ -59,7 +63,7 @@ def _points(smoke: bool) -> list[tuple[str, str, int, str]]:
 
 def _time_point(op: str, topology: str, ranks: int, policy: str) -> dict:
     gc.collect()
-    with RunProbe() as probe, GcTimer() as gc_time:
+    with RunProbe() as probe:
         start = time.perf_counter()
         payload = run_cell("scale.point", n_ranks=ranks, topology=topology,
                            collectives=policy, op=op)
@@ -75,9 +79,10 @@ def _time_point(op: str, topology: str, ranks: int, policy: str) -> dict:
                         in payload["stage_table"][:STAGE_TABLE_ROWS]],
         "events": payload["events"],
         "build_s": round(build, 6),
-        "wall_s": round(end - start, 6),
-        "gc_s": round(gc_time.seconds, 6),
+        "wall_s": round(end - start - probe.census_s, 6),
+        "gc_s": round(probe.gc_s, 6),
         "retained_objects": probe.retained_objects,
+        "retained_kib": probe.retained_kib,
     }
 
 
@@ -88,6 +93,7 @@ def run(out_path="BENCH_scale.json", smoke: bool = False) -> dict:
         units={"latency_us": "simulated us", "wall_s": "seconds",
                "build_s": "seconds", "gc_s": "seconds",
                "events": "count", "retained_objects": "count",
+               "retained_kib": "KiB",
                "stage_table": "simulated us"},
         results=results, seed=SEED,
         extra={"smoke": smoke})

@@ -10,8 +10,10 @@ and records, per ``(arrivals, rho)`` point:
   at the pre-saturation point);
 * wall-clock and events-processed, for the host-side cost trajectory,
   with ``gc_s`` — host seconds inside cyclic garbage collections over
-  the whole point — and ``retained_objects``, the GC-tracked objects
-  still live when the outermost run returns (recorded, not gated).
+  the whole point — and ``retained_objects``/``retained_kib``, a
+  census of the live objects as the run ends
+  (:class:`~benchmarks.perf.common.RunProbe`; timed out of ``wall_s``
+  and ``gc_s``).  ``ci/perf_gate.py`` gates ``retained_kib``.
 
 The full sweep runs both arrival processes over loads crossing
 saturation; ``--smoke`` keeps one pre-saturation and one overload
@@ -28,7 +30,7 @@ import time
 
 from repro.experiments.runner import run_cell
 
-from benchmarks.perf.common import GcTimer, RunProbe, write_bench
+from benchmarks.perf.common import RunProbe, write_bench
 
 SEED = 1
 
@@ -47,11 +49,11 @@ def _points(smoke: bool) -> list[tuple[str, float]]:
 
 def _time_point(arrivals: str, rho: float) -> dict:
     gc.collect()
-    with RunProbe() as probe, GcTimer() as gc_time:
+    with RunProbe() as probe:
         wall = time.perf_counter()
         payload = run_cell("serve.point", rho=rho, policy="round_robin",
                            arrivals=arrivals)
-        wall = time.perf_counter() - wall
+        wall = time.perf_counter() - wall - probe.census_s
     return {
         "name": f"{arrivals}/{rho}",
         "arrivals": arrivals, "rho": rho,
@@ -67,8 +69,9 @@ def _time_point(arrivals: str, rho: float) -> dict:
         "bounding_stage": payload["bounding_stage"],
         "events": payload["events"],
         "wall_s": round(wall, 6),
-        "gc_s": round(gc_time.seconds, 6),
+        "gc_s": round(probe.gc_s, 6),
         "retained_objects": probe.retained_objects,
+        "retained_kib": probe.retained_kib,
     }
 
 
@@ -82,7 +85,7 @@ def run(out_path="BENCH_serve.json", smoke: bool = False) -> dict:
                "p50_us": "simulated us", "p99_us": "simulated us",
                "p999_us": "simulated us", "events": "count",
                "wall_s": "seconds", "gc_s": "seconds",
-               "retained_objects": "count"},
+               "retained_objects": "count", "retained_kib": "KiB"},
         results=results, seed=SEED,
         extra={"smoke": smoke,
                "requests_per_point":

@@ -89,52 +89,56 @@ def write_bench(path: Path | str, suite: str, units: dict[str, str],
     return doc
 
 
-class GcTimer:
-    """Context manager: host seconds spent inside cyclic garbage
-    collections while it is active, timed with ``gc.callbacks``.
-
-    A profiler charges collection time to whichever function happened
-    to allocate when a collection started, so it is spread over every
-    layer; this timer shows it as one number.
-    """
-
-    def __init__(self):
-        self.seconds = 0.0
-        self._started = 0.0
-
-    def _hook(self, phase: str, info: dict) -> None:
-        if phase == "start":
-            self._started = time.perf_counter()
-        else:
-            self.seconds += time.perf_counter() - self._started
-
-    def __enter__(self) -> "GcTimer":
-        gc.callbacks.append(self._hook)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        gc.callbacks.remove(self._hook)
-
-
 class RunProbe:
-    """Context manager: watches every ``Environment.run`` call inside it.
+    """Context manager: watches every ``Environment.run`` call and every
+    cyclic garbage collection inside it.
 
     * ``first_run`` — host time of the first entry (``None`` if nothing
       ran), so a caller can split the cluster build out of wall time;
-    * ``retained_objects`` — ``gc.get_count()[0]`` when the outermost
-      call last returned.  The run loop holds the cyclic collector off,
-      so this is the net count of GC-tracked allocations since the last
-      collection as the run ends: about how much the simulation keeps,
-      not how much it churned.  Frees of objects made before that
-      collection count against it, so it moves by a few hundred on runs
-      whose live objects do not change.
+    * ``gc_s`` — host seconds inside cyclic garbage collections, timed
+      with ``gc.callbacks``.  A profiler charges collection time to
+      whichever function happened to allocate when a collection
+      started, so it is spread over every layer; this shows it as one
+      number;
+    * ``retained_objects`` and ``retained_kib`` — a census taken when
+      the outermost call last returned, while the caller still holds
+      its cluster: ``gc.collect()``, then the number of live GC-tracked
+      objects (``gc.get_objects()``: containers, not ints or strings)
+      and the sum of their ``sys.getsizeof`` in KiB.  It counts the
+      whole interpreter, so it is exact but only comparable between
+      runs of the same sweep on the same Python ``major.minor``;
+    * ``census_s`` — host seconds the census took.  Its collection is
+      left out of ``gc_s``; callers take ``census_s`` out of wall time.
     """
 
     def __init__(self):
         self.first_run: float | None = None
+        self.gc_s = 0.0
+        self.census_s = 0.0
         self.retained_objects: int | None = None
+        self.retained_kib: float | None = None
         self._depth = 0
         self._original = None
+        self._gc_started = 0.0
+
+    def _gc_hook(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._gc_started = time.perf_counter()
+        else:
+            self.gc_s += time.perf_counter() - self._gc_started
+
+    def _census(self) -> None:
+        started = time.perf_counter()
+        gc.callbacks.remove(self._gc_hook)
+        try:
+            gc.collect()
+            objects = gc.get_objects()
+            self.retained_objects = len(objects)
+            self.retained_kib = round(
+                sum(sys.getsizeof(obj) for obj in objects) / 1024, 1)
+        finally:
+            gc.callbacks.append(self._gc_hook)
+        self.census_s += time.perf_counter() - started
 
     def __enter__(self) -> "RunProbe":
         from repro.sim import Environment
@@ -150,12 +154,14 @@ class RunProbe:
             finally:
                 self._depth -= 1
                 if not self._depth:
-                    self.retained_objects = gc.get_count()[0]
+                    self._census()
 
         Environment.run = run
+        gc.callbacks.append(self._gc_hook)
         return self
 
     def __exit__(self, *exc) -> None:
         from repro.sim import Environment
 
+        gc.callbacks.remove(self._gc_hook)
         Environment.run = self._original

@@ -34,7 +34,8 @@ and therefore machine-independent:
 * any point also present in the baseline must reproduce its
   ``latency_us``, ``events`` and ``stage_table`` exactly — a drifted
   simulated latency, event count or stage total means the default-path
-  behaviour changed, which is a parity break, not noise.
+  behaviour changed, which is a parity break, not noise;
+* the memory census (below).
 
 **serve** — gates ``BENCH_serve.json`` (RPC tier offered-load sweep)
 on simulated numbers, also machine-independent:
@@ -45,7 +46,17 @@ on simulated numbers, also machine-independent:
   path changed behaviour;
 * at the highest *pre-saturation* point (largest ``rho < 1.0``
   present in both), p99 latency must not regress more than
-  ``--tolerance`` above the baseline.
+  ``--tolerance`` above the baseline;
+* the memory census (below).
+
+**memory census** (scale and serve) — every point shared with the
+baseline may grow its ``retained_kib`` (the live objects' summed
+``sys.getsizeof`` as the run ends, see ``RunProbe`` in
+``benchmarks/perf/common.py``) by at most 1 %.  The census is exact on
+one interpreter, but object sizes differ between Python versions, so
+the check only fires when the fresh run's Python ``major.minor``
+matches the baseline's, as the engine drop check does with the
+platform.
 
 Usage::
 
@@ -99,6 +110,38 @@ def load(path: str) -> dict:
 
 #: scale-point outputs a baseline point must reproduce exactly
 SCALE_EXACT = ("latency_us", "events", "stage_table")
+#: allowed fractional growth of a shared point's ``retained_kib``
+RETAINED_GROWTH = 0.01
+
+
+def _python_minor(doc: dict) -> str:
+    return ".".join(str(doc["meta"].get("python", "")).split(".")[:2])
+
+
+def _gate_retained(fresh: dict, base: dict, failures: list[str]) -> None:
+    """Memory-census check shared by the scale and serve suites."""
+    fresh_py, base_py = _python_minor(fresh), _python_minor(base)
+    if fresh_py != base_py:
+        print(f"note: Python {fresh_py} differs from the baseline's "
+              f"{base_py}; skipping the retained_kib comparison")
+        return
+    base_by_name = {r["name"]: r for r in base["results"]}
+    for result in fresh["results"]:
+        ref = base_by_name.get(result.get("name"))
+        if ref is None or ref.get("retained_kib") is None:
+            continue
+        got, want = result.get("retained_kib"), ref["retained_kib"]
+        if got is None:
+            failures.append(f"{result['name']}: no retained_kib to "
+                            "compare with the baseline")
+            continue
+        ceiling = want * (1.0 + RETAINED_GROWTH)
+        line = (f"{result['name']}: retained {got:,.1f} KiB "
+                f"(baseline {want:,.1f}, ceiling {ceiling:,.1f})")
+        if got > ceiling:
+            failures.append(f"retained memory growth in {line}")
+        else:
+            print(f"ok: {line}")
 
 
 def _gate_scale(fresh: dict, base: dict, args,
@@ -245,6 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     if fresh["suite"] in ("scale", "serve"):
         gate = _gate_scale if fresh["suite"] == "scale" else _gate_serve
         gate(fresh, base, args, failures)
+        _gate_retained(fresh, base, failures)
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)

@@ -19,7 +19,6 @@ the NIC DMAs into user space.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Generator, Optional
 
 from repro.bcl.address import BclAddress
@@ -89,7 +88,7 @@ class BclPort:
         self.state = state
         self.recv_queue = recv_queue
         self.send_queue = send_queue
-        self._shm_pending: deque[SharedRing] = deque()
+        self._shm_pending: list[SharedRing] = []
         self._shm_wakeup: Optional[Event] = None
         self.closed = False
 
@@ -164,7 +163,7 @@ class BclPort:
                                   event.message_id)
             return event
         while self._shm_pending:
-            ring = self._shm_pending.popleft()
+            ring = self._shm_pending.pop(0)
             event = yield from self.lib.intranode.receive(self, ring)
             if event is not None:
                 return event

@@ -17,7 +17,6 @@ setting — all three architectures ran on the same Myrinet.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
@@ -58,7 +57,7 @@ class LandingZone:
 class PoolFreeList:
     """FIFO of a system channel's free pool buffers.
 
-    A deque of buffers plus the set of their indices, so asking whether
+    A list of buffers plus the set of their indices, so asking whether
     a buffer is free (the double-return check) is O(1).  Buffers enter
     only through :meth:`append` and leave only through :meth:`popleft`,
     which keep the two in step.
@@ -67,7 +66,7 @@ class PoolFreeList:
     __slots__ = ("_bufs", "_indices")
 
     def __init__(self) -> None:
-        self._bufs: deque[PoolBuffer] = deque()
+        self._bufs: list[PoolBuffer] = []
         self._indices: set[int] = set()
 
     def append(self, buf: PoolBuffer) -> None:
@@ -75,7 +74,7 @@ class PoolFreeList:
         self._indices.add(buf.index)
 
     def popleft(self) -> PoolBuffer:
-        buf = self._bufs.popleft()
+        buf = self._bufs.pop(0)
         self._indices.discard(buf.index)
         return buf
 

@@ -15,6 +15,17 @@ interrupted, the engine's orphan hook (:meth:`Event._on_orphaned`)
 withdraws the dead waiter from the queue, so a later ``put()`` cannot
 hand an item to a dead getter (silently losing it) and a later
 ``release()`` cannot grant capacity to a dead requester.
+
+Most queues here stay empty for the whole run: a thousand-rank fabric
+builds tens of thousands of stores and resources, and only a few
+thousand stores ever buffer an item.  An empty ``collections.deque``
+costs 760 B and an empty list 56 B, so waiters (getters, putters,
+resource requests and holders) are plain lists, FIFO through
+``pop(0)``: they stay short (at most 15 entries on the perfbench
+workloads; ``Resource`` holders never exceed ``capacity``).  A store's
+items are a deque, because an incast can queue many of them, but it
+is made at the first item actually buffered (``Store._push``); until
+then ``_items`` is an empty tuple.
 """
 
 from __future__ import annotations
@@ -25,6 +36,9 @@ from typing import Any, Optional
 from repro.sim.core import Environment, Event, SimulationError
 
 __all__ = ["Resource", "Store"]
+
+#: item queue of a store that has never buffered an item
+_NO_ITEMS: tuple = ()
 
 
 class _Request(Event):
@@ -67,8 +81,8 @@ class Resource:
             raise SimulationError(f"capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self._users: set[_Request] = set()
-        self._queue: deque[_Request] = deque()
+        self._users: list[_Request] = []
+        self._queue: list[_Request] = []
         audit = getattr(env, "_audit", None)
         if audit is not None:
             audit.register_resource(self)
@@ -85,7 +99,7 @@ class Resource:
     def request(self) -> _Request:
         req = _Request(self)
         if len(self._users) < self.capacity:
-            self._users.add(req)
+            self._users.append(req)
             req.succeed()
         else:
             self._queue.append(req)
@@ -106,8 +120,8 @@ class Resource:
         else:
             raise SimulationError("releasing a request this resource never granted")
         if self._queue and len(self._users) < self.capacity:
-            nxt = self._queue.popleft()
-            self._users.add(nxt)
+            nxt = self._queue.pop(0)
+            self._users.append(nxt)
             nxt.succeed()
 
 
@@ -152,9 +166,9 @@ class Store:
             raise SimulationError(f"capacity must be >= 1 or None, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self._items: deque[Any] = deque()
-        self._getters: deque[_StoreGet] = deque()
-        self._putters: deque[_StorePut] = deque()
+        self._items: deque[Any] | tuple = _NO_ITEMS
+        self._getters: list[_StoreGet] = []
+        self._putters: list[_StorePut] = []
         #: waiters withdrawn because their process was interrupted
         self.cancelled_gets = 0
         self.cancelled_puts = 0
@@ -173,10 +187,10 @@ class Store:
         """Insert ``item``; the returned event fires once it is stored."""
         if self._getters:
             # Hand straight to the longest-waiting getter.
-            getter = self._getters.popleft()
+            getter = self._getters.pop(0)
             getter.succeed(item)
         elif not self.is_full:
-            self._items.append(item)
+            self._push(item)
         else:
             put_ev = _StorePut(self, item)
             self._putters.append(put_ev)
@@ -193,11 +207,11 @@ class Store:
         discarded if there is no free buffer in the pool").
         """
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._getters.pop(0).succeed(item)
             return True
         if self.is_full:
             return False
-        self._items.append(item)
+        self._push(item)
         return True
 
     def get(self) -> Event:
@@ -224,8 +238,13 @@ class Store:
             raise SimulationError("peek on empty store")
         return self._items[0]
 
+    def _push(self, item: Any) -> None:
+        if self._items is _NO_ITEMS:
+            self._items = deque()
+        self._items.append(item)
+
     def _admit_putter(self) -> None:
         if self._putters and not self.is_full:
-            put_ev = self._putters.popleft()
-            self._items.append(put_ev.item)
+            put_ev = self._putters.pop(0)
+            self._push(put_ev.item)
             put_ev.succeed()

@@ -176,8 +176,8 @@ class EadiEndpoint:
         self.inter_node_extra_us = inter_node_extra_us
         self.per_segment_us = per_segment_us
         self._send_seq: dict[int, int] = {}
-        self._posted: deque[_PostedRecv] = deque()
-        self._unexpected: deque[_Unexpected] = deque()
+        self._posted: list[_PostedRecv] = []
+        self._unexpected: list[_Unexpected] = []
         self._send_ops: dict[int, _SendOp] = {}
         self._rndv_by_channel: dict[int, _RendezvousIn] = {}
         proc = self.lib.proc
@@ -185,8 +185,8 @@ class EadiEndpoint:
                                    + ENVELOPE_BYTES)
         self._staging_lock = Resource(self.env)
         n_channels = len(port.state.normal)
-        self._free_channels: deque[int] = deque(range(n_channels))
-        self._channel_waiters: deque[tuple[Event, "_RendezvousIn"]] = deque()
+        self._free_channels: list[int] = list(range(n_channels))
+        self._channel_waiters: list[tuple[Event, "_RendezvousIn"]] = []
         # Credit-based eager flow control: the destination's system-pool
         # buffers are finite and drop on overflow (BCL semantics), so
         # each peer may only have a bounded number of envelopes in
@@ -531,7 +531,7 @@ class EadiEndpoint:
             gate = Event(self.env)
             self._channel_waiters.append((gate, rndv))
             return
-        channel = self._free_channels.popleft()
+        channel = self._free_channels.pop(0)
         rndv.channel = channel
         offset = rndv.received
         seg_len = min(self.cfg.eadi_segment_bytes,
@@ -564,7 +564,7 @@ class EadiEndpoint:
     def _release_channel(self, channel: int) -> None:
         self._free_channels.append(channel)
         if self._channel_waiters:
-            gate, rndv = self._channel_waiters.popleft()
+            gate, rndv = self._channel_waiters.pop(0)
             self.env.process(self._grant_next_segment(rndv),
                              name=f"eadi{self.rank}.deferred_grant")
             gate.succeed()

@@ -23,5 +23,5 @@ def test_thousand_rank_fat_tree_build_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert peak < 24 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
     assert net._memo == {}

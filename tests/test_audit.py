@@ -122,6 +122,42 @@ def test_orphaned_resource_request_detected():
     assert exc.value.violations[0].rule == "orphaned-waiter"
 
 
+def _live_waiter(env, event):
+    def wait():
+        yield event
+
+    env.process(wait())
+
+
+def test_orphaned_store_waiter_between_live_ones_detected():
+    env = Environment()
+    Auditor(env)
+    getters, putters = Store(env), Store(env, capacity=1)
+    putters.try_put("full")
+    _live_waiter(env, getters.get())
+    getters.get()              # abandoned between two live getters
+    _live_waiter(env, getters.get())
+    _live_waiter(env, putters.put("a"))
+    putters.put("b")           # abandoned behind a live putter
+    with pytest.raises(AuditError) as exc:
+        env.run()
+    found = [(v.rule, v.detail) for v in exc.value.violations]
+    assert [rule for rule, _ in found] == ["orphaned-waiter"] * 2
+    assert "_getters" in found[0][1] and "_putters" in found[1][1]
+
+
+def test_orphaned_resource_request_behind_live_one_detected():
+    env = Environment()
+    Auditor(env)
+    resource = Resource(env, capacity=1)
+    resource.request()         # granted immediately
+    _live_waiter(env, resource.request())
+    resource.request()         # queued behind a live waiter, abandoned
+    with pytest.raises(AuditError) as exc:
+        env.run()
+    assert [v.rule for v in exc.value.violations] == ["orphaned-waiter"]
+
+
 def test_interrupted_any_of_withdraws_store_getter():
     """Orphanhood propagates through conditions: interrupting a process
     parked on any_of(store.get(), timeout) must withdraw the getter."""

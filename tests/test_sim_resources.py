@@ -277,3 +277,125 @@ def test_interrupted_requester_is_never_granted(env):
     assert res.count == 0
     assert res.queue_length == 0
     res.release(dead_req[0])       # withdrawn request: release is a no-op
+
+
+# ------------------------------------------------ list-backed queues
+def test_store_hands_puts_to_waiting_getters_fifo(env):
+    store = Store(env)
+    got = []
+
+    def getter(name):
+        item = yield store.get()
+        got.append((name, item))
+
+    for name in "abcd":
+        env.process(getter(name))
+    env.run()                      # all four parked, in that order
+    for item in range(4):
+        store.put(item)
+    env.run()
+    assert got == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
+    assert len(store) == 0
+
+
+def test_resource_grants_queued_requests_fifo(env):
+    res = Resource(env, capacity=1)
+    holder = res.request()
+    queued = [res.request() for _ in range(4)]
+    assert res.queue_length == 4
+    granted = []
+    for req in [holder] + queued:
+        env.run()
+        granted.append([q.processed for q in queued])
+        res.release(req)
+    env.run()
+    assert granted == [[False] * 4,
+                       [True, False, False, False],
+                       [True, True, False, False],
+                       [True, True, True, False],
+                       [True, True, True, True]]
+    assert res.count == 0 and res.queue_length == 0
+
+
+def test_bounded_store_admits_blocked_putters_in_order(env):
+    store = Store(env, capacity=1)
+    store.try_put("first")
+    second, third = store.put("second"), store.put("third")
+    env.run()
+    assert not second.triggered and not third.triggered
+    got = []
+    for _ in range(3):
+        ok, item = store.try_get()
+        assert ok
+        got.append(item)
+        env.run()
+        if item == "first":
+            assert second.processed and not third.triggered
+    assert got == ["first", "second", "third"]
+    assert third.processed and len(store) == 0
+
+
+def test_interrupted_middle_getter_leaves_its_neighbours_queued(env):
+    from repro.sim import Interrupt
+
+    store = Store(env)
+    got = []
+
+    def getter(name):
+        try:
+            got.append((name, (yield store.get())))
+        except Interrupt:
+            pass
+
+    procs = [env.process(getter(name)) for name in "abc"]
+    env.run()
+    procs[1].interrupt()
+    env.run()
+    assert store.cancelled_gets == 1
+    store.put(1)
+    store.put(2)
+    env.run()
+    assert got == [("a", 1), ("c", 2)]
+
+
+def test_interrupted_middle_requester_leaves_its_neighbours_queued(env):
+    from repro.sim import Interrupt
+
+    res = Resource(env, capacity=1)
+    holder = res.request()
+    order = []
+
+    def user(name):
+        try:
+            with res.request() as req:
+                yield req
+                order.append(name)
+        except Interrupt:
+            pass
+
+    procs = [env.process(user(name)) for name in "abc"]
+    env.run()
+    assert res.queue_length == 3
+    procs[1].interrupt()
+    env.run()
+    assert res.queue_length == 2
+    res.release(holder)
+    env.run()
+    assert order == ["a", "c"]
+    assert res.count == 0 and res.queue_length == 0
+
+
+@pytest.mark.parametrize("capacity", [None, 1])
+def test_store_that_never_buffered_reads_empty(env, capacity):
+    store = Store(env, capacity=capacity)
+    assert len(store) == 0
+    assert not store.is_full
+    assert store.try_get() == (False, None)
+    with pytest.raises(SimulationError):
+        store.peek()
+    store.try_put("x")             # the first buffered item
+    assert len(store) == 1
+    assert store.is_full == (capacity == 1)
+    assert store.peek() == "x"
+    assert store.try_get() == (True, "x")
+    assert len(store) == 0 and not store.is_full
