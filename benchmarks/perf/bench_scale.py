@@ -14,9 +14,10 @@ Drives the :mod:`repro.experiments.scale` cells through the same
   cluster build) — split out of ``wall_s``, ``gc_s`` — host seconds
   inside cyclic garbage collections over the whole cell — and
   ``retained_objects``/``retained_kib``, a census of the live objects
-  as the run ends (:class:`~benchmarks.perf.common.RunProbe`; the
+  as the run ends, and ``page_kib``, the bytes the cluster's physical
+  memories store then (:class:`~benchmarks.perf.common.RunProbe`; the
   census is timed out of ``wall_s`` and ``gc_s``; ``ci/perf_gate.py``
-  gates ``retained_kib``).
+  gates ``retained_kib`` and ``page_kib``).
 
 The full sweep (the committed ``BENCH_scale.json``) covers 16/64/256/
 1024 ranks on ``single_switch`` and ``fat_tree``; barrier everywhere,
@@ -83,6 +84,7 @@ def _time_point(op: str, topology: str, ranks: int, policy: str) -> dict:
         "gc_s": round(probe.gc_s, 6),
         "retained_objects": probe.retained_objects,
         "retained_kib": probe.retained_kib,
+        "page_kib": probe.page_kib,
     }
 
 
@@ -93,7 +95,7 @@ def run(out_path="BENCH_scale.json", smoke: bool = False) -> dict:
         units={"latency_us": "simulated us", "wall_s": "seconds",
                "build_s": "seconds", "gc_s": "seconds",
                "events": "count", "retained_objects": "count",
-               "retained_kib": "KiB",
+               "retained_kib": "KiB", "page_kib": "KiB",
                "stage_table": "simulated us"},
         results=results, seed=SEED,
         extra={"smoke": smoke})

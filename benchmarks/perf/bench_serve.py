@@ -10,10 +10,12 @@ and records, per ``(arrivals, rho)`` point:
   at the pre-saturation point);
 * wall-clock and events-processed, for the host-side cost trajectory,
   with ``gc_s`` — host seconds inside cyclic garbage collections over
-  the whole point — and ``retained_objects``/``retained_kib``, a
-  census of the live objects as the run ends
+  the whole point — ``retained_objects``/``retained_kib``, a census of
+  the live objects as the run ends, and ``page_kib``, the bytes the
+  cluster's physical memories store then
   (:class:`~benchmarks.perf.common.RunProbe`; timed out of ``wall_s``
-  and ``gc_s``).  ``ci/perf_gate.py`` gates ``retained_kib``.
+  and ``gc_s``).  ``ci/perf_gate.py`` gates ``retained_kib`` and
+  ``page_kib``.
 
 The full sweep runs both arrival processes over loads crossing
 saturation; ``--smoke`` keeps one pre-saturation and one overload
@@ -72,6 +74,7 @@ def _time_point(arrivals: str, rho: float) -> dict:
         "gc_s": round(probe.gc_s, 6),
         "retained_objects": probe.retained_objects,
         "retained_kib": probe.retained_kib,
+        "page_kib": probe.page_kib,
     }
 
 
@@ -85,7 +88,8 @@ def run(out_path="BENCH_serve.json", smoke: bool = False) -> dict:
                "p50_us": "simulated us", "p99_us": "simulated us",
                "p999_us": "simulated us", "events": "count",
                "wall_s": "seconds", "gc_s": "seconds",
-               "retained_objects": "count", "retained_kib": "KiB"},
+               "retained_objects": "count", "retained_kib": "KiB",
+               "page_kib": "KiB"},
         results=results, seed=SEED,
         extra={"smoke": smoke,
                "requests_per_point":

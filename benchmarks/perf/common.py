@@ -89,6 +89,37 @@ def write_bench(path: Path | str, suite: str, units: dict[str, str],
     return doc
 
 
+#: objects handed to one ``gc.get_referents`` call by the census
+_REFERENT_BATCH = 4096
+
+
+def _untracked_bytes(objects: list) -> int:
+    """Summed ``sys.getsizeof`` of every object the GC does not track
+    that ``objects`` reach, directly or through other untracked
+    objects, each counted once.
+
+    ``gc.get_objects()`` lists containers only.  Buffers, strings and
+    numbers are not tracked, and neither is a dict or tuple that holds
+    nothing else, so a page store (``dict`` of ``bytearray``) hides
+    behind one untracked level.  All of them are alive while the
+    caller holds ``objects``, so ``id`` is a stable key.
+    """
+    seen: set[int] = set()
+    total = 0
+    frontier = objects
+    while frontier:
+        reached = []
+        for start in range(0, len(frontier), _REFERENT_BATCH):
+            for ref in gc.get_referents(
+                    *frontier[start:start + _REFERENT_BATCH]):
+                if not gc.is_tracked(ref) and id(ref) not in seen:
+                    seen.add(id(ref))
+                    total += sys.getsizeof(ref)
+                    reached.append(ref)
+        frontier = reached
+    return total
+
+
 class RunProbe:
     """Context manager: watches every ``Environment.run`` call and every
     cyclic garbage collection inside it.
@@ -104,9 +135,17 @@ class RunProbe:
       the outermost call last returned, while the caller still holds
       its cluster: ``gc.collect()``, then the number of live GC-tracked
       objects (``gc.get_objects()``: containers, not ints or strings)
-      and the sum of their ``sys.getsizeof`` in KiB.  It counts the
-      whole interpreter, so it is exact but only comparable between
-      runs of the same sweep on the same Python ``major.minor``;
+      and, in KiB, the summed ``sys.getsizeof`` of those objects plus
+      every untracked object they reach (``bytearray``, ``bytes``,
+      ``str``, ``int``, and dicts and tuples holding only such
+      objects, followed into their contents), each counted once.  It
+      counts the whole interpreter, so it is exact but only comparable
+      between runs of the same sweep on the same Python
+      ``major.minor``;
+    * ``page_kib`` — the bytes stored by every live
+      :class:`~repro.hw.memory.PhysicalMemory` at the census
+      (``resident_bytes``), in KiB.  It counts model bytes, not Python
+      objects, so it is the same on every interpreter;
     * ``census_s`` — host seconds the census took.  Its collection is
       left out of ``gc_s``; callers take ``census_s`` out of wall time.
     """
@@ -117,6 +156,7 @@ class RunProbe:
         self.census_s = 0.0
         self.retained_objects: int | None = None
         self.retained_kib: float | None = None
+        self.page_kib: float | None = None
         self._depth = 0
         self._original = None
         self._gc_started = 0.0
@@ -128,6 +168,8 @@ class RunProbe:
             self.gc_s += time.perf_counter() - self._gc_started
 
     def _census(self) -> None:
+        from repro.hw.memory import PhysicalMemory
+
         started = time.perf_counter()
         gc.callbacks.remove(self._gc_hook)
         try:
@@ -135,7 +177,11 @@ class RunProbe:
             objects = gc.get_objects()
             self.retained_objects = len(objects)
             self.retained_kib = round(
-                sum(sys.getsizeof(obj) for obj in objects) / 1024, 1)
+                (sum(map(sys.getsizeof, objects))
+                 + _untracked_bytes(objects)) / 1024, 1)
+            self.page_kib = round(sum(
+                obj.resident_bytes for obj in objects
+                if type(obj) is PhysicalMemory) / 1024, 1)
         finally:
             gc.callbacks.append(self._gc_hook)
         self.census_s += time.perf_counter() - started

@@ -35,7 +35,7 @@ and therefore machine-independent:
   ``latency_us``, ``events`` and ``stage_table`` exactly — a drifted
   simulated latency, event count or stage total means the default-path
   behaviour changed, which is a parity break, not noise;
-* the memory census (below).
+* the memory checks (below).
 
 **serve** — gates ``BENCH_serve.json`` (RPC tier offered-load sweep)
 on simulated numbers, also machine-independent:
@@ -47,16 +47,21 @@ on simulated numbers, also machine-independent:
 * at the highest *pre-saturation* point (largest ``rho < 1.0``
   present in both), p99 latency must not regress more than
   ``--tolerance`` above the baseline;
-* the memory census (below).
+* the memory checks (below).
 
-**memory census** (scale and serve) — every point shared with the
-baseline may grow its ``retained_kib`` (the live objects' summed
-``sys.getsizeof`` as the run ends, see ``RunProbe`` in
-``benchmarks/perf/common.py``) by at most 1 %.  The census is exact on
-one interpreter, but object sizes differ between Python versions, so
-the check only fires when the fresh run's Python ``major.minor``
-matches the baseline's, as the engine drop check does with the
-platform.
+**memory** (scale and serve) — every point shared with the baseline
+may grow each of two memory figures by at most 1 %:
+
+* ``page_kib`` — the bytes the cluster's physical memories store as
+  the run ends (``PhysicalMemory.resident_bytes``).  It counts model
+  bytes, so it is the same on every interpreter and always checked;
+* ``retained_kib`` — the census of live objects (their summed
+  ``sys.getsizeof``, see ``RunProbe`` in
+  ``benchmarks/perf/common.py``).  The census is exact on one
+  interpreter, but object sizes differ between Python versions, so
+  this check only fires when the fresh run's Python ``major.minor``
+  matches the baseline's, as the engine drop check does with the
+  platform.
 
 Usage::
 
@@ -110,38 +115,47 @@ def load(path: str) -> dict:
 
 #: scale-point outputs a baseline point must reproduce exactly
 SCALE_EXACT = ("latency_us", "events", "stage_table")
-#: allowed fractional growth of a shared point's ``retained_kib``
-RETAINED_GROWTH = 0.01
+#: allowed fractional growth of a shared point's ``retained_kib`` and
+#: ``page_kib``
+MEMORY_GROWTH = 0.01
 
 
 def _python_minor(doc: dict) -> str:
     return ".".join(str(doc["meta"].get("python", "")).split(".")[:2])
 
 
-def _gate_retained(fresh: dict, base: dict, failures: list[str]) -> None:
-    """Memory-census check shared by the scale and serve suites."""
+def _gate_growth(fresh: dict, base: dict, key: str, label: str,
+                 failures: list[str]) -> None:
+    """Fail every point shared with the baseline whose ``key`` grew
+    more than ``MEMORY_GROWTH``."""
+    base_by_name = {r["name"]: r for r in base["results"]}
+    for result in fresh["results"]:
+        ref = base_by_name.get(result.get("name"))
+        if ref is None or ref.get(key) is None:
+            continue
+        got, want = result.get(key), ref[key]
+        if got is None:
+            failures.append(f"{result['name']}: no {key} to compare "
+                            "with the baseline")
+            continue
+        ceiling = want * (1.0 + MEMORY_GROWTH)
+        line = (f"{result['name']}: {label} {got:,.1f} KiB "
+                f"(baseline {want:,.1f}, ceiling {ceiling:,.1f})")
+        if got > ceiling:
+            failures.append(f"{label} memory growth in {line}")
+        else:
+            print(f"ok: {line}")
+
+
+def _gate_memory(fresh: dict, base: dict, failures: list[str]) -> None:
+    """Memory checks shared by the scale and serve suites."""
+    _gate_growth(fresh, base, "page_kib", "page", failures)
     fresh_py, base_py = _python_minor(fresh), _python_minor(base)
     if fresh_py != base_py:
         print(f"note: Python {fresh_py} differs from the baseline's "
               f"{base_py}; skipping the retained_kib comparison")
         return
-    base_by_name = {r["name"]: r for r in base["results"]}
-    for result in fresh["results"]:
-        ref = base_by_name.get(result.get("name"))
-        if ref is None or ref.get("retained_kib") is None:
-            continue
-        got, want = result.get("retained_kib"), ref["retained_kib"]
-        if got is None:
-            failures.append(f"{result['name']}: no retained_kib to "
-                            "compare with the baseline")
-            continue
-        ceiling = want * (1.0 + RETAINED_GROWTH)
-        line = (f"{result['name']}: retained {got:,.1f} KiB "
-                f"(baseline {want:,.1f}, ceiling {ceiling:,.1f})")
-        if got > ceiling:
-            failures.append(f"retained memory growth in {line}")
-        else:
-            print(f"ok: {line}")
+    _gate_growth(fresh, base, "retained_kib", "retained", failures)
 
 
 def _gate_scale(fresh: dict, base: dict, args,
@@ -288,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     if fresh["suite"] in ("scale", "serve"):
         gate = _gate_scale if fresh["suite"] == "scale" else _gate_serve
         gate(fresh, base, args, failures)
-        _gate_retained(fresh, base, failures)
+        _gate_memory(fresh, base, failures)
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)

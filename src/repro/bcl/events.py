@@ -10,7 +10,6 @@ blocked waiters resume the instant an event lands.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from repro.firmware.descriptors import BclEvent
@@ -26,6 +25,9 @@ class CompletionQueue:
     into a full queue *drops the event* (counted in ``overflows``) the
     way a hardware event ring overruns when the application stops
     polling.  The default is unbounded, which suits most workloads.
+    Records are a list, FIFO through ``pop(0)``: every port has two
+    queues and most hold a handful of records at a time, so an empty
+    list (56 B) beats an empty deque (760 B).
     """
 
     def __init__(self, env: Environment, name: str,
@@ -35,7 +37,7 @@ class CompletionQueue:
         self.env = env
         self.name = name
         self.capacity = capacity
-        self._events: deque[BclEvent] = deque()
+        self._events: list[BclEvent] = []
         self._wakeup: Optional[Event] = None
         self.delivered = 0
         self.polled = 0
@@ -62,7 +64,7 @@ class CompletionQueue:
         if not self._events:
             return None
         self.polled += 1
-        return self._events.popleft()
+        return self._events.pop(0)
 
     def wakeup_event(self) -> Event:
         """An event that fires when the next record arrives.

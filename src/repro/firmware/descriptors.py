@@ -92,7 +92,7 @@ class RecvDescriptor:
     posted_at_ns: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class PoolBuffer:
     """One buffer of a system channel's FIFO pool."""
 

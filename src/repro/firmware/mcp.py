@@ -308,6 +308,9 @@ class Mcp:
         cfg = self.cfg
         gap = us(cfg.wire_gap_us)
         while True:
+            # An idle engine holds no packet (nor its callbacks) while
+            # it waits for the next one.
+            packet = callbacks = None
             packet, callbacks = yield self.tx_wire.get()
             start = self.env.now
             serialization = transfer_time_ns(
@@ -324,6 +327,7 @@ class Mcp:
     def _recv_engine(self) -> Generator:
         cfg = self.cfg
         while True:
+            packet = None  # an idle engine holds no packet
             packet: Packet = yield self.nic.rx_packets.get()
             if packet.ptype is PacketType.ACK:
                 yield from self._proc(cfg.mcp_ack_proc_us, "mcp_ack_processing",

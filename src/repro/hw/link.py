@@ -116,6 +116,8 @@ class Link:
         dst = src.peer
         prop = us(self.cfg.link_propagation_us)
         while True:
+            # An idle direction holds no packet while it waits.
+            packet = outcomes = out_packet = None
             packet: Packet = yield inbox.get()
             serialization = transfer_time_ns(
                 packet.wire_bytes(self.cfg.wire_header_bytes),

@@ -1,4 +1,4 @@
-"""Host physical memory: a flat byte store plus a page-frame allocator.
+"""Host physical memory: a sparse byte store plus a page-frame allocator.
 
 The DAWNING-3000 nodes carry "large capacity of memory"; the paper's
 whole argument for kernel-side address translation is that NIC-resident
@@ -7,6 +7,12 @@ page-accurately: virtual address spaces (:mod:`repro.kernel.vm`) map
 onto page frames handed out by :class:`FrameAllocator`, and DMA works
 on *physical* segment lists exactly as the BCL kernel module produces
 them.
+
+The model costs host RAM for what a run writes, not for what it maps.
+A page stores the prefix up to its highest written byte (a 48-byte
+envelope landing in a 4 KiB system-channel pool buffer stores 48
+bytes, not 4,096), and the allocator keeps no per-frame set.  Reads
+are byte-identical to a flat zero-filled store either way.
 """
 
 from __future__ import annotations
@@ -24,11 +30,12 @@ class OutOfMemoryError(MemoryError):
 class PhysicalMemory:
     """Byte-addressable physical memory, materialized page by page.
 
-    Pages spring into existence on first write; untouched pages read as
-    zeros — byte-identical to a flat zero-filled store, but a
-    thousand-node cluster no longer commits ``n_nodes * size`` of host
-    RAM up front (64 nodes of the former flat 64 MB bytearrays already
-    cost seconds of zeroing and gigabytes of residency).
+    A page springs into existence on its first write and stores only
+    the prefix up to the highest byte ever written to it; everything
+    past that prefix, and every untouched page, reads as zeros.  That
+    is byte-identical to a flat zero-filled store, but a thousand-node
+    cluster no longer commits ``n_nodes * size`` of host RAM up front,
+    nor 4 KiB for every page that only ever held a 48-byte envelope.
     """
 
     def __init__(self, size: int, page_size: int = 4096):
@@ -38,13 +45,13 @@ class PhysicalMemory:
                 f"page size {page_size}")
         self.size = size
         self.page_size = page_size
+        #: page index -> stored prefix (never longer than a page)
         self._pages: dict[int, bytearray] = {}
 
-    def _page(self, index: int) -> bytearray:
-        page = self._pages.get(index)
-        if page is None:
-            page = self._pages[index] = bytearray(self.page_size)
-        return page
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes the model stores: the sum of every page's prefix."""
+        return sum(map(len, self._pages.values()))
 
     def read(self, paddr: int, length: int) -> bytes:
         self._check(paddr, length)
@@ -55,7 +62,7 @@ class PhysicalMemory:
             if page is None:
                 return bytes(length)
             offset = paddr % ps
-            return bytes(page[offset:offset + length])
+            return bytes(page[offset:offset + length]).ljust(length, b"\0")
         out = bytearray(length)
         pos = 0
         while pos < length:
@@ -63,19 +70,28 @@ class PhysicalMemory:
             take = min(ps - offset, length - pos)
             page = self._pages.get(index)
             if page is not None:
-                out[pos:pos + take] = page[offset:offset + take]
+                stored = page[offset:offset + take]
+                out[pos:pos + len(stored)] = stored
             pos += take
         return bytes(out)
 
     def write(self, paddr: int, data: bytes) -> None:
         self._check(paddr, len(data))
         ps = self.page_size
+        pages = self._pages
         length = len(data)
         pos = 0
         while pos < length:
             index, offset = divmod(paddr + pos, ps)
             take = min(ps - offset, length - pos)
-            self._page(index)[offset:offset + take] = data[pos:pos + take]
+            page = pages.get(index)
+            if page is None:
+                page = pages[index] = bytearray(offset)
+            elif len(page) < offset:
+                page.extend(bytes(offset - len(page)))
+            # Overwrites the stored bytes and appends whatever lies past
+            # the prefix, so the page grows to the highest written byte.
+            page[offset:offset + take] = data[pos:pos + take]
             pos += take
 
     def read_gather(self, segments: Iterable[tuple[int, int]]) -> bytes:
@@ -116,25 +132,27 @@ class FrameAllocator:
         # in a min-heap.  alloc() always returns the lowest free frame
         # (layouts reproducible across runs), exactly like the former
         # pre-built descending free list, without O(n_frames) setup.
+        # A frame is allocated iff it is below the bump pointer and not
+        # recycled; ``_recycled_set`` mirrors the heap for that test.
         self._next_fresh = 0
         self._recycled: list[int] = []
-        self._allocated: set[int] = set()
+        self._recycled_set: set[int] = set()
 
     @property
     def free_frames(self) -> int:
-        return self.n_frames - len(self._allocated)
+        return self.n_frames - self._next_fresh + len(self._recycled)
 
     def alloc(self) -> int:
         """Allocate one frame (the lowest free); returns its number."""
         if self._recycled:
             frame = heapq.heappop(self._recycled)
+            self._recycled_set.remove(frame)
         elif self._next_fresh < self.n_frames:
             frame = self._next_fresh
             self._next_fresh += 1
         else:
             raise OutOfMemoryError(
                 f"all {self.n_frames} page frames are allocated")
-        self._allocated.add(frame)
         return frame
 
     def alloc_many(self, count: int) -> list[int]:
@@ -146,9 +164,9 @@ class FrameAllocator:
         return [self.alloc() for _ in range(count)]
 
     def free(self, frame: int) -> None:
-        if frame not in self._allocated:
+        if not 0 <= frame < self._next_fresh or frame in self._recycled_set:
             raise ValueError(f"frame {frame} is not allocated")
-        self._allocated.remove(frame)
+        self._recycled_set.add(frame)
         heapq.heappush(self._recycled, frame)
 
     def frame_paddr(self, frame: int) -> int:

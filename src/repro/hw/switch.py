@@ -52,6 +52,9 @@ class Switch:
         inbox = self._inboxes[port]
         latency = us(self.cfg.switch_latency_us)
         while True:
+            # Let go of the last packet before blocking: an idle port
+            # must not keep it alive until the next one arrives.
+            packet = forwarded = None
             packet: Packet = yield inbox.get()
             yield self.env.sleep(latency)
             try:

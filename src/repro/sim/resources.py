@@ -24,8 +24,9 @@ resource requests and holders) are plain lists, FIFO through
 ``pop(0)``: they stay short (at most 15 entries on the perfbench
 workloads; ``Resource`` holders never exceed ``capacity``).  A store's
 items are a deque, because an incast can queue many of them, but it
-is made at the first item actually buffered (``Store._push``); until
-then ``_items`` is an empty tuple.
+is made when an item is actually buffered (``Store._push``) and let go
+when a get drains it (``Store._pop``); while the store is empty
+``_items`` is an empty tuple.
 """
 
 from __future__ import annotations
@@ -218,8 +219,7 @@ class Store:
         """Remove and return the oldest item (blocking)."""
         if self._items:
             ev = Event(self.env)
-            ev.succeed(self._items.popleft())
-            self._admit_putter()
+            ev.succeed(self._pop())
             return ev
         getter = _StoreGet(self)
         self._getters.append(getter)
@@ -228,9 +228,7 @@ class Store:
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking get; returns ``(ok, item_or_None)``."""
         if self._items:
-            item = self._items.popleft()
-            self._admit_putter()
-            return True, item
+            return True, self._pop()
         return False, None
 
     def peek(self) -> Any:
@@ -242,6 +240,14 @@ class Store:
         if self._items is _NO_ITEMS:
             self._items = deque()
         self._items.append(item)
+
+    def _pop(self) -> Any:
+        item = self._items.popleft()
+        self._admit_putter()
+        if not self._items:
+            # Drained: drop the deque until an item is buffered again.
+            self._items = _NO_ITEMS
+        return item
 
     def _admit_putter(self) -> None:
         if self._putters and not self.is_full:

@@ -2,9 +2,15 @@
 
 The virtual clock counts integer nanoseconds.  All hardware costs in
 :mod:`repro.config` are expressed in microseconds (the unit the paper
-reports) and converted with :func:`us` at configuration time, so the
-event loop itself never does floating-point time arithmetic and runs
-are bit-for-bit reproducible.
+reports) and converted with :func:`us` before they reach the clock, so
+the event queue only ever adds and compares integers and runs are
+bit-for-bit reproducible.  Where that conversion happens varies: fixed
+delays are converted once when a component is built (switch latency,
+link propagation, the wire gap), but per-operation costs are converted
+on every call (``Cpu.execute``, ``Mcp._proc`` and the MCP inject
+engine), so a run does float arithmetic per charged operation: about
+197,000 :func:`us` calls in the 256-rank host barrier.  The rounding
+is deterministic, so that costs host time, not reproducibility.
 """
 
 from __future__ import annotations
