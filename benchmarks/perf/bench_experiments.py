@@ -52,7 +52,7 @@ def _time_cell(name: str, fn: str, params: dict) -> dict:
 
 def _telemetry_percentiles() -> dict:
     """Simulated latency percentiles from a telemetry-enabled run."""
-    cluster = Cluster(n_nodes=2, trace=True, telemetry=True)
+    cluster = Cluster(n_nodes=2, trace=True, observers=("telemetry",))
     gc.collect()
     wall = time.perf_counter()
     sample = measure_one_way(cluster, 4096, repeats=8, warmup=2)

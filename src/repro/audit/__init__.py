@@ -17,11 +17,13 @@ the simulation runs:
 * **BCL/EADI** — eager-credit balance never exceeds the initial grant,
   and no credit/channel waiter survives endpoint teardown.
 
-Enable globally with :func:`enable` (or ``REPRO_AUDIT=1`` — inherited
-by ``--jobs N`` worker processes), per run with ``repro evaluate
---audit`` / ``pytest --audit``, or per cluster with
-``Cluster(audit=True)``.  Violations raise :class:`AuditError` with a
-structured report naming the layer, rule, flow and offending event.
+Attach it per cluster with ``Cluster(observers=("audit",))``, globally
+with ``repro.cluster.enable("audit")`` (or ``REPRO_OBSERVERS=audit``,
+inherited by ``--jobs N`` worker processes), or per run with ``repro
+evaluate --audit`` / ``pytest --audit``.  It must be there when the
+cluster is built: stores, resources and flows register with it then.
+Violations raise :class:`AuditError` with a structured report naming
+the layer, rule, flow and offending event.
 
 The auditor is a pure observer: it schedules no events, consumes no
 randomness and never mutates protocol state, so an audited run is
@@ -41,10 +43,6 @@ from repro.audit.core import (
     KernelChecker,
     SimChecker,
     Violation,
-    attach,
-    disable,
-    enable,
-    enabled,
 )
 
 __all__ = [
@@ -55,8 +53,4 @@ __all__ = [
     "KernelChecker",
     "SimChecker",
     "Violation",
-    "attach",
-    "disable",
-    "enable",
-    "enabled",
 ]

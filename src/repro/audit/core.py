@@ -27,7 +27,6 @@ a ``quiesce(auditor) -> list[Violation]`` method participates.
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -48,47 +47,7 @@ __all__ = [
     "KernelChecker",
     "SimChecker",
     "Violation",
-    "attach",
-    "disable",
-    "enable",
-    "enabled",
 ]
-
-
-# ------------------------------------------------------------- enablement
-_ENABLED = False
-
-
-def enable() -> None:
-    """Turn auditing on globally: every :class:`~repro.cluster.Cluster`
-    built afterwards attaches an auditor.  Also exported through the
-    ``REPRO_AUDIT`` environment variable so ``--jobs N`` worker
-    processes inherit the setting."""
-    global _ENABLED
-    _ENABLED = True
-    os.environ["REPRO_AUDIT"] = "1"
-
-
-def disable() -> None:
-    global _ENABLED
-    _ENABLED = False
-    os.environ.pop("REPRO_AUDIT", None)
-
-
-def enabled() -> bool:
-    """True when auditing is globally enabled (module flag or env var)."""
-    return _ENABLED or os.environ.get("REPRO_AUDIT", "") not in ("", "0")
-
-
-def attach(cluster: "Cluster") -> "Auditor":
-    """Attach an auditor to ``cluster`` (creating one on its environment
-    if needed) and bind the cluster for quiesce-time checks."""
-    env = cluster.env
-    auditor = getattr(env, "_audit", None)
-    if auditor is None:
-        auditor = Auditor(env)
-    auditor.bind_cluster(cluster)
-    return auditor
 
 
 # ------------------------------------------------------------ violations

@@ -34,7 +34,7 @@ Run artifacts: ``evaluate``, ``observe``, ``scale`` and ``serve`` all
 take ``--ledger-out FILE`` to write a self-describing ``repro-run/1``
 ledger for later ``repro diff``.  ``faults``, ``fuzz`` and ``serve``
 take ``--recorder`` to ride the crash flight recorder along
-(``REPRO_RECORDER=1`` does the same globally).
+(``REPRO_OBSERVERS=recorder`` does the same globally).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import argparse
 import os
 import sys
 
+import repro.cluster
 from repro.cluster import Cluster
 from repro.config import DAWNING_3000
 
@@ -279,11 +280,10 @@ def _cmd_evaluate(args) -> int:
     from repro.experiments.cache import RunCache
     from repro.experiments.runner import run_all
     if args.audit:
-        # Global switch, exported via REPRO_AUDIT so --jobs N worker
+        # Global switch, exported via REPRO_OBSERVERS so --jobs N worker
         # processes inherit it.  The auditor is a pure observer, so
         # audited results (and cache entries) are byte-identical.
-        from repro import audit
-        audit.enable()
+        repro.cluster.enable("audit")
     cache = None if args.no_cache else RunCache(args.cache_dir)
     sink = {} if args.ledger_out else None
     try:
@@ -385,6 +385,13 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _with_recorder(args) -> frozenset[str]:
+    """The global observer set, plus the flight recorder on
+    ``--recorder``."""
+    observers = repro.cluster.enabled()
+    return observers | {"recorder"} if args.recorder else observers
+
+
 def _cmd_faults(args) -> int:
     from repro.config import LOSSY_DAWNING
     from repro.faults import FaultPlan
@@ -398,7 +405,7 @@ def _cmd_faults(args) -> int:
     cluster = Cluster(n_nodes=2, cfg=LOSSY_DAWNING, fault_plan=plan,
                       trace=(args.trace_output is not None
                              or args.recorder or None),
-                      recorder=args.recorder or None)
+                      observers=_with_recorder(args))
     tracker = RecoveryTracker(cluster)
     try:
         sample = measure_one_way(cluster, args.bytes,
@@ -429,7 +436,6 @@ def _cmd_faults(args) -> int:
 
 def _audit_selftest() -> int:
     """One deliberate violation per checker; each must raise AuditError."""
-    from repro import audit
     from repro.audit import AuditError, Auditor
     from repro.instrument.measure import measure_one_way
     from repro.sim import Environment, Event, Store
@@ -504,7 +510,7 @@ def _audit_selftest() -> int:
         assert endpoints
         cluster.auditor.check_quiesce()
 
-    audit.enable()
+    repro.cluster.enable("audit")
     try:
         print("auditor selftest (each case must raise AuditError):")
         expect("sim/past-event", past_event)
@@ -514,7 +520,7 @@ def _audit_selftest() -> int:
         expect("bcl/credit-overflow", credit_overflow)
         expect("bcl/waiter-teardown", waiter_survives_teardown)
     finally:
-        audit.disable()
+        repro.cluster.disable("audit")
     if failures:
         print(f"selftest FAILED: {', '.join(failures)}", file=sys.stderr)
         return 1
@@ -523,12 +529,11 @@ def _audit_selftest() -> int:
 
 
 def _cmd_audit(args) -> int:
-    from repro import audit
     from repro.config import LOSSY_DAWNING
     from repro.faults import FaultPlan
     from repro.instrument.measure import measure_one_way
 
-    audit.enable()
+    repro.cluster.enable("audit")
     try:
         for label, kwargs in (
                 ("clean", {}),
@@ -547,7 +552,7 @@ def _cmd_audit(args) -> int:
                 print(f"  {key:20s} {value}")
         print("audit: zero violations")
     finally:
-        audit.disable()
+        repro.cluster.disable("audit")
     if args.selftest:
         return _audit_selftest()
     return 0
@@ -569,8 +574,7 @@ def _cmd_fuzz(args) -> int:
           f"schedules={args.schedules} max-ops={args.max_ops}"
           f"{' (fault-free)' if args.no_faults else ''}")
     if args.recorder:
-        from repro.telemetry import recorder as recorder_mod
-        recorder_mod.enable()
+        repro.cluster.enable("recorder")
     try:
         result = run_campaign(args.seed, args.runs,
                               n_schedules=args.schedules,
@@ -580,7 +584,7 @@ def _cmd_fuzz(args) -> int:
                               progress=progress)
     finally:
         if args.recorder:
-            recorder_mod.disable()
+            repro.cluster.disable("recorder")
     mix = ", ".join(f"{layer} x{count}"
                     for layer, count in sorted(result.by_layer.items()))
     print(f"fuzz: {result.checked} workloads checked ({mix}) under "
@@ -710,9 +714,8 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.cluster import Cluster
-    from repro.experiments.scale import _StageAggregator
     from repro.serve import ServeConfig, run_serve
+    from repro.telemetry.critical_path import StageFold
 
     scfg = ServeConfig(n_servers=args.servers,
                        n_client_ranks=args.clients,
@@ -744,15 +747,15 @@ def _cmd_serve(args) -> int:
     print(header)
     print("-" * len(header))
     session = None
+    observers = _with_recorder(args)
+    if args.metrics or args.ledger_out:
+        observers |= {"telemetry"}
     for rho in loads:
         cluster = Cluster(n_nodes=scfg.n_servers + scfg.n_client_ranks,
-                          trace=args.stages or None,
-                          telemetry=(True if args.metrics
-                                     or args.ledger_out else None),
-                          recorder=args.recorder or None)
+                          trace=args.stages or None, observers=observers)
         agg = None
         if args.stages:
-            agg = _StageAggregator(cluster.tracer)
+            agg = StageFold(cluster.tracer)
             agg.armed = True
         report = run_serve(scfg, rho, cluster=cluster)
         fmt = lambda v: f"{v:9.1f}" if v is not None else f"{'-':>9s}"

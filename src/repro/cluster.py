@@ -17,11 +17,22 @@ kernels are configured for:
 
 All three run on identical simulated hardware, like the paper's
 single-testbed comparison.
+
+Three pure observers can ride a cluster: the invariant auditor
+(``"audit"``, :mod:`repro.audit`), the telemetry session
+(``"telemetry"``, :mod:`repro.telemetry`) and the crash flight recorder
+(``"recorder"``, :mod:`repro.telemetry.recorder`).  ``Cluster(observers=
+("audit",))`` names exactly the set one cluster carries;
+``observers=None`` takes the global set, which :func:`enable` and
+:func:`disable` edit and which lives in the ``REPRO_OBSERVERS``
+environment variable (comma-separated), so ``--jobs N`` worker
+processes inherit it.  An unknown name raises :class:`ValueError`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import os
+from typing import Iterable, Optional
 
 from repro.config import DAWNING_3000, CostModel
 from repro.faults import FaultInjector, FaultPlan, install_plan
@@ -32,9 +43,50 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.module import BclKernelModule
 from repro.sim import Environment, Tracer
 
-__all__ = ["Cluster"]
+__all__ = ["Cluster", "OBSERVERS", "disable", "enable", "enabled"]
 
 ARCHITECTURES = ("semi_user", "user_level", "kernel_level")
+
+#: the observers a cluster can carry, in ``REPRO_OBSERVERS`` order
+OBSERVERS = ("audit", "telemetry", "recorder")
+_OBSERVERS_ENV = "REPRO_OBSERVERS"
+
+
+def _observer_set(names: Iterable[str]) -> frozenset[str]:
+    if isinstance(names, str):
+        raise TypeError(f"observers takes an iterable of names, not the "
+                        f"string {names!r}")
+    chosen = frozenset(names)
+    unknown = chosen.difference(OBSERVERS)
+    if unknown:
+        raise ValueError(f"unknown observer(s) {sorted(unknown)}; "
+                         f"choose from {OBSERVERS}")
+    return chosen
+
+
+def enabled() -> frozenset[str]:
+    """The global observer set: the names in ``REPRO_OBSERVERS``."""
+    raw = os.environ.get(_OBSERVERS_ENV, "")
+    return _observer_set(tok.strip() for tok in raw.split(",")
+                         if tok.strip())
+
+
+def _set_global(names: frozenset[str]) -> None:
+    if names:
+        os.environ[_OBSERVERS_ENV] = ",".join(
+            name for name in OBSERVERS if name in names)
+    else:
+        os.environ.pop(_OBSERVERS_ENV, None)
+
+
+def enable(*names: str) -> None:
+    """Add ``names`` to the global set for every Cluster built after."""
+    _set_global(enabled() | _observer_set(names))
+
+
+def disable(*names: str) -> None:
+    """Take ``names`` out of the global set."""
+    _set_global(enabled() - _observer_set(names))
 
 
 class Cluster:
@@ -48,9 +100,7 @@ class Cluster:
                  reliable: bool = True,
                  fault_plan: Optional[FaultPlan] = None,
                  env: Optional[Environment] = None,
-                 audit: Optional[bool] = None,
-                 telemetry: Optional[bool] = None,
-                 recorder: Optional[bool] = None):
+                 observers: Optional[Iterable[str]] = None):
         if architecture not in ARCHITECTURES:
             raise ValueError(
                 f"unknown architecture {architecture!r}; "
@@ -58,16 +108,14 @@ class Cluster:
         cfg.validate()
         self.cfg = cfg
         self.architecture = architecture
+        observers = (enabled() if observers is None
+                     else _observer_set(observers))
         self.env = env if env is not None else Environment()
         # The invariant auditor must exist on the environment *before*
         # nodes, network and MCPs are built, so their Stores, Resources
-        # and go-back-N flows self-register.  ``audit=None`` defers to
-        # the global switch (repro.audit.enable() / REPRO_AUDIT=1).
+        # and go-back-N flows self-register.
         self.auditor = None
-        if audit is None:
-            from repro import audit as _audit_mod
-            audit = _audit_mod.enabled()
-        if audit:
+        if "audit" in observers:
             from repro.audit import Auditor
             self.auditor = getattr(self.env, "_audit", None) or \
                 Auditor(self.env)
@@ -96,26 +144,16 @@ class Cluster:
         if self.auditor is not None:
             self.auditor.bind_cluster(self)
         # Message-lifecycle telemetry (repro.telemetry): spans, metrics
-        # and critical-path attribution.  A pure observer like the
-        # auditor — ``telemetry=None`` defers to the global switch
-        # (repro.telemetry.enable() / REPRO_TELEMETRY=1).  Attached
-        # last so every layer's counters already exist to register.
+        # and critical-path attribution.  Attached last so every
+        # layer's counters already exist to register.
         self.telemetry = None
-        if telemetry is None:
-            from repro import telemetry as _telemetry_mod
-            telemetry = _telemetry_mod.enabled()
-        if telemetry:
+        if "telemetry" in observers:
             from repro.telemetry import TelemetrySession
             self.telemetry = TelemetrySession(self)
         # Crash flight recorder: a bounded ring of recent heartbeats
         # and span openings, dumped to postmortem-*.json on failure.
-        # Another pure observer; ``recorder=None`` defers to the global
-        # switch (repro.telemetry.recorder.enable() / REPRO_RECORDER=1).
         self.recorder = None
-        if recorder is None:
-            from repro.telemetry import recorder as _recorder_mod
-            recorder = _recorder_mod.enabled()
-        if recorder:
+        if "recorder" in observers:
             from repro.telemetry.recorder import FlightRecorder
             self.recorder = FlightRecorder(self)
 

@@ -8,12 +8,12 @@ collectives, op)`` point: a cluster of ``n_ranks`` single-rank nodes on
 timed collective with the host-side dissemination/tree algorithms or
 the MCP firmware fan-in/fan-out tree (``collectives="nic"``).
 
-Each payload carries an aggregate *critical-path stage table*: every
-span traced during the timed window, grouped by the Figure-7
-canonical stage (:func:`repro.telemetry.critical_path.
-canonical_stage`), with the bounding (largest) stage named.  The table
-is folded from raw spans as they are traced; the tracer keeps no
-records for it, so a thousand-rank cell runs in bounded memory.  At small
+Each payload carries an aggregate *busy-time stage table*: every span
+traced during the timed window, grouped by the Figure-7 canonical
+stage, with the largest stage named ``bounding_stage``.  The table is
+a :class:`repro.telemetry.critical_path.StageFold` over raw spans as
+they are traced; the tracer keeps no records for it, so a
+thousand-rank cell runs in bounded memory.  At small
 scale host collectives are bounded by per-hop software stages, at
 large scale by ``wire``/``wait``; the NIC tree's table shows ``mcp``
 taking over the coordination work.
@@ -33,7 +33,7 @@ from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
 from repro.experiments.common import ExperimentResult
 from repro.sim.time import ns_to_us
-from repro.telemetry.critical_path import stage_group
+from repro.telemetry.critical_path import StageFold
 from repro.upper.job import run_spmd
 
 __all__ = ["measure_scale_point", "measure_congestion_point",
@@ -42,6 +42,10 @@ __all__ = ["measure_scale_point", "measure_congestion_point",
 
 #: collective operations the sweep times
 SCALE_OPS = ("barrier", "allreduce")
+
+#: the fold's old name; perfbench/workloads.py imports it from here
+_StageAggregator = StageFold
+
 
 def scale_ranks() -> tuple[int, ...]:
     """Sweep sizes (env-overridable: ``REPRO_SCALE_RANKS=16,64``)."""
@@ -54,42 +58,6 @@ def scale_topologies() -> tuple[str, ...]:
     return tuple(tok for tok in raw.split(",") if tok.strip())
 
 
-class _StageAggregator:
-    """Raw-span subscriber folding spans into per-canonical-stage totals.
-
-    Armed only for the timed window.  It sums nanoseconds per ``(stage,
-    category)`` pair and maps each pair to its stage group once, in
-    :meth:`table`, so no :class:`~repro.sim.trace.TraceRecord` is built
-    for it.  While it is attached the tracer keeps no records: a
-    5M-event run holds none, and builds none unless an ``add_listener``
-    listener asks for them.
-    """
-
-    def __init__(self, tracer):
-        self.tracer = tracer
-        self.armed = False
-        self._pair_ns: dict[tuple[str, str], int] = {}
-        tracer.keep_records = False
-        tracer.add_span_listener(self._on_record)
-
-    def _on_record(self, start_ns, end_ns, category, stage, _component,
-                   _message_id) -> None:
-        if self.armed:
-            pair_ns = self._pair_ns
-            key = (stage, category)
-            pair_ns[key] = pair_ns.get(key, 0) + end_ns - start_ns
-
-    def table(self) -> list[list]:
-        """``[[stage, total_us], ...]`` sorted by descending time."""
-        totals: dict[str, int] = {}
-        for (stage, category), ns in self._pair_ns.items():
-            group = stage_group(stage, category)
-            totals[group] = totals.get(group, 0) + ns
-        return [[stage, ns_to_us(ns)]
-                for stage, ns in sorted(totals.items(),
-                                        key=lambda kv: (-kv[1], kv[0]))]
-
-
 def measure_scale_point(cfg: CostModel = DAWNING_3000, *,
                         n_ranks: int, topology: str,
                         collectives: str, op: str = "barrier") -> dict:
@@ -100,7 +68,7 @@ def measure_scale_point(cfg: CostModel = DAWNING_3000, *,
 
     cluster = Cluster(n_nodes=n_ranks, cfg=cfg, topology=topology,
                       trace=True)
-    agg = _StageAggregator(cluster.tracer)
+    agg = StageFold(cluster.tracer)
     out: dict = {}
 
     def prog(ep):

@@ -3,8 +3,8 @@
 Each cell runs one ``(rho, policy, arrivals)`` point of the RPC tier
 (:func:`repro.serve.run_serve`) on a traced cluster and reports tail
 latency (p50/p99/p99.9), goodput, shed/queued counts and the aggregate
-critical-path stage table for the run (the telemetry attribution,
-folded from raw spans by the same aggregator the scale sweep uses).
+busy-time stage table for the run (folded from raw spans by the same
+:class:`~repro.telemetry.critical_path.StageFold` the scale sweep uses).
 
 The default load axis crosses saturation — 0.5 through 1.4 x nominal
 service capacity — so the merged table shows the knee: goodput flat-
@@ -22,9 +22,9 @@ import os
 from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
 from repro.experiments.common import ExperimentResult
-from repro.experiments.scale import _StageAggregator
 from repro.serve.config import ServeConfig
 from repro.serve.tier import run_serve
+from repro.telemetry.critical_path import StageFold
 
 __all__ = ["measure_serve_point", "serve_loads", "serve_requests",
            "merge_serve", "SERVE_POLICIES"]
@@ -56,7 +56,7 @@ def measure_serve_point(cfg: CostModel = DAWNING_3000, *, rho: float,
     scfg = _serve_config(policy, arrivals)
     n_nodes = scfg.n_servers + scfg.n_client_ranks
     cluster = Cluster(n_nodes=n_nodes, cfg=cfg, trace=True)
-    agg = _StageAggregator(cluster.tracer)
+    agg = StageFold(cluster.tracer)
     agg.armed = True
     report = run_serve(scfg, rho, cfg=cfg, cluster=cluster)
     table = agg.table()

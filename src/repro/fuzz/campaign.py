@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import repro.cluster
 from repro.faults import derive_seed
 from repro.fuzz.generator import WorkloadSpec, generate_workload
 from repro.fuzz.oracles import OracleFailure, verify_workload
@@ -79,9 +80,9 @@ def run_campaign(base_seed: int, runs: int, n_schedules: int = 5,
         # oracle left the most recent recorder behind — dump it so the
         # failure ships with a last-K event timeline, not just the
         # shrunk spec.
-        from repro.telemetry import recorder as _recorder_mod
-        if _recorder_mod.enabled():
-            _recorder_mod.dump_on_failure(
+        if "recorder" in repro.cluster.enabled():
+            from repro.telemetry.recorder import dump_on_failure
+            dump_on_failure(
                 f"fuzz: oracle {failure.oracle} (workload {index})",
                 note=failure.describe())
         if shrink:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from random import Random
-from typing import Generator, Optional
+from typing import Generator, Iterable, Optional
 
 from repro.bcl.address import BclAddress
 from repro.bcl.api import BclLibrary
@@ -234,15 +234,16 @@ def generate_workload(seed: int, max_ops: int = 10,
 
 
 # ============================================================== execution
-def run_workload(spec: WorkloadSpec, tie_break=None, audit: bool = False,
+def run_workload(spec: WorkloadSpec, tie_break=None,
+                 observers: Optional[Iterable[str]] = None,
                  include_faults: bool = True) -> RunResult:
     """Execute ``spec`` on a fresh cluster and return its result.
 
     ``tie_break`` is handed to the :class:`~repro.sim.Environment`
-    (``None`` = default FIFO).  ``audit=False`` builds the cluster
-    explicitly *without* the invariant auditor even when auditing is
-    globally enabled, so the transparency oracle always compares a
-    genuinely audited against a genuinely unaudited run.
+    (``None`` = default FIFO).  ``observers`` is the cluster's observer
+    set (``None`` = the global set); the transparency oracle passes
+    the global set with and without ``"audit"``, so it always compares
+    a genuinely audited against a genuinely unaudited run.
     ``include_faults=False`` runs the same spec with its fault plan
     stripped (the clean half of the fault-differential oracle).
     """
@@ -250,7 +251,7 @@ def run_workload(spec: WorkloadSpec, tie_break=None, audit: bool = False,
     plan = spec.fault_plan if include_faults else None
     cfg = LOSSY_DAWNING if spec.fault_plan is not None else DAWNING_3000
     cluster = Cluster(n_nodes=spec.n_nodes, env=env, cfg=cfg,
-                      fault_plan=plan, audit=audit)
+                      fault_plan=plan, observers=observers)
     if spec.layer == "bcl":
         records = _run_bcl_program(spec, cluster)
     else:

@@ -29,6 +29,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import repro.cluster
 from repro.fuzz.generator import RunResult, WorkloadSpec, run_workload
 from repro.fuzz.policies import ShuffledTieBreak
 
@@ -90,14 +91,16 @@ def verify_workload(
     either as an :class:`~repro.audit.AuditError` crash or as a
     delivery mismatch.
     """
-    baseline, crash = _run(spec, audit=True)
+    audited = repro.cluster.enabled() | {"audit"}
+    baseline, crash = _run(spec, observers=audited)
     if crash is not None:
         return OracleFailure("crash", spec, None,
                              "baseline (fifo, audited) run crashed: "
                              + crash[0], exception=crash[1])
 
     if check_audit:
-        bare, crash = _run(spec, audit=False)
+        bare, crash = _run(spec,
+                           observers=repro.cluster.enabled() - {"audit"})
         if crash is not None:
             return OracleFailure("crash", spec, None,
                                  "unaudited run crashed: " + crash[0],
@@ -116,7 +119,7 @@ def verify_workload(
 
     for seed in schedule_seeds:
         variant, crash = _run(spec, tie_break=ShuffledTieBreak(seed),
-                              audit=True)
+                              observers=audited)
         if crash is not None:
             return OracleFailure("crash", spec, seed,
                                  "shuffled run crashed: " + crash[0],
@@ -128,7 +131,7 @@ def verify_workload(
                 + _delivery_diff(baseline, variant))
 
     if check_faults and spec.fault_plan is not None:
-        clean, crash = _run(spec, audit=True, include_faults=False)
+        clean, crash = _run(spec, observers=audited, include_faults=False)
         if crash is not None:
             return OracleFailure("crash", spec, None,
                                  "fault-free comparison run crashed: "

@@ -75,22 +75,6 @@ class Tracer:
         #: raising — observers must not abort the simulation
         self.listener_errors: list[tuple[Callable, BaseException]] = []
 
-    def clear(self) -> None:
-        """Reset for a fresh trial: drop records, detach every listener
-        and raw-span subscriber, and forget failed listeners.
-
-        Listeners are typically bound to per-trial objects (exporters,
-        recovery trackers, stage folds); a tracer reused across trials
-        used to keep them, so every re-attached listener fired once per
-        prior trial as well — duplicating downstream records — and
-        ``listener_errors`` still named the previous trial's failures.
-        """
-        self.records.clear()
-        self._listeners.clear()
-        self._span_listeners.clear()
-        self.listener_errors.clear()
-        self.keep_records = True
-
     def add_listener(self, fn: Callable[[TraceRecord], None]) -> None:
         self._listeners.append(fn)
 

@@ -19,6 +19,9 @@ query instead of an aggregate experiment output:
   records and attributes every nanosecond to a canonical Figure-7
   stage, naming the stage that bounded end-to-end latency and flagging
   anomalies (pin-down thrashing, injected faults, recovery stalls);
+  its :class:`StageFold` is the one busy-time fold, summing simulated
+  ns per stage over every span (``repro_stage_ns_total``, the scale and
+  serve stage tables);
 * :mod:`repro.telemetry.session` / ``repro observe`` — the per-cluster
   session and operator CLI over all of the above;
 * :mod:`repro.telemetry.ledger` — self-describing ``repro-run/1``
@@ -28,26 +31,26 @@ query instead of an aggregate experiment output:
   regression attribution between two ledgers, naming the stage whose
   share grew;
 * :mod:`repro.telemetry.recorder` — the crash flight recorder
-  (``REPRO_RECORDER=1``): bounded rings of recent heartbeats and span
-  openings, dumped to ``postmortem-*.json`` on audit violations,
-  oracle failures and serve crashes.
+  (``Cluster(observers=("recorder",))``): bounded rings of recent
+  heartbeats and span openings, dumped to ``postmortem-*.json`` on
+  audit violations, oracle failures and serve crashes.
 
-Enable globally with :func:`enable` (or ``REPRO_TELEMETRY=1``,
-inherited by ``--jobs N`` workers), or per cluster with
-``Cluster(telemetry=True)``.  Telemetry is a **pure observer**: it
-schedules no events and consumes no randomness, so an enabled run is
-byte-identical to a disabled one (pinned by
-``tests/regressions/test_telemetry_parity.py``), and disabled runs
-don't execute a single telemetry instruction on the hot path.
+Enable per cluster with ``Cluster(observers=("telemetry",))``, or
+globally with ``repro.cluster.enable("telemetry")`` (or
+``REPRO_OBSERVERS=telemetry``, inherited by ``--jobs N`` workers).
+Telemetry is a **pure observer**: it schedules no events and consumes
+no randomness, so an enabled run is byte-identical to a disabled one
+(pinned by ``tests/regressions/test_telemetry_parity.py``), and
+disabled runs don't execute a single telemetry instruction on the hot
+path.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.telemetry.critical_path import (
     FIGURE7_STAGES,
     CriticalPathReport,
+    StageFold,
     StageShare,
     attribute_records,
     canonical_stage,
@@ -89,6 +92,7 @@ __all__ = [
     "Span",
     "SpanBuilder",
     "StageDelta",
+    "StageFold",
     "StageShare",
     "TelemetrySession",
     "attribute_records",
@@ -96,9 +100,6 @@ __all__ = [
     "chrome_trace_events",
     "config_digest",
     "diff_runs",
-    "disable",
-    "enable",
-    "enabled",
     "load_postmortem",
     "load_run",
     "make_ledger",
@@ -107,27 +108,3 @@ __all__ = [
     "write_ledger",
     "write_spans_jsonl",
 ]
-
-_ENABLED = False
-
-
-def enable() -> None:
-    """Turn telemetry on for every Cluster built afterwards.
-
-    Also exported through ``REPRO_TELEMETRY`` so ``--jobs N`` worker
-    processes inherit the switch.
-    """
-    global _ENABLED
-    _ENABLED = True
-    os.environ["REPRO_TELEMETRY"] = "1"
-
-
-def disable() -> None:
-    global _ENABLED
-    _ENABLED = False
-    os.environ.pop("REPRO_TELEMETRY", None)
-
-
-def enabled() -> bool:
-    """The global switch (programmatic or environment)."""
-    return _ENABLED or os.environ.get("REPRO_TELEMETRY", "") not in ("", "0")

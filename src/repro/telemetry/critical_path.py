@@ -29,8 +29,9 @@ from typing import Optional
 from repro.sim.time import ns_to_us
 from repro.sim.trace import TraceRecord
 
-__all__ = ["CriticalPathReport", "StageShare", "attribute_records",
-           "FIGURE7_STAGES", "canonical_stage", "stage_group"]
+__all__ = ["CriticalPathReport", "StageFold", "StageShare",
+           "attribute_records", "FIGURE7_STAGES", "canonical_stage",
+           "stage_group"]
 
 #: the stage set of the paper's Figure 7, in path order
 FIGURE7_STAGES = ("compose", "trap", "check", "translate/pin", "SRQ fill",
@@ -95,6 +96,49 @@ def stage_group(stage: str, category: str) -> str:
 def canonical_stage(record: TraceRecord) -> str:
     """Map one trace record to its Figure-7 stage group."""
     return stage_group(record.stage, record.category)
+
+
+class StageFold:
+    """Busy time per stage group: simulated ns summed over every span.
+
+    Given a tracer, it subscribes as a raw-span listener and switches
+    ``keep_records`` off, so no :class:`TraceRecord` is built for it: a
+    5M-event run holds none, and builds none unless an
+    ``add_listener`` listener asks for them.  Without one, its owner
+    feeds :meth:`_on_record` (the telemetry session does, from its
+    record listener).  It folds only while ``armed`` and sums per
+    ``(stage, category)`` pair, mapping each pair to its stage group
+    once, when read.  Busy time overlaps across components, so it is
+    not critical-path time.
+    """
+
+    def __init__(self, tracer=None):
+        self.armed = False
+        self._pair_ns: dict[tuple[str, str], int] = {}
+        if tracer is not None:
+            tracer.keep_records = False
+            tracer.add_span_listener(self._on_record)
+
+    def _on_record(self, start_ns, end_ns, category, stage, _component,
+                   _message_id) -> None:
+        if self.armed:
+            pair_ns = self._pair_ns
+            key = (stage, category)
+            pair_ns[key] = pair_ns.get(key, 0) + end_ns - start_ns
+
+    def group_ns(self) -> dict[str, int]:
+        """``{stage group: busy ns}``, zero-time groups included."""
+        totals: dict[str, int] = {}
+        for (stage, category), ns in self._pair_ns.items():
+            group = stage_group(stage, category)
+            totals[group] = totals.get(group, 0) + ns
+        return totals
+
+    def table(self) -> list[list]:
+        """``[[stage, total_us], ...]`` sorted by descending time."""
+        return [[stage, ns_to_us(ns)]
+                for stage, ns in sorted(self.group_ns().items(),
+                                        key=lambda kv: (-kv[1], kv[0]))]
 
 
 @dataclass

@@ -230,6 +230,7 @@ class MetricsRegistry:
         #: human-readable data-quality warnings (clamped observations),
         #: newest last; purely observational, never consumed by the run
         self.warnings: list[str] = []
+        self._collectors: list[Callable[["MetricsRegistry"], None]] = []
 
     def _on_histogram_clamp(self, histogram: Histogram,
                             value: float) -> None:
@@ -289,15 +290,28 @@ class MetricsRegistry:
                              f"not {kind!r}")
         return self._get_or_create(cls, name, help, labels, fn=fn)
 
+    def add_collector(self, fn: Callable[["MetricsRegistry"], None]) -> None:
+        """Call ``fn(registry)`` before every read of the series, so a
+        source whose label sets appear during the run registers them
+        when read instead of on its hot path."""
+        self._collectors.append(fn)
+
     # ------------------------------------------------------------ access
+    def _collect(self) -> None:
+        for fn in self._collectors:
+            fn(self)
+
     def __iter__(self) -> Iterable[Instrument]:
+        self._collect()
         return iter(sorted(self._instruments.values(),
                            key=lambda i: (i.name, i.labels)))
 
     def __len__(self) -> int:
+        self._collect()
         return len(self._instruments)
 
     def get(self, name: str, **labels: Any) -> Optional[Instrument]:
+        self._collect()
         return self._instruments.get((name, _label_items(labels)))
 
     # ------------------------------------------------------------ export

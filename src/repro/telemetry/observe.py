@@ -27,7 +27,7 @@ def run_ping_pong(nbytes: int = 0, messages: int = 4,
     Returns ``(cluster, sample)``; the telemetry session is
     ``cluster.telemetry``.
     """
-    from repro.cluster import Cluster
+    from repro.cluster import Cluster, enabled
     from repro.instrument.measure import measure_one_way
 
     kwargs = {}
@@ -36,8 +36,8 @@ def run_ping_pong(nbytes: int = 0, messages: int = 4,
         from repro.faults import FaultPlan
         kwargs = {"cfg": LOSSY_DAWNING,
                   "fault_plan": FaultPlan(seed=seed, drop_rate=drop)}
-    cluster = Cluster(n_nodes=1 if intra_node else 2, telemetry=True,
-                      **kwargs)
+    cluster = Cluster(n_nodes=1 if intra_node else 2,
+                      observers=enabled() | {"telemetry"}, **kwargs)
     sample = measure_one_way(cluster, nbytes, repeats=messages, warmup=1)
     return cluster, sample
 

@@ -14,8 +14,9 @@ it schedules no events, consumes no randomness, and only ever appends
 to its own deques, so a recorder-on run is byte-identical to a
 recorder-off run (pinned by
 ``tests/regressions/test_recorder_parity.py``).  It is off by default;
-turn it on globally with :func:`enable` / ``REPRO_RECORDER=1`` or per
-cluster with ``Cluster(recorder=True)``.
+turn it on per cluster with ``Cluster(observers=("recorder",))`` or
+globally with ``repro.cluster.enable("recorder")`` /
+``REPRO_OBSERVERS=recorder``.
 
 When something dies — an audit violation fires
 (:meth:`repro.audit.core.Auditor._raise`), a fault campaign fails its
@@ -39,38 +40,14 @@ from typing import Any, Optional
 
 from repro.telemetry.ledger import run_meta
 
-__all__ = ["FlightRecorder", "POSTMORTEM_SCHEMA", "disable",
-           "dump_on_failure", "enable", "enabled", "last",
-           "load_postmortem", "render_postmortem"]
+__all__ = ["FlightRecorder", "POSTMORTEM_SCHEMA", "dump_on_failure",
+           "last", "load_postmortem", "render_postmortem"]
 
 POSTMORTEM_SCHEMA = "repro-postmortem/1"
 
-_ENABLED = False
 #: the most recently constructed recorder, for failure paths (fuzz
 #: campaigns, CLI handlers) that cannot reach the cluster that died
 _LAST: Optional["weakref.ReferenceType[FlightRecorder]"] = None
-
-
-def enable() -> None:
-    """Turn the flight recorder on for every Cluster built afterwards.
-
-    Exported through ``REPRO_RECORDER`` so ``--jobs N`` worker
-    processes inherit the switch, same as audit and telemetry.
-    """
-    global _ENABLED
-    _ENABLED = True
-    os.environ["REPRO_RECORDER"] = "1"
-
-
-def disable() -> None:
-    global _ENABLED
-    _ENABLED = False
-    os.environ.pop("REPRO_RECORDER", None)
-
-
-def enabled() -> bool:
-    """The global switch (programmatic or environment)."""
-    return _ENABLED or os.environ.get("REPRO_RECORDER", "") not in ("", "0")
 
 
 def last() -> Optional["FlightRecorder"]:

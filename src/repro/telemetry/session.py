@@ -5,9 +5,10 @@ A :class:`TelemetrySession` attaches to one
 layer together:
 
 * forces the cluster's tracer on and feeds every record to a
-  :class:`~repro.telemetry.spans.SpanBuilder` (causal span trees) and
-  to live stage/wire instruments in a
-  :class:`~repro.telemetry.metrics.MetricsRegistry`;
+  :class:`~repro.telemetry.spans.SpanBuilder` (causal span trees), to
+  a :class:`~repro.telemetry.critical_path.StageFold` (busy ns per
+  stage, read as ``repro_stage_ns_total``) and to the wire instruments
+  in a :class:`~repro.telemetry.metrics.MetricsRegistry`;
 * asks each layer to register its instruments — kernel path counters,
   MCP reliability counters, NIC tables, link occupancy — and exposes
   itself on the environment (``env._telemetry``) so runtime-created
@@ -29,8 +30,8 @@ from typing import Optional
 from repro.sim.trace import TraceRecord
 from repro.telemetry.critical_path import (
     CriticalPathReport,
+    StageFold,
     attribute_records,
-    canonical_stage,
 )
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.spans import Span, SpanBuilder
@@ -51,6 +52,10 @@ class TelemetrySession:
         self._wire_hist: Histogram = self.registry.histogram(
             "repro_wire_payload_bytes",
             "payload bytes per injected wire packet")
+        #: busy ns per stage group over every traced span
+        self.stage_fold = StageFold()
+        self.stage_fold.armed = True
+        self.registry.add_collector(self._register_stage_series)
         self._observed: set[int] = set()
         self._eadi_seq = 0
 
@@ -72,13 +77,21 @@ class TelemetrySession:
     # ------------------------------------------------------------ intake
     def _on_record(self, record: TraceRecord) -> None:
         self.spans.on_record(record)
-        if record.duration_ns > 0:
-            self.registry.counter(
-                "repro_stage_ns_total",
-                "simulated busy nanoseconds summed per canonical stage",
-                stage=canonical_stage(record)).inc(record.duration_ns)
+        self.stage_fold._on_record(*record[:6])
         if record.category == "wire":
             self._wire_hist.observe(record.data.get("nbytes", 0))
+
+    def _register_stage_series(self, registry: MetricsRegistry) -> None:
+        """One ``repro_stage_ns_total`` series per stage group with
+        busy time, read from the fold."""
+        fold = self.stage_fold
+        for group, ns in fold.group_ns().items():
+            if ns:
+                registry.register_callback(
+                    "repro_stage_ns_total",
+                    lambda group=group: fold.group_ns()[group],
+                    "simulated busy nanoseconds summed per canonical stage",
+                    stage=group)
 
     def register_eadi(self, endpoint) -> None:
         """Upper-layer registration hook, called by EadiEndpoint.
@@ -149,7 +162,7 @@ class TelemetrySession:
         The stage table comes from the per-message critical-path
         reports (which include wire time and wait gaps, so it sums to
         end-to-end latency); when no message completed, it falls back
-        to the raw ``repro_stage_ns_total`` counters.  Percentiles are
+        to the busy time of :attr:`stage_fold`.  Percentiles are
         the exact nearest-rank p50/p99/p99.9 of every populated
         histogram in the registry.
         """
@@ -163,12 +176,8 @@ class TelemetrySession:
                 stages[share.stage] = stages.get(share.stage, 0) \
                     + share.ns
         if not stages:
-            for instrument in self.registry:
-                if instrument.name != "repro_stage_ns_total":
-                    continue
-                stage = dict(instrument.labels).get("stage", "?")
-                stages[stage] = stages.get(stage, 0) \
-                    + int(instrument.value())
+            stages = {group: ns for group, ns
+                      in sorted(self.stage_fold.group_ns().items()) if ns}
 
         self._refresh()
         percentiles: dict[str, dict[str, float]] = {}

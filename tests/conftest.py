@@ -33,12 +33,12 @@ def _global_audit(request):
     if not request.config.getoption("--audit"):
         yield
         return
-    from repro import audit
-    audit.enable()
+    from repro.cluster import disable, enable
+    enable("audit")
     try:
         yield
     finally:
-        audit.disable()
+        disable("audit")
 
 
 @pytest.fixture

@@ -25,8 +25,7 @@ def test_fat_tree_cluster_build_stays_under_40_kib_per_rank():
     tracemalloc.start()
     try:
         cluster = Cluster(n_nodes=N_RANKS, cfg=DAWNING_3000,
-                          topology="fat_tree", audit=False,
-                          telemetry=False, recorder=False)
+                          topology="fat_tree", observers=())
         live, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

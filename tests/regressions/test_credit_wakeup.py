@@ -17,7 +17,7 @@ Two bugs flushed out by the serving tier's many-senders traffic:
 
 from __future__ import annotations
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, enabled
 from repro.upper.eadi import _CreditGate
 from repro.upper.job import run_spmd
 
@@ -112,7 +112,7 @@ def test_each_park_counts_as_a_stall():
 
 
 def test_stall_histogram_matches_park_count():
-    cluster = Cluster(n_nodes=2, telemetry=True)
+    cluster = Cluster(n_nodes=2, observers=enabled() | {"telemetry"})
     stalls, observed = run_spmd(cluster, 2, _stall_counting_program(1))[0]
     assert stalls == 2
     assert observed == 2

@@ -1,10 +1,11 @@
 """Stage tables, serve payloads and the listener stream, pinned by digest.
 
-The digests were recorded while ``_StageAggregator`` was still an
+The digests were recorded while the scale/serve stage fold was still an
 ``add_listener`` listener that folded full :class:`TraceRecord` objects
-and trimmed ``tracer.records`` at 65,536.  It now folds raw spans and
-the tracer keeps no records while it is attached; everything an
-observer can see must reproduce byte for byte:
+and trimmed ``tracer.records`` at 65,536.  It now folds raw spans
+(:class:`~repro.telemetry.critical_path.StageFold`) and the tracer
+keeps no records while it is attached; everything an observer can see
+must reproduce byte for byte:
 
 * the ``measure_scale_point`` payloads (latency, events, stage table,
   bounding stage) for barrier and allreduce, host and NIC collectives,
@@ -12,7 +13,11 @@ observer can see must reproduce byte for byte:
 * one small ``measure_serve_point`` payload, ``events`` included;
 * every field, in order, of the records an ``add_listener`` listener
   sees on a traced 4 KB one-way run, with message ids renumbered by
-  first appearance (they are process-global).
+  first appearance (they are process-global);
+* the telemetry session's ``repro_stage_ns_total`` series on ``repro
+  observe``'s ping-pong at 0 B and 4 KB, recorded while the session
+  kept one registry counter per stage, and equal to a fold over the
+  records the tracer kept.
 """
 
 from __future__ import annotations
@@ -23,9 +28,11 @@ import json
 import pytest
 
 from repro.cluster import Cluster
-from repro.experiments.scale import _StageAggregator, measure_scale_point
+from repro.experiments.scale import measure_scale_point
 from repro.experiments.serve import measure_serve_point
 from repro.instrument.measure import measure_one_way
+from repro.telemetry.critical_path import StageFold
+from repro.telemetry.observe import run_ping_pong
 from repro.upper.job import run_spmd
 
 
@@ -107,7 +114,7 @@ BARRIER_TABLE_DIGEST = \
 
 def test_aggregator_keeps_no_records_and_listeners_see_all():
     cluster = Cluster(n_nodes=16, trace=True)
-    agg = _StageAggregator(cluster.tracer)
+    agg = StageFold(cluster.tracer)
     agg.armed = True
     count = [0]
 
@@ -123,3 +130,26 @@ def test_aggregator_keeps_no_records_and_listeners_see_all():
     assert cluster.tracer.records == []
     assert count[0] == BARRIER_RECORDS
     assert _sha(agg.table()) == BARRIER_TABLE_DIGEST
+
+
+#: sha256 of ``[[labels, value], ...]`` over ``repro_stage_ns_total``
+STAGE_SERIES_DIGESTS = {
+    0: "d2490a14a84646c2e26d59aef9f83af7db5897308fcf752e74638698343bff63",
+    4096: "027cf3e5e95fbb8a0032c21a2387dee89588f01bd1760eadb76203ac160b2281",
+}
+
+
+@pytest.mark.parametrize("nbytes", sorted(STAGE_SERIES_DIGESTS))
+def test_stage_ns_total_series(nbytes):
+    cluster, _sample = run_ping_pong(nbytes=nbytes)
+    series = [[dict(i.labels), i.value()]
+              for i in cluster.telemetry.registry
+              if i.name == "repro_stage_ns_total"]
+    assert _sha(series) == STAGE_SERIES_DIGESTS[nbytes]
+    fold = StageFold()
+    fold.armed = True
+    for record in cluster.tracer.records:
+        fold._on_record(*record[:6])
+    assert series == [[{"stage": group}, float(ns)]
+                      for group, ns in sorted(fold.group_ns().items())
+                      if ns]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, disable, enable, enabled
 from repro.config import LOSSY_DAWNING
 from repro.faults import FaultPlan
 from repro.fuzz import FifoTieBreak
@@ -21,9 +21,12 @@ from repro.sim import Environment
 from repro.telemetry.spans import chrome_trace_events
 
 
-def _run(telemetry: bool, env=None, **cluster_kwargs):
-    """One measurement; returns every observable the guard compares."""
-    cluster = Cluster(n_nodes=2, env=env, trace=True, telemetry=telemetry,
+def _run(on: bool, env=None, **cluster_kwargs):
+    """One measurement with telemetry added to or taken out of the
+    global observer set; returns every observable the guard compares."""
+    observers = (enabled() | {"telemetry"} if on
+                 else enabled() - {"telemetry"})
+    cluster = Cluster(n_nodes=2, env=env, trace=True, observers=observers,
                       **cluster_kwargs)
     sample = measure_one_way(cluster, 4096, repeats=3, warmup=1)
     events = chrome_trace_events(cluster.tracer)
@@ -39,12 +42,12 @@ def _run(telemetry: bool, env=None, **cluster_kwargs):
 
 
 def test_telemetry_off_and_on_byte_identical():
-    assert _run(telemetry=True) == _run(telemetry=False)
+    assert _run(on=True) == _run(on=False)
 
 
 def test_telemetry_parity_under_fifo_tie_break():
-    baseline = _run(telemetry=False, env=Environment())
-    hooked = _run(telemetry=True,
+    baseline = _run(on=False, env=Environment())
+    hooked = _run(on=True,
                   env=Environment(tie_break=FifoTieBreak()))
     assert hooked == baseline
 
@@ -53,24 +56,22 @@ def test_telemetry_parity_under_faults():
     """Retransmission/recovery schedules are unchanged by observation."""
     kwargs = {"cfg": LOSSY_DAWNING,
               "fault_plan": FaultPlan(seed=11, drop_rate=0.15)}
-    off = _run(telemetry=False, **kwargs)
-    on = _run(telemetry=True, **kwargs)
+    off = _run(on=False, **kwargs)
+    on = _run(on=True, **kwargs)
     assert on == off
     assert off[1]                        # payloads recovered intact
 
 
 def test_global_switch_parity():
-    """Cluster(telemetry=None) deferring to the global switch is still
-    byte-identical to an explicitly disabled run."""
-    from repro import telemetry
-
-    baseline = _run(telemetry=False)
-    telemetry.enable()
+    """Cluster(observers=None) taking telemetry from the global set is
+    still byte-identical to an explicitly disabled run."""
+    baseline = _run(on=False)
+    enable("telemetry")
     try:
         cluster = Cluster(n_nodes=2, trace=True)
         assert cluster.telemetry is not None
         sample = measure_one_way(cluster, 4096, repeats=3, warmup=1)
     finally:
-        telemetry.disable()
+        disable("telemetry")
     assert tuple(sample.samples_us) == baseline[0]
     assert cluster.env.now == baseline[2]

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import audit
 from repro.audit import AuditError, Auditor
 from repro.bcl.api import BclLibrary
 from repro.cluster import Cluster
@@ -23,7 +22,7 @@ from tests.conftest import run_procs
 
 # --------------------------------------------------------- clean runs
 def test_clean_transfer_zero_violations():
-    cluster = Cluster(n_nodes=2, audit=True)
+    cluster = Cluster(n_nodes=2, observers=("audit",))
     sample = measure_one_way(cluster, 65536, repeats=4, warmup=1)
     assert sample.received_payloads_ok
     cluster.env.run()          # drain to quiesce
@@ -39,7 +38,7 @@ def test_faulted_campaign_zero_violations():
     drop and duplicate is accounted for at quiesce."""
     plan = _plan(5.0, 16384)
     cluster = Cluster(n_nodes=2, cfg=LOSSY_DAWNING, fault_plan=plan,
-                      audit=True)
+                      observers=("audit",))
     sample = measure_one_way(cluster, 16384, repeats=6, warmup=1)
     assert sample.received_payloads_ok
     cluster.env.run()
@@ -52,39 +51,33 @@ def test_faulted_campaign_zero_violations():
 
 def test_audited_run_is_byte_identical():
     plain = measure_one_way(Cluster(n_nodes=2), 16384, repeats=3, warmup=1)
-    audited = measure_one_way(Cluster(n_nodes=2, audit=True), 16384,
+    audited = measure_one_way(Cluster(n_nodes=2, observers=("audit",)), 16384,
                               repeats=3, warmup=1)
     assert audited.latency_us == plain.latency_us
     assert audited.bandwidth_mb_s == plain.bandwidth_mb_s
 
 
-def test_resilience_point_parity_under_global_enable():
+def test_resilience_point_parity_under_global_enable(monkeypatch):
+    monkeypatch.delenv("REPRO_OBSERVERS", raising=False)
     baseline = measure_resilience_point(DAWNING_3000, 2.0, 16384, False)
-    audit.enable()
-    try:
-        audited = measure_resilience_point(DAWNING_3000, 2.0, 16384, False)
-    finally:
-        audit.disable()
+    monkeypatch.setenv("REPRO_OBSERVERS", "audit")
+    audited = measure_resilience_point(DAWNING_3000, 2.0, 16384, False)
     assert audited == baseline
     assert audited["payload_ok"]
 
 
-def test_cluster_attaches_auditor_only_on_request():
+def test_cluster_attaches_auditor_only_on_request(monkeypatch):
+    monkeypatch.delenv("REPRO_OBSERVERS", raising=False)
     assert Cluster(n_nodes=1).auditor is None
-    assert Cluster(n_nodes=1, audit=True).auditor is not None
-    audit.enable()
-    try:
-        assert Cluster(n_nodes=1).auditor is not None
-    finally:
-        audit.disable()
-
-
-def test_attach_binds_existing_cluster():
-    cluster = Cluster(n_nodes=1)
-    auditor = audit.attach(cluster)
-    assert cluster.env._audit is auditor
-    assert cluster in auditor.clusters
-    assert audit.attach(cluster) is auditor
+    assert Cluster(n_nodes=1, observers=("audit",)).auditor is not None
+    with pytest.raises(ValueError, match="choose from"):
+        Cluster(n_nodes=1, observers=("audit", "auditor"))
+    monkeypatch.setenv("REPRO_OBSERVERS", "audit")
+    assert Cluster(n_nodes=1).auditor is not None
+    assert Cluster(n_nodes=1, observers=()).auditor is None
+    monkeypatch.setenv("REPRO_OBSERVERS", "audit,auditor")
+    with pytest.raises(ValueError, match="'auditor'"):
+        Cluster(n_nodes=1)
 
 
 # ------------------------------------------------------- sim checkers
@@ -222,7 +215,7 @@ class _SilentDropper(FaultInjector):
 
 
 def test_silent_link_drop_breaks_byte_conservation():
-    cluster = Cluster(n_nodes=2, audit=True)
+    cluster = Cluster(n_nodes=2, observers=("audit",))
     link = cluster.network.nic_endpoints[0].link   # the sender's first hop
     link.injector = _SilentDropper(cluster.env, FaultPlan(), link.name)
     sample = measure_one_way(cluster, 16384, repeats=1, warmup=0)
@@ -236,7 +229,7 @@ def test_silent_link_drop_breaks_byte_conservation():
 def test_accounted_link_drop_keeps_conservation():
     """Same loss, but adjudicated by the real injector: the drop is on
     the ledger and conservation holds."""
-    cluster = Cluster(n_nodes=2, audit=True,
+    cluster = Cluster(n_nodes=2, observers=("audit",),
                       fault_plan=FaultPlan(seed=11, drop_rate=0.3))
     measure_one_way(cluster, 16384, repeats=2, warmup=0)
     cluster.env.run()
@@ -267,7 +260,7 @@ def test_in_order_delivery_check():
 
 
 def test_reassembly_residue_detected():
-    cluster = Cluster(n_nodes=2, audit=True)
+    cluster = Cluster(n_nodes=2, observers=("audit",))
     cluster.mcps[1]._inflight_pool[999] = object()
     with pytest.raises(AuditError) as exc:
         cluster.auditor.check_quiesce()
@@ -276,7 +269,7 @@ def test_reassembly_residue_detected():
 
 # ---------------------------------------------------- kernel checkers
 def test_pin_leak_at_exit_detected():
-    cluster = Cluster(n_nodes=1, audit=True)
+    cluster = Cluster(n_nodes=1, observers=("audit",))
     proc = cluster.spawn(0)
     vaddr = proc.space.alloc(8192)
     proc.space.pin(vaddr, 8192)          # never unpinned
@@ -288,7 +281,7 @@ def test_pin_leak_at_exit_detected():
 def test_exit_with_open_port_releases_pins():
     """Regression for the pin-leak bug: exiting with a port still open
     must release the pool-buffer and channel pins (audited exit)."""
-    cluster = Cluster(n_nodes=2, audit=True)
+    cluster = Cluster(n_nodes=2, observers=("audit",))
     proc = cluster.spawn(0)
     lib = BclLibrary(proc)
 
@@ -307,7 +300,7 @@ def test_exit_with_open_port_releases_pins():
 
 
 def test_pindown_desync_detected():
-    cluster = Cluster(n_nodes=1, audit=True)
+    cluster = Cluster(n_nodes=1, observers=("audit",))
     proc = cluster.spawn(0)
     node = cluster.nodes[0]
     node.kernel.pindown._entries[(proc.pid, 0x1000)] = proc.space
@@ -318,7 +311,7 @@ def test_pindown_desync_detected():
 
 # ------------------------------------------------------- bcl checkers
 def test_credit_overflow_detected():
-    cluster = Cluster(n_nodes=2, audit=True)
+    cluster = Cluster(n_nodes=2, observers=("audit",))
 
     def tamper(ep):
         peer = 1 - ep.rank
@@ -332,7 +325,7 @@ def test_credit_overflow_detected():
 
 
 def test_waiter_survived_teardown_detected():
-    cluster = Cluster(n_nodes=2, audit=True)
+    cluster = Cluster(n_nodes=2, observers=("audit",))
 
     def leak(ep):
         ep.close()
@@ -350,7 +343,7 @@ def test_waiter_survived_teardown_detected():
 def test_spmd_teardown_leaves_no_waiters():
     """run_spmd closes every endpoint; close() withdraws parked waiters
     and the quiesce check stays silent."""
-    cluster = Cluster(n_nodes=2, audit=True)
+    cluster = Cluster(n_nodes=2, observers=("audit",))
 
     def chatter(ep):
         peer = 1 - ep.rank
@@ -370,7 +363,7 @@ def test_spmd_teardown_leaves_no_waiters():
 
 # ------------------------------------------------------------- report
 def test_report_shape():
-    cluster = Cluster(n_nodes=2, audit=True)
+    cluster = Cluster(n_nodes=2, observers=("audit",))
     measure_one_way(cluster, 4096, repeats=1, warmup=0)
     cluster.env.run()
     report = cluster.auditor.report()

@@ -6,13 +6,13 @@ import glob
 from types import SimpleNamespace
 
 from repro.audit import AuditError
-from repro.cluster import Cluster
+from repro.cluster import Cluster, enabled
 from repro.telemetry.recorder import dump_on_failure, load_postmortem
 
 
 def test_dumps_the_recorder_riding_the_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(tmp_path))
-    cluster = Cluster(n_nodes=1, recorder=True)
+    cluster = Cluster(n_nodes=1, observers=enabled() | {"recorder"})
     cluster.env.run()
     path = dump_on_failure("unit: crash", env=cluster.env,
                            exc=RuntimeError("boom"), note="boom")
@@ -26,7 +26,7 @@ def test_dumps_the_recorder_riding_the_environment(tmp_path, monkeypatch):
 def test_skips_audit_errors_the_auditor_already_dumped(tmp_path,
                                                        monkeypatch):
     monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(tmp_path))
-    cluster = Cluster(n_nodes=1, recorder=True)
+    cluster = Cluster(n_nodes=1, observers=enabled() | {"recorder"})
     assert dump_on_failure("unit: audit", env=cluster.env,
                            exc=AuditError([])) is None
     assert glob.glob(str(tmp_path / "postmortem-*.json")) == []
@@ -35,8 +35,8 @@ def test_skips_audit_errors_the_auditor_already_dumped(tmp_path,
 def test_without_an_environment_falls_back_to_the_last_recorder(
         tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(tmp_path))
-    Cluster(n_nodes=1, recorder=True)
-    newest = Cluster(n_nodes=1, recorder=True)
+    Cluster(n_nodes=1, observers=enabled() | {"recorder"})
+    newest = Cluster(n_nodes=1, observers=enabled() | {"recorder"})
     path = dump_on_failure("unit: no env")
     assert newest.recorder.dumps == [path]
 

@@ -67,7 +67,8 @@ RETRANSMITTING_DIGEST = (
 @pytest.mark.parametrize("name,kwargs", [
     pytest.param("default", {}, id="default"),
     pytest.param("faulted", FAULTED, id="faulted"),
-    pytest.param("telemetry-on", {"telemetry": True}, id="telemetry-on"),
+    pytest.param("telemetry-on", {"observers": ("telemetry",)},
+                 id="telemetry-on"),
 ])
 def test_heap_and_calendar_byte_identical(name, kwargs):
     """The calendar queue reproduces the heap's recorded digest."""

@@ -10,11 +10,10 @@ import pytest
 
 from repro.audit import AuditError
 from repro.cli import main
-from repro.cluster import Cluster
+from repro.cluster import Cluster, disable, enable, enabled
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.oracles import OracleFailure
 from repro.instrument.measure import measure_one_way
-from repro.telemetry import recorder as recorder_mod
 from repro.telemetry.recorder import (
     POSTMORTEM_SCHEMA,
     FlightRecorder,
@@ -25,7 +24,8 @@ from repro.telemetry.recorder import (
 
 # -------------------------------------------------------------- capture
 def test_recorder_captures_heartbeats_and_spans():
-    cluster = Cluster(n_nodes=2, trace=True, recorder=True)
+    cluster = Cluster(n_nodes=2, trace=True,
+                      observers=enabled() | {"recorder"})
     sample = measure_one_way(cluster, 4096, repeats=2, warmup=0)
     assert sample.received_payloads_ok
     rec = cluster.recorder
@@ -50,14 +50,15 @@ def test_recorder_rings_are_bounded():
 
 
 def test_recorder_without_tracing_still_heartbeats():
-    cluster = Cluster(n_nodes=2, recorder=True)
+    cluster = Cluster(n_nodes=2, observers=enabled() | {"recorder"})
     measure_one_way(cluster, 0, repeats=1, warmup=0)
     assert cluster.recorder.heartbeats
     assert not cluster.recorder.records
 
 
 def test_detach_stops_observation():
-    cluster = Cluster(n_nodes=2, trace=True, recorder=True)
+    cluster = Cluster(n_nodes=2, trace=True,
+                      observers=enabled() | {"recorder"})
     rec = cluster.recorder
     rec.detach()
     measure_one_way(cluster, 0, repeats=1, warmup=0)
@@ -67,8 +68,8 @@ def test_detach_stops_observation():
 
 # ------------------------------------------------------------ documents
 def test_to_doc_carries_timeline_note_and_metrics():
-    cluster = Cluster(n_nodes=2, trace=True, recorder=True,
-                      telemetry=True)
+    cluster = Cluster(n_nodes=2, trace=True,
+                      observers=enabled() | {"recorder", "telemetry"})
     measure_one_way(cluster, 4096, repeats=2, warmup=0)
     doc = cluster.recorder.to_doc("unit-test crash", note="details here")
     assert doc["schema"] == POSTMORTEM_SCHEMA
@@ -84,7 +85,8 @@ def test_to_doc_carries_timeline_note_and_metrics():
 
 
 def test_dump_writes_artifact_and_is_exception_safe(tmp_path):
-    cluster = Cluster(n_nodes=2, trace=True, recorder=True)
+    cluster = Cluster(n_nodes=2, trace=True,
+                      observers=enabled() | {"recorder"})
     measure_one_way(cluster, 0, repeats=1, warmup=0)
     rec = cluster.recorder
     path = rec.dump("unit: forced / dump", directory=str(tmp_path))
@@ -114,7 +116,7 @@ def test_audit_violation_dumps_a_postmortem(tmp_path, monkeypatch):
     """The acceptance scenario: a forced pin leak produces a
     postmortem-*.json that `repro postmortem` renders."""
     monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(tmp_path))
-    cluster = Cluster(n_nodes=1, audit=True, recorder=True, trace=True)
+    cluster = Cluster(n_nodes=1, observers=("audit", "recorder"), trace=True)
     proc = cluster.spawn(0)
     vaddr = proc.space.alloc(8192)
     proc.space.pin(vaddr, 8192)          # never unpinned
@@ -132,7 +134,8 @@ def test_audit_violation_dumps_a_postmortem(tmp_path, monkeypatch):
 
 
 def test_cli_postmortem_renders_and_rejects(tmp_path, capsys):
-    cluster = Cluster(n_nodes=2, trace=True, recorder=True)
+    cluster = Cluster(n_nodes=2, trace=True,
+                      observers=enabled() | {"recorder"})
     measure_one_way(cluster, 4096, repeats=1, warmup=0)
     path = cluster.recorder.dump("manual", directory=str(tmp_path))
     assert main(["postmortem", path, "--last", "5"]) == 0
@@ -149,16 +152,16 @@ def test_fuzz_oracle_failure_dumps_the_last_recorder(tmp_path,
     def failing_check(spec, schedule_seeds):
         # The workload under test built a cluster (recorder attached
         # via the global switch) and its oracle failed.
-        cluster = Cluster(n_nodes=1, recorder=True)
+        cluster = Cluster(n_nodes=1)
         cluster.env.run()
         return OracleFailure(oracle="schedule", spec=spec,
                              schedule_seed=None, detail="forced")
 
-    recorder_mod.enable()
+    enable("recorder")
     try:
         result = run_campaign(base_seed=5, runs=1, check=failing_check)
     finally:
-        recorder_mod.disable()
+        disable("recorder")
     assert len(result.failures) == 1
     dumps = glob.glob(str(tmp_path / "postmortem-fuzz-*.json"))
     assert len(dumps) == 1

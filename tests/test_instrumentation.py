@@ -39,39 +39,6 @@ def test_tracer_listener_invoked():
     assert len(seen) == 1 and seen[0].duration_ns == 10
 
 
-def test_tracer_clear_detaches_listeners():
-    """Regression: a tracer reused across trials used to keep stale
-    listeners through clear(), so each re-attached listener fired once
-    per prior trial and duplicated downstream records."""
-    tracer = Tracer()
-    seen = []
-    for _trial in range(3):
-        tracer.clear()
-        tracer.add_listener(seen.append)
-        tracer.record(0, 10, "cpu", "work", "c0")
-    assert len(seen) == 3          # one callback per record, not 1+2+3
-    assert len(tracer.records) == 1
-
-    # A raw-span fold, a failed listener and record keeping switched
-    # off must not leak into the next trial either.
-    spans = []
-
-    def broken(_rec):
-        raise RuntimeError("observer bug")
-
-    tracer.add_span_listener(lambda *span: spans.append(span))
-    tracer.add_listener(broken)
-    tracer.keep_records = False
-    tracer.record(0, 10, "cpu", "work", "c0")
-    assert len(spans) == 1 and len(tracer.listener_errors) == 1
-    tracer.clear()
-    assert tracer.listener_errors == []
-    assert tracer.keep_records
-    tracer.record(0, 10, "cpu", "work", "c0")
-    assert len(spans) == 1         # the span subscriber was detached
-    assert len(tracer.records) == 1
-
-
 def test_tracer_remove_listener():
     tracer = Tracer()
     seen = []

@@ -89,7 +89,7 @@ def test_eadi_credit_balance_survives_random_interrupts(
     whatever protocol state it dies in, teardown must leave no credit
     waiter behind and no peer's balance above its initial grant —
     checked by the auditor's quiesce pass over the whole drain."""
-    cluster = Cluster(n_nodes=1, audit=True)
+    cluster = Cluster(n_nodes=1, observers=("audit",))
     env = cluster.env
     endpoints = {}
     killable: list = []

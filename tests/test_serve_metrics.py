@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, enabled
 from repro.serve.config import ServeConfig
 from repro.serve.tier import run_serve
 
 
 def _run_point(scfg: ServeConfig, rho: float):
     n_ranks = scfg.n_servers + scfg.n_client_ranks
-    cluster = Cluster(n_nodes=n_ranks, telemetry=True)
+    cluster = Cluster(n_nodes=n_ranks, observers=enabled() | {"telemetry"})
     report = run_serve(scfg, rho, cluster=cluster)
     return cluster.telemetry.registry, report
 
@@ -74,7 +74,7 @@ def test_serve_overload_sheds_are_counted():
 def test_serve_ledger_carries_latency_percentiles():
     scfg = ServeConfig(requests=120, seed=9)
     n_ranks = scfg.n_servers + scfg.n_client_ranks
-    cluster = Cluster(n_nodes=n_ranks, telemetry=True)
+    cluster = Cluster(n_nodes=n_ranks, observers=enabled() | {"telemetry"})
     report = run_serve(scfg, 0.8, cluster=cluster)
     doc = cluster.telemetry.to_ledger("serve", seed=scfg.seed)
     assert "repro_serve_latency_ns" in doc["percentiles"]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, enabled
 from repro.config import LOSSY_DAWNING
 from repro.faults import FaultPlan
 from repro.instrument.measure import measure_one_way
@@ -109,7 +109,7 @@ def test_report_format_marks_bounding_and_anomalies():
 # --------------------------------------------- acceptance: the Figure 7 run
 @pytest.fixture(scope="module")
 def zero_byte_run():
-    cluster = Cluster(n_nodes=2, telemetry=True)
+    cluster = Cluster(n_nodes=2, observers=enabled() | {"telemetry"})
     sample = measure_one_way(cluster, 0, repeats=3, warmup=1)
     return cluster.telemetry, sample
 
@@ -153,7 +153,8 @@ def test_latency_histogram_matches_extents(zero_byte_run):
 
 # --------------------------------------------------- anomalies, end to end
 def test_lossy_run_flags_recovery_anomalies():
-    cluster = Cluster(n_nodes=2, telemetry=True, cfg=LOSSY_DAWNING,
+    cluster = Cluster(n_nodes=2, observers=enabled() | {"telemetry"},
+                      cfg=LOSSY_DAWNING,
                       fault_plan=FaultPlan(seed=3, drop_rate=0.25))
     measure_one_way(cluster, 20000, repeats=3, warmup=1)
     anomalies = [a for r in cluster.telemetry.reports()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.cluster import Cluster
+from repro.cluster import Cluster, enabled
 from repro.config import DAWNING_3000
 from repro.instrument.measure import measure_one_way
 from repro.telemetry.diff import diff_runs
@@ -19,7 +19,7 @@ from repro.telemetry.ledger import BENCH_SCHEMA, write_ledger
 
 
 def _ledger(cfg, nbytes: int = 4096):
-    cluster = Cluster(n_nodes=2, cfg=cfg, telemetry=True)
+    cluster = Cluster(n_nodes=2, cfg=cfg, observers=enabled() | {"telemetry"})
     sample = measure_one_way(cluster, nbytes, repeats=3, warmup=1)
     assert sample.received_payloads_ok
     return cluster.telemetry.to_ledger("observe", seed=1)

@@ -4,9 +4,12 @@
 from __future__ import annotations
 
 import json
+import os
+
+import pytest
 
 from repro.cli import main
-from repro.cluster import Cluster
+from repro.cluster import Cluster, disable, enable, enabled
 from repro.instrument.measure import measure_one_way
 from repro.telemetry.observe import (
     render_drilldown,
@@ -36,7 +39,7 @@ def test_session_registers_layer_metrics():
 def test_session_registers_eadi_endpoints():
     from repro.upper.job import run_spmd
 
-    cluster = Cluster(n_nodes=2, telemetry=True)
+    cluster = Cluster(n_nodes=2, observers=enabled() | {"telemetry"})
     n = 64
 
     def worker(ep):
@@ -56,21 +59,29 @@ def test_session_registers_eadi_endpoints():
 
 
 def test_cluster_telemetry_flag_and_global_switch(monkeypatch):
-    from repro import telemetry
-
+    monkeypatch.delenv("REPRO_OBSERVERS", raising=False)
     assert Cluster(n_nodes=1).telemetry is None
-    assert Cluster(n_nodes=1, telemetry=False).telemetry is None
-    telemetry.enable()
-    try:
-        assert telemetry.enabled()
-        cluster = Cluster(n_nodes=1)
-        assert cluster.telemetry is not None
-        assert Cluster(n_nodes=1, telemetry=False).telemetry is None
-    finally:
-        telemetry.disable()
-    assert not telemetry.enabled()
-    monkeypatch.setenv("REPRO_TELEMETRY", "1")
-    assert telemetry.enabled()                   # workers inherit via env
+    assert Cluster(n_nodes=1, observers=()).telemetry is None
+    enable("telemetry")
+    assert enabled() == {"telemetry"}
+    assert os.environ["REPRO_OBSERVERS"] == "telemetry"  # workers inherit
+    assert Cluster(n_nodes=1).telemetry is not None
+    assert Cluster(n_nodes=1, observers=()).telemetry is None
+    enable("recorder", "audit")
+    assert os.environ["REPRO_OBSERVERS"] == "audit,telemetry,recorder"
+    disable("audit", "recorder", "telemetry")
+    assert enabled() == frozenset()
+    assert "REPRO_OBSERVERS" not in os.environ
+    # misuse fails fast and names the known observers
+    with pytest.raises(ValueError, match="choose from"):
+        Cluster(n_nodes=1, observers=("telemetry", "tracer"))
+    with pytest.raises(ValueError, match="'tracer'"):
+        enable("tracer")
+    with pytest.raises(TypeError, match="iterable of names"):
+        Cluster(n_nodes=1, observers="telemetry")
+    monkeypatch.setenv("REPRO_OBSERVERS", "telemetry, tracer")
+    with pytest.raises(ValueError, match=r"\['tracer'\]"):
+        Cluster(n_nodes=1)
 
 
 def test_session_detach_stops_observing():

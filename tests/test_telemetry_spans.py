@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, enabled
 from repro.instrument.measure import measure_one_way
 from repro.sim.trace import Tracer
 from repro.telemetry.spans import (
@@ -26,7 +26,7 @@ def _traced_cluster(nbytes=0, repeats=2):
 
 # ------------------------------------------------------------- stitching
 def test_builder_from_tracer_matches_listener():
-    cluster = Cluster(n_nodes=2, telemetry=True)
+    cluster = Cluster(n_nodes=2, observers=enabled() | {"telemetry"})
     measure_one_way(cluster, 0, repeats=2, warmup=1)
     live = cluster.telemetry.spans
     post = SpanBuilder.from_tracer(cluster.tracer)
