@@ -2,7 +2,8 @@
 """The paper's core argument, live: three architectures on one wire.
 
 Runs a 0-byte message across the kernel-level, user-level and
-semi-user-level stacks on identical simulated hardware and prints the
+semi-user-level stacks on identical simulated hardware, through one
+harness and the same port calls for all three, and prints the
 trap/interrupt/copy counts (Table 1) alongside the measured one-way
 latencies — showing the semi-user-level design sitting between the
 baselines: ~22 % slower than user-level, far safer, and much faster
@@ -13,10 +14,7 @@ Usage::
     python examples/architecture_comparison.py
 """
 
-from repro.experiments.common import (
-    measure_architecture_latency,
-    measure_kernel_level_latency,
-)
+from repro.experiments.common import measure_architecture_latency
 from repro.experiments.table1 import run as run_table1
 
 
@@ -26,7 +24,7 @@ def main() -> None:
     print(run_table1().format())
 
     print("\nmeasuring 0-byte one-way latency per architecture...")
-    kernel = measure_kernel_level_latency(0)
+    kernel = measure_architecture_latency("kernel_level", 0)
     user = measure_architecture_latency("user_level", 0)
     semi = measure_architecture_latency("semi_user", 0)
     print(f"  kernel-level     : {kernel:6.2f} us   (traps both sides, "

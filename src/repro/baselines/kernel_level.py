@@ -20,6 +20,11 @@ simulated hardware BCL runs on:
 
 Every cost lands in the Table 1 counters: 2+ traps per message, >= 1
 interrupt, NIC touched only from the kernel, and two payload copies.
+
+:class:`KernelLevelLibrary` and :class:`KernelLevelPort` put a socket
+behind the BCL port calls (``create_port``, ``post_recv``, ``send``,
+``wait_recv``, ``wait_send``), so the one-way harness and Table 1 drive
+this stack exactly as they drive BCL and the user-level baseline.
 """
 
 from __future__ import annotations
@@ -29,9 +34,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Generator, Optional
 
+from repro.bcl.address import BclAddress
 from repro.bcl.events import CompletionQueue
 from repro.firmware.descriptors import (
     BclEvent,
+    EventKind,
     PoolBuffer,
     SendRequest,
     next_message_id,
@@ -41,14 +48,13 @@ from repro.hw.nic import NicPortState
 from repro.hw.node import Node, UserProcess
 from repro.kernel.errors import BclError, BclSecurityError
 from repro.kernel.vm import AddressSpace
-from repro.sim import Event, Store
+from repro.sim import Event
 
-__all__ = ["KernelSocketLibrary", "KernelSocket"]
+__all__ = ["KernelSocketLibrary", "KernelSocket", "KernelLevelLibrary",
+           "KernelLevelPort"]
 
 #: kernel-internal pseudo-pid that owns socket buffers
 KERNEL_PID = 0
-
-_kl_ports = itertools.count(1 << 12)  # socket port-number space
 
 
 @dataclass
@@ -79,18 +85,22 @@ class KernelSocketLibrary:
         else:  # pragma: no cover - one library per node in practice
             self.kspace = node.nic.spaces[KERNEL_PID]
         self.sockets: dict[int, KernelSocket] = {}
+        self.kernel.socket_layer = self
 
     def socket(self, proc: UserProcess, port: Optional[int] = None,
                pool_buffers: int = 32) -> Generator:
-        """Create a datagram socket (a trap, as in real life)."""
+        """Create a datagram socket (a trap, as in real life); with no
+        ``port``, the lowest one free on this node from 4096 up."""
         if port is None:
-            port = next(_kl_ports)
+            port = next(p for p in itertools.count(1 << 12)
+                        if p not in self.sockets)
         if port in self.sockets:
             raise BclError(f"socket port {port} in use on {self.node.name}")
         sock = KernelSocket(self, proc, port)
+        # Claimed before the trap, so a concurrent open cannot take it.
+        self.sockets[port] = sock
         handler = self._create_socket_state(sock, pool_buffers)
         yield from self.kernel.syscall(proc, "socket", handler)
-        self.sockets[port] = sock
         return sock
 
     def _create_socket_state(self, sock: "KernelSocket",
@@ -129,10 +139,6 @@ class KernelSocket:
         self.state: Optional[NicPortState] = None
         self._rx: deque[_Datagram] = deque()
         self._reader_wakeup: Optional[Event] = None
-        #: kernel socket buffers, reaped when the socket closes
-        self._kernel_buffers: list[int] = []
-        self.messages_sent = 0
-        self.messages_received = 0
 
     # ------------------------------------------------------------ checksums
     def _copy_checksum(self, cpu, nbytes: int, stage: str,
@@ -191,10 +197,8 @@ class KernelSocket:
                 self.proc.cpu, words, stage="fill_send_descriptor",
                 message_id=message_id)
             yield self.lib.node.nic.post_send(request)
-            # The kernel buffer is reaped lazily (freed when the socket
-            # closes); real TCP recycles on ack, which this model skips.
-            self._kernel_buffers.append(kvaddr)
-        self.messages_sent += 1
+            # The kernel buffer is never freed: real TCP recycles it on
+            # ack, which this model skips, and sockets never close.
 
     # -------------------------------------------------------------- receiving
     def _on_recv_interrupt(self, event: BclEvent) -> None:
@@ -203,7 +207,6 @@ class KernelSocket:
         TX-completion interrupts (SEND_DONE) also land here, as they do
         on real kernel-level NICs; they carry no data to queue.
         """
-        from repro.firmware.descriptors import EventKind
         if event.kind is not EventKind.RECV_DONE:
             return
         self._rx.append(_Datagram(pool_index=event.pool_buffer_index,
@@ -250,5 +253,64 @@ class KernelSocket:
             self.proc.space.write(
                 vaddr, self.lib.kspace.read(buf.vaddr, dgram.length))
         self.state.return_pool_buffer(dgram.pool_index)
-        self.messages_received += 1
         return dgram.length, dgram.src_node, dgram.src_port
+
+
+class KernelLevelLibrary:
+    """The BCL library calls, served by the node's kernel sockets."""
+
+    def __init__(self, proc: UserProcess):
+        self.proc = proc
+        # The node's one socket layer, built on its first use.
+        self.socket_layer = (proc.node.kernel.socket_layer
+                             or KernelSocketLibrary(proc.node))
+
+    @staticmethod
+    def check_route(src_node: int, dst_node: int,
+                    channel_kind: ChannelKind) -> None:
+        if channel_kind is ChannelKind.SYSTEM:
+            raise ValueError("kernel-level sockets have no system channel")
+        if src_node == dst_node:
+            raise ValueError("kernel-level sockets have no intra-node path "
+                             f"(node {src_node} to itself)")
+
+    def create_port(self) -> Generator:
+        sock = yield from self.socket_layer.socket(self.proc)
+        return KernelLevelPort(sock)
+
+
+class KernelLevelPort:
+    """A socket behind the BCL port calls: ``post_recv`` records the
+    buffer, ``send`` is ``sendto`` and ``wait_send`` reaps nothing."""
+
+    def __init__(self, sock: KernelSocket):
+        self.sock = sock
+        self.address = BclAddress(sock.lib.node.node_id, sock.port)
+        self._posted: Optional[tuple[int, int]] = None
+
+    def post_recv(self, channel_index: int, vaddr: int,
+                  nbytes: int) -> Generator:
+        self._posted = (vaddr, nbytes)
+        yield from ()
+
+    def send(self, dest: BclAddress, vaddr: int, nbytes: int) -> Generator:
+        KernelLevelLibrary.check_route(self.address.node, dest.node,
+                                       dest.channel_kind)
+        yield from self.sock.sendto(dest.node, dest.port, vaddr, nbytes)
+
+    def wait_recv(self) -> Generator:
+        """``recvfrom`` until the posted buffer is full, writing each
+        datagram after the last; returns the bytes received."""
+        if self._posted is None:
+            raise BclError("wait_recv before post_recv")
+        (vaddr, nbytes), self._posted = self._posted, None
+        received = 0
+        while True:
+            n, _src_node, _src_port = yield from self.sock.recvfrom(
+                vaddr + received, nbytes - received)
+            received += n
+            if received >= nbytes:
+                return received
+
+    def wait_send(self) -> Generator:
+        yield from ()

@@ -52,6 +52,12 @@ class BclLibrary:
         self.intranode = IntranodeTransport(self)
         self.port: Optional[BclPort] = None
 
+    @staticmethod
+    def check_route(src_node: int, dst_node: int,
+                    channel_kind: ChannelKind) -> None:
+        """``ValueError`` for a route this library cannot carry (BCL
+        carries every one)."""
+
     def create_port(self, port_id: Optional[int] = None,
                     **channel_kwargs) -> Generator:
         """Open this process's single BCL port (one ioctl trap)."""

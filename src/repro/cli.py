@@ -311,10 +311,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_latency(args) -> int:
-    from repro.experiments.common import (
-        measure_architecture_latency,
-        measure_kernel_level_latency,
-    )
+    from repro.experiments.common import measure_architecture_latency
     from repro.instrument.measure import measure_one_way
 
     if args.intra_node:
@@ -322,12 +319,9 @@ def _cmd_latency(args) -> int:
         try:
             value = measure_one_way(cluster, args.bytes,
                                     repeats=args.repeats).latency_us
-        except ValueError as exc:   # kernel_level has no BCL-API library
+        except ValueError as exc:   # kernel_level has no intra-node path
             print(f"repro latency: error: {exc}", file=sys.stderr)
             return 2
-    elif args.architecture == "kernel_level":
-        value = measure_kernel_level_latency(args.bytes,
-                                             repeats=args.repeats)
     else:
         value = measure_architecture_latency(args.architecture, args.bytes,
                                              repeats=args.repeats)

@@ -1,17 +1,14 @@
-"""Shared experiment machinery: paper reference values, measurement
-helpers for each architecture, and result formatting."""
+"""Shared experiment machinery: paper reference values, the one-way
+latency of any architecture, and result formatting."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any
 
-from repro.baselines.kernel_level import KernelSocketLibrary
 from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
 from repro.instrument.measure import measure_one_way
-from repro.sim import Store
-from repro.sim.time import ns_to_us
 
 __all__ = [
     "PAPER",
@@ -19,7 +16,6 @@ __all__ = [
     "result_to_payload",
     "result_from_payload",
     "measure_architecture_latency",
-    "measure_kernel_level_latency",
     "format_table",
 ]
 
@@ -127,64 +123,7 @@ def format_table(columns: list[str], rows: list[dict[str, Any]]) -> str:
 def measure_architecture_latency(architecture: str, nbytes: int = 0,
                                  cfg: CostModel = DAWNING_3000,
                                  repeats: int = 3, warmup: int = 2) -> float:
-    """0-copy one-way latency (us) for semi_user or user_level."""
+    """One-way latency (us) on a 2-node cluster of ``architecture``
+    (semi_user, user_level or kernel_level)."""
     cluster = Cluster(n_nodes=2, cfg=cfg, architecture=architecture)
     return measure_one_way(cluster, nbytes, repeats, warmup).latency_us
-
-
-def measure_kernel_level_latency(nbytes: int = 0,
-                                 cfg: CostModel = DAWNING_3000,
-                                 repeats: int = 3, warmup: int = 2) -> float:
-    """One-way datagram latency (us) through the kernel-level stack."""
-    sample = measure_kernel_level_one_way(nbytes, cfg, repeats, warmup)
-    return sample.latency_us
-
-
-def measure_kernel_level_one_way(nbytes: int = 0,
-                                 cfg: CostModel = DAWNING_3000,
-                                 repeats: int = 3, warmup: int = 2):
-    from repro.instrument.measure import LatencySample, _pattern
-
-    cluster = Cluster(n_nodes=2, cfg=cfg, architecture="kernel_level")
-    env = cluster.env
-    total = warmup + repeats
-    result = LatencySample(nbytes)
-    ready: Store = Store(env)
-    start_times: list[int] = []
-    done = env.event()
-
-    def receiver():
-        proc = cluster.spawn(1)
-        lib = KernelSocketLibrary(cluster.node(1))
-        sock = yield from lib.socket(proc, port=9000)
-        buf = proc.alloc(max(nbytes, cfg.kl_mtu))
-        ready.try_put("up")
-        for i in range(total):
-            received = 0
-            while True:
-                n, _src, _sp = yield from sock.recvfrom(buf, cfg.kl_mtu)
-                received += n
-                if received >= nbytes:
-                    break
-            elapsed = ns_to_us(env.now - start_times[i])
-            if i >= warmup:
-                result.samples_us.append(elapsed)
-            ready.try_put("next")
-        done.succeed()
-
-    def sender():
-        proc = cluster.spawn(0)
-        lib = KernelSocketLibrary(cluster.node(0))
-        sock = yield from lib.socket(proc, port=9001)
-        buf = proc.alloc(max(nbytes, 1))
-        yield ready.get()
-        for i in range(total):
-            proc.write(buf, _pattern(nbytes, i))
-            start_times.append(env.now)
-            yield from sock.sendto(1, 9000, buf, nbytes)
-            yield ready.get()
-
-    env.process(receiver(), name="kl.receiver")
-    env.process(sender(), name="kl.sender")
-    env.run(until=done)
-    return result

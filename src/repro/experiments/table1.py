@@ -6,13 +6,13 @@ on the critical path, and by where the NIC is accessed from.  We
 *count* these events with the kernel/interrupt instrumentation while
 one steady-state message crosses each stack (setup traps — port or
 socket creation — excluded, as the paper's "critical path" is the
-per-message path).
+per-message path).  One crossing, through the BCL port calls of
+:func:`repro.baselines.library_for`, counts all three stacks.
 """
 
 from __future__ import annotations
 
 from repro.baselines import library_for
-from repro.baselines.kernel_level import KernelSocketLibrary
 from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
 from repro.experiments.common import ExperimentResult
@@ -33,15 +33,8 @@ _ARCHITECTURES = (
 
 
 def count_architecture(cfg: CostModel, architecture: str) -> dict:
-    """Event counts for one architecture's message crossing (a cell)."""
-    if architecture == "kernel_level":
-        return _count_kernel_level(cfg)
-    return _count_bcl_like(architecture, cfg)
-
-
-def _count_bcl_like(architecture: str, cfg: CostModel):
-    """Run one message over BCL or the user-level stack; return the
-    counter deltas accumulated strictly between send-start and
+    """Run one message over ``architecture``'s stack (a cell); return
+    the counter deltas accumulated strictly between send-start and
     receive-completion."""
     cluster = Cluster(n_nodes=2, cfg=cfg, architecture=architecture)
     env = cluster.env
@@ -74,38 +67,6 @@ def _count_bcl_like(architecture: str, cfg: CostModel):
         proc.write(buf, b"x" * MESSAGE_BYTES)
         dest = address.with_channel(ChannelKind.NORMAL, 0)
         yield from port.send(dest, buf, MESSAGE_BYTES)
-
-    done = env.process(receiver(), name="t1.recv")
-    env.process(sender(), name="t1.send")
-    env.run(until=done)
-    return _merge(out["after"])
-
-
-def _count_kernel_level(cfg: CostModel):
-    cluster = Cluster(n_nodes=2, cfg=cfg, architecture="kernel_level")
-    env = cluster.env
-    sync: Store = Store(env)
-    out = {}
-
-    def receiver():
-        proc = cluster.spawn(1)
-        lib = KernelSocketLibrary(cluster.node(1))
-        sock = yield from lib.socket(proc, port=500)
-        buf = proc.alloc(MESSAGE_BYTES)
-        before = [n.kernel.counters.snapshot() for n in cluster.nodes]
-        sync.try_put("go")
-        yield from sock.recvfrom(buf, MESSAGE_BYTES)
-        out["after"] = [n.kernel.counters.delta(b)
-                        for n, b in zip(cluster.nodes, before)]
-
-    def sender():
-        proc = cluster.spawn(0)
-        lib = KernelSocketLibrary(cluster.node(0))
-        sock = yield from lib.socket(proc, port=501)
-        buf = proc.alloc(MESSAGE_BYTES)
-        proc.write(buf, b"x" * MESSAGE_BYTES)
-        yield sync.get()
-        yield from sock.sendto(1, 500, buf, MESSAGE_BYTES)
 
     done = env.process(receiver(), name="t1.recv")
     env.process(sender(), name="t1.send")

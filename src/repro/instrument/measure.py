@@ -4,12 +4,12 @@ These helpers orchestrate the paper's microbenchmarks on a
 :class:`~repro.cluster.Cluster`: one-way latency (sender's compose
 start to the receiver's completed ``wait_recv``), inter- or intra-node.
 The library follows the cluster's architecture (BCL on ``semi_user``,
-the user-level baseline on ``user_level``), and a one-node cluster
-measures the intra-node path.  Synchronisation between the two test
-processes (making sure the rendezvous buffer is posted before the send
-starts) happens through zero-cost simulation events, outside the
-measured path — the simulated analogue of the barrier in a real
-ping-pong harness.
+the user-level baseline on ``user_level``, kernel datagram sockets on
+``kernel_level``), and a one-node cluster measures the intra-node path.
+Synchronisation between the two test processes (making sure the
+rendezvous buffer is posted before the send starts) happens through
+zero-cost simulation events, outside the measured path — the simulated
+analogue of the barrier in a real ping-pong harness.
 """
 
 from __future__ import annotations
@@ -66,12 +66,14 @@ def measure_one_way(cluster, nbytes: int, repeats: int = 5,
     receiver completion, over the requested channel kind.
 
     The receiver defaults to node 1, or to node 0 on a one-node cluster
-    (the intra-node path).  Raises ``ValueError`` on a ``kernel_level``
-    cluster, which has no BCL-API library.
+    (the intra-node path).  A route the cluster's library cannot carry
+    (on ``kernel_level``: intra-node, or a system channel) raises
+    ``ValueError`` before anything is simulated.
     """
     library = library_for(cluster.architecture)
     if receiver_node is None:
         receiver_node = 0 if len(cluster.nodes) == 1 else 1
+    library.check_route(sender_node, receiver_node, channel_kind)
     env = cluster.env
     total = warmup + repeats
     result = LatencySample(nbytes)

@@ -40,6 +40,8 @@ class Kernel:
         self.shm = SharedMemoryManager(env, cfg, node.allocator, node.node_id)
         self.interrupts = InterruptController(
             env, cfg, node.cpus, self.counters, f"{self.name}.pic", tracer)
+        #: the kernel-level baseline's KernelSocketLibrary, once built
+        self.socket_layer = None
         if node.nic is not None:
             node.nic.interrupt_controller = self.interrupts
 

@@ -14,6 +14,12 @@ these must reproduce byte for byte:
 * one lossy inter-node ``measure_resilience_point``;
 * the stdout of ``repro latency --architecture user_level``,
   ``repro latency --intra-node`` and ``repro bandwidth --intra-node``.
+
+The kernel-level socket stack later joined the same harness, behind the
+BCL port calls.  Its pins were recorded through its old socket harness
+before the fold: the stdout of ``repro latency --architecture
+kernel_level`` at 0 and 10000 B, and the per-message samples at 0, 4096,
+10000 and 65536 B.
 """
 
 from __future__ import annotations
@@ -24,9 +30,11 @@ import json
 import pytest
 
 from repro import cli
+from repro.cluster import Cluster
 from repro.config import DAWNING_3000
 from repro.experiments import ablations, curves, overheads, resilience
 from repro.experiments import table1, table2, table3
+from repro.instrument.measure import measure_one_way
 
 
 def _sha(text: str) -> str:
@@ -104,7 +112,28 @@ def test_lossy_resilience_point_digest():
         "2e4018a2f12f2e67e9c4416b9aab49581672b147fec352da058690bf3f707771"
 
 
+#: kernel-level samples (us), 2 warm-up then 3 measured messages; 10000 B
+#: is three datagrams, and its first sample still pays the cold path
+KERNEL_LEVEL_SAMPLES = {
+    0: [27.696] * 3,
+    4096: [123.89] * 3,
+    10000: [184.722, 179.222, 179.222],
+    65536: [701.16] * 3,
+}
+
+
+@pytest.mark.parametrize("nbytes", sorted(KERNEL_LEVEL_SAMPLES))
+def test_kernel_level_samples(nbytes):
+    sample = measure_one_way(Cluster(n_nodes=2, architecture="kernel_level"),
+                             nbytes, repeats=3, warmup=2)
+    assert sample.samples_us == KERNEL_LEVEL_SAMPLES[nbytes]
+    assert sample.received_payloads_ok
+
+
 COMMANDS = {
+    "latency-kernel-level": ["latency", "--architecture", "kernel_level"],
+    "latency-kernel-level-10000": ["latency", "--architecture",
+                                   "kernel_level", "--bytes", "10000"],
     "latency-user-level": ["latency", "--architecture", "user_level"],
     "latency-intra": ["latency", "--intra-node"],
     "bandwidth-intra": ["bandwidth", "--intra-node"],
@@ -115,6 +144,10 @@ COMMAND_DIGESTS = {
         "926f9b9701ec75ff1de6d1f3bcd20e4ad39806b4713bc779005f95f182c6d981",
     "latency-intra":
         "7a16e3e6fd50905ddded03d77a2099ed0fa70e2f38fb4ddf65d56070c1a5fa1b",
+    "latency-kernel-level":
+        "6bb3cab0a763fd9766722fa7a98c84ee75e605b5b9e35dcfb93c8c0708efae4c",
+    "latency-kernel-level-10000":
+        "c91fc46dfe346e843e38127bc23af6aa95edd53f0c168704df5f56279cbd9847",
     "latency-user-level":
         "529e2539e52017d12048dcc533a4cca452833ae7f65140789916385d641e14f9",
 }

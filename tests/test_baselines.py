@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.kernel_level import KernelSocketLibrary
+from repro.baselines.kernel_level import KernelLevelLibrary, KernelSocketLibrary
 from repro.baselines.user_level import UserLevelLibrary
-from repro.cluster import Cluster
+from repro.cluster import Cluster, enabled
 from repro.firmware.packet import ChannelKind
+from repro.instrument.measure import measure_one_way
 from repro.kernel.errors import BclError
 
 from tests.conftest import run_procs
@@ -154,6 +155,38 @@ def test_user_level_faster_than_semi_user_level():
     assert extra == pytest.approx(4.17, abs=0.5)
 
 
+def _steady_state_path(architecture, nbytes):
+    """Latency (us) and critical-path stage times (ns) of one warm
+    inter-node message (the third; two warm up the caches)."""
+    cluster = Cluster(n_nodes=2, architecture=architecture,
+                      observers=enabled() | {"telemetry"})
+    sample = measure_one_way(cluster, nbytes, repeats=1, warmup=2)
+    session = cluster.telemetry
+    report = session.critical_path(max(session.message_ids()))
+    assert report.total_ns == round(sample.latency_us * 1000)
+    return sample.latency_us, {s.stage: s.ns for s in report.stages}
+
+
+@pytest.mark.parametrize("nbytes, latencies_us, premium_ns", [
+    (0, (18.327, 14.157),
+     {"SRQ fill": 2400, "trap": 900, "check": 470, "translate/pin": 400}),
+    (131072, (915.051, 911.841),
+     {"SRQ fill": 17280, "mcp": -16590, "trap": 900, "wire": 480,
+      "check": 470, "translate/pin": 400, "dma": 270}),
+])
+def test_semi_user_premium_by_stage(nbytes, latencies_us, premium_ns):
+    """The semi-user tax stage by stage (semi_user minus user_level):
+    at 0 B exactly the paper's 4.17 us of trap, kernel checks,
+    translation and SRQ fill, every other stage equal."""
+    semi_us, semi = _steady_state_path("semi_user", nbytes)
+    user_us, user = _steady_state_path("user_level", nbytes)
+    assert (semi_us, user_us) == latencies_us
+    deltas = {stage: semi.get(stage, 0) - user.get(stage, 0)
+              for stage in semi.keys() | user.keys()}
+    assert {k: v for k, v in deltas.items() if v} == premium_ns
+    assert sum(premium_ns.values()) == round((semi_us - user_us) * 1000)
+
+
 # ------------------------------------------------------------ kernel level
 def test_kernel_socket_transfer_integrity(kl_cluster):
     payload = bytes((11 * i) % 256 for i in range(10000))
@@ -219,13 +252,30 @@ def test_kernel_level_uses_interrupts_and_traps(kl_cluster):
 
 
 def test_kernel_level_slower_than_bcl():
-    from repro.experiments.common import (
-        measure_architecture_latency,
-        measure_kernel_level_latency,
-    )
+    from repro.experiments.common import measure_architecture_latency
     bcl = measure_architecture_latency("semi_user", nbytes=0)
-    kl = measure_kernel_level_latency(nbytes=0)
+    kl = measure_architecture_latency("kernel_level", nbytes=0)
     assert kl > bcl * 1.4
+
+
+def test_kernel_level_ports_are_per_node():
+    """A port number depends only on the sockets open on its node, not
+    on what ran before in the process."""
+    def ports():
+        cluster = Cluster(n_nodes=2, architecture="kernel_level")
+        out = []
+
+        def opener(node_id):
+            proc = cluster.spawn(node_id)
+            port = yield from KernelLevelLibrary(proc).create_port()
+            out.append(port.address)
+            with pytest.raises(BclError, match="before post_recv"):
+                yield from port.wait_recv()
+
+        run_procs(cluster, opener(0), opener(0), opener(1))
+        return sorted((a.node, a.port) for a in out)
+
+    assert ports() == ports() == [(0, 4096), (0, 4097), (1, 4096)]
 
 
 def test_kernel_socket_datagram_too_big_for_buffer(kl_cluster):

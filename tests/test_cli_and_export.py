@@ -104,14 +104,14 @@ def test_cli_latency_intra_honours_architecture(capsys, monkeypatch):
 
 
 def test_cli_latency_intra_kernel_level_is_an_error(capsys):
-    """The kernel-level stack has no BCL-API library to drive: exit 2
-    with the reason, not a traceback or a semi-user number."""
+    """Kernel-level sockets have no intra-node path: exit 2 with the
+    reason, not a traceback or a semi-user number."""
     assert main(["latency", "--bytes", "0", "--intra-node",
                  "--architecture", "kernel_level"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("repro latency: error: architecture "
-                                   "'kernel_level' has no BCL-API library")
+    assert captured.err.startswith("repro latency: error: kernel-level "
+                                   "sockets have no intra-node path")
 
 
 def test_cli_bandwidth(capsys):

@@ -9,6 +9,7 @@ from repro.bcl.events import CompletionQueue
 from repro.cluster import Cluster
 from repro.config import DAWNING_3000
 from repro.firmware.descriptors import BclEvent, EventKind
+from repro.firmware.packet import ChannelKind
 from repro.instrument.report import cluster_report
 from repro.instrument.measure import measure_intra_node, measure_one_way
 from repro.sim import Environment
@@ -81,11 +82,22 @@ def test_one_way_drives_the_user_level_library():
     assert big.received_payloads_ok and big.latency_us > ul.latency_us
 
 
-def test_one_way_rejects_kernel_level_cluster():
-    cluster = Cluster(n_nodes=2, architecture="kernel_level")
-    with pytest.raises(ValueError, match="measure_kernel_level_latency"):
-        measure_one_way(cluster, 0)
-    assert cluster.env.now == 0      # failed before simulating anything
+def test_one_way_drives_kernel_level_sockets():
+    """Multi-datagram messages land whole (each datagram is written
+    after the last, not over it), and a route sockets cannot carry
+    fails before anything is simulated."""
+    for nbytes in (10000, 65536):
+        cluster = Cluster(n_nodes=2, architecture="kernel_level")
+        sample = measure_one_way(cluster, nbytes, repeats=2, warmup=1)
+        assert sample.received_payloads_ok and len(sample.samples_us) == 2
+    for n_nodes, kwargs, reason in (
+            (1, {}, "no intra-node path"),
+            (2, {"receiver_node": 0}, "no intra-node path"),
+            (2, {"channel_kind": ChannelKind.SYSTEM}, "no system channel")):
+        cluster = Cluster(n_nodes=n_nodes, architecture="kernel_level")
+        with pytest.raises(ValueError, match=reason):
+            measure_one_way(cluster, 0, **kwargs)
+        assert cluster.env.now == 0
 
 
 @pytest.mark.parametrize("nbytes", [0, 4096])

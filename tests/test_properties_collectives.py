@@ -6,10 +6,15 @@ kept low; determinism means failures replay exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster
+from repro.experiments.scale import measure_scale_point
+from repro.sim.time import ns_to_us
 from repro.upper.job import run_spmd
 
 _SETTINGS = dict(max_examples=6, deadline=None)
@@ -109,3 +114,14 @@ def test_alltoall_permutes_blocks_correctly(n_ranks, nbytes, seed):
                                   for r in range(n_ranks)])
     for dst, out in enumerate(results):
         assert out == [blocks[(src, dst)] for src in range(n_ranks)]
+
+
+@pytest.mark.parametrize("n_ranks", [32, 128])
+def test_single_switch_host_barrier_is_log2_rounds(n_ranks):
+    """Closed form at rank counts the scale sweep does not run: the
+    single-switch host barrier costs exactly 39.14 us per round of its
+    log2(n)-round exchange."""
+    point = measure_scale_point(n_ranks=n_ranks, topology="single_switch",
+                                collectives="host", op="barrier")
+    rounds = int(math.log2(n_ranks))
+    assert point["latency_us"] == ns_to_us(39_140 * rounds)
