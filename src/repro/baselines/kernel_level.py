@@ -139,6 +139,9 @@ class KernelSocket:
         self.state: Optional[NicPortState] = None
         self._rx: deque[_Datagram] = deque()
         self._reader_wakeup: Optional[Event] = None
+        #: message id -> (vaddr, pinned pages) of each datagram's kernel
+        #: buffer, held until the datagram's SEND_DONE
+        self._tx_buffers: dict[int, tuple[int, list[int]]] = {}
 
     # ------------------------------------------------------------ checksums
     def _copy_checksum(self, cpu, nbytes: int, stage: str,
@@ -177,7 +180,8 @@ class KernelSocket:
                 stage="kl_proto_send", message_id=message_id)
             # Copy user -> kernel socket buffer (+checksum).
             kvaddr = self.lib.kspace.alloc(max(seg_len, 1))
-            self.lib.kspace.pin(kvaddr, max(seg_len, 1))
+            self._tx_buffers[message_id] = (
+                kvaddr, self.lib.kspace.pin(kvaddr, max(seg_len, 1)))
             if seg_len:
                 yield from self._copy_checksum(self.proc.cpu, seg_len,
                                                "kl_copy_in", message_id)
@@ -197,16 +201,23 @@ class KernelSocket:
                 self.proc.cpu, words, stage="fill_send_descriptor",
                 message_id=message_id)
             yield self.lib.node.nic.post_send(request)
-            # The kernel buffer is never freed: real TCP recycles it on
-            # ack, which this model skips, and sockets never close.
 
     # -------------------------------------------------------------- receiving
     def _on_recv_interrupt(self, event: BclEvent) -> None:
         """Interrupt context: queue the datagram, wake the reader.
 
         TX-completion interrupts (SEND_DONE) also land here, as they do
-        on real kernel-level NICs; they carry no data to queue.
+        on real kernel-level NICs: they carry no data to queue, and
+        they free the datagram's kernel buffer.  The MCP copied the
+        payload into its packets before completing the send, so a
+        retransmission never reads the buffer again.
         """
+        if event.kind is EventKind.SEND_DONE:
+            kvaddr, pages = self._tx_buffers.pop(event.message_id)
+            for vpage in pages:
+                self.lib.kspace.unpin_page(vpage)
+            self.lib.kspace.free(kvaddr)
+            return
         if event.kind is not EventKind.RECV_DONE:
             return
         self._rx.append(_Datagram(pool_index=event.pool_buffer_index,

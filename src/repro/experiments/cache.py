@@ -12,12 +12,14 @@ Payloads are stored as JSON.  Cells only emit scalars
 (str/int/float/bool/None) inside dicts and lists, and Python's JSON
 writer round-trips floats exactly (shortest-repr), so a cache hit is
 byte-identical to recomputing.
+
+``hashlib`` is imported where a key is hashed, so a run that never
+consults the cache does not load OpenSSL.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -42,6 +44,8 @@ def _code_fingerprint() -> str:
     """Hash of every ``repro`` source file, cached per process."""
     global _fingerprint_cache
     if _fingerprint_cache is None:
+        import hashlib
+
         import repro
         root = Path(repro.__file__).parent
         digest = hashlib.sha256()
@@ -62,6 +66,7 @@ class RunCache:
         self.misses = 0
 
     def key(self, cfg: CostModel, fn: str, params: dict) -> str:
+        import hashlib
         blob = json.dumps(
             {"code": _code_fingerprint(),
              "cfg": dataclasses.asdict(cfg),

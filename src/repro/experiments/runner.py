@@ -12,7 +12,8 @@ two things:
 
 * ``--jobs N`` fans the cells out over a ``multiprocessing`` pool and
   merges the payloads back in paper order, so the parallel output is
-  byte-identical to the serial run;
+  byte-identical to the serial run (``multiprocessing`` is imported
+  only when a pool is started);
 * a content-addressed on-disk cache (:mod:`repro.experiments.cache`)
   lets repeated invocations skip already-computed cells.
 
@@ -23,7 +24,6 @@ points) are computed once per invocation.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
@@ -279,6 +279,7 @@ def _execute(cells: Sequence[Cell], cfg: CostModel, jobs: int,
     if pending:
         work = [(cell.fn, cfg, cell.kwargs()) for cell in pending]
         if jobs > 1 and len(work) > 1:
+            import multiprocessing
             with multiprocessing.Pool(min(jobs, len(work))) as pool:
                 # chunksize=1: cells vary widely in runtime, so fine-
                 # grained dispatch balances the pool; map() preserves

@@ -64,7 +64,8 @@ def measure_scale_point(cfg: CostModel = DAWNING_3000, *,
     """One sweep point; returns a JSON-able payload."""
     if op not in SCALE_OPS:
         raise ValueError(f"unknown op {op!r} (known: {SCALE_OPS})")
-    import numpy as np
+    if op == "allreduce":
+        import numpy as np     # only the allreduce contribution needs it
 
     cluster = Cluster(n_nodes=n_ranks, cfg=cfg, topology=topology,
                       trace=True)

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Generator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.firmware.packet import Packet, PacketType
 from repro.sim import Event, us
+
+if TYPE_CHECKING:  # annotation-only: the reduce branch imports numpy
+    import numpy as np
 
 __all__ = ["CollGroup", "NicCollectives", "build_node_tree",
            "next_group_id"]
@@ -213,6 +214,8 @@ class NicCollectives:
     # ------------------------------------------------------- state machine
     def _combine(self, st: _Pending, op: str, payload: bytes) -> None:
         if op.startswith("red:") and payload:
+            import numpy as np
+
             from repro.upper.collectives import REDUCE_OPS
             _, red, dtype = op.split(":")
             arr = np.frombuffer(payload, dtype=dtype)

@@ -23,15 +23,16 @@ tables without a session).  :func:`load_run` reads either a ledger
 *or* a ``BENCH_*.json`` perf artifact and normalizes both into the
 same :class:`RunView`, so the BENCH trajectory files are just a
 special case of ledgers as far as the differ is concerned.
+
+``hashlib``, ``platform`` and ``subprocess`` are imported inside the
+provenance helpers that use them, so loading this module (the runner
+and the CLI do) costs no OpenSSL and no process machinery.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import platform
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
@@ -53,6 +54,7 @@ def config_digest(cfg) -> str:
     *deliberately different* cost models are expected, not regressions.
     """
     import dataclasses
+    import hashlib
     items = sorted((f.name, getattr(cfg, f.name))
                    for f in dataclasses.fields(cfg))
     blob = json.dumps(items, sort_keys=True).encode()
@@ -61,6 +63,7 @@ def config_digest(cfg) -> str:
 
 def git_sha() -> str:
     """The checked-out commit, or ``"unknown"`` outside a git repo."""
+    import subprocess
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -73,6 +76,7 @@ def git_sha() -> str:
 
 
 def run_meta(seed: Optional[int]) -> dict[str, Any]:
+    import platform
     return {
         "git_sha": git_sha(),
         "python": sys.version.split()[0],

@@ -7,22 +7,38 @@ algorithms are the classical ones (binomial trees, dissemination
 barrier, ring allgather, pairwise alltoall), written against the small
 endpoint interface both MPI and PVM expose (``_send``/``_recv`` on raw
 byte buffers plus scratch allocation).
+
+numpy is imported inside the array collectives (reduce, allreduce,
+scan, reduce_scatter), never at module level: a run of barriers,
+broadcasts and point-to-point messages does not load it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
-import numpy as np
+if TYPE_CHECKING:  # annotation-only: numpy loads where arrays are reduced
+    import numpy as np
 
 __all__ = ["Collectives", "REDUCE_OPS"]
+
+
+def _maximum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    import numpy as np
+    return np.maximum(a, b)
+
+
+def _minimum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    import numpy as np
+    return np.minimum(a, b)
+
 
 #: elementwise reduction operators on numpy arrays
 REDUCE_OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "sum": lambda a, b: a + b,
     "prod": lambda a, b: a * b,
-    "max": np.maximum,
-    "min": np.minimum,
+    "max": _maximum,
+    "min": _minimum,
 }
 
 #: tag space reserved for collective phases
@@ -184,6 +200,7 @@ class Collectives:
                tag: Optional[int] = None) -> Generator:
         """Binomial-tree reduction; returns the result array on the
         root (and None elsewhere).  ``array`` is the local contribution."""
+        import numpy as np
         if tag is None:
             tag = self._next_coll_tag()
         if op not in REDUCE_OPS:
@@ -227,6 +244,7 @@ class Collectives:
         the reduction happens in the MCP fan-in tree instead; the
         ``algorithm`` knob only selects among the host algorithms.
         """
+        import numpy as np
         src = np.asarray(array)
         if tag is None and op in REDUCE_OPS \
                 and self._use_nic(int(src.nbytes)):
@@ -257,6 +275,7 @@ class Collectives:
                         tag: int) -> Generator:
         """Ring allreduce: p−1 reduce-scatter steps + p−1 allgather
         steps over blocks of ~n/p elements (padded to split evenly)."""
+        import numpy as np
         if op not in REDUCE_OPS:
             raise ValueError(f"unknown reduction op {op!r}")
         n = self.size
@@ -312,6 +331,7 @@ class Collectives:
         Linear pipeline: receive the running prefix from rank-1, fold in
         the local value, forward to rank+1.
         """
+        import numpy as np
         if tag is None:
             tag = self._next_coll_tag()
         if op not in REDUCE_OPS:
@@ -338,6 +358,7 @@ class Collectives:
         of the full reduction.  Implemented as reduce-to-root + scatter
         (the simple algorithm; a ring version is a natural extension).
         """
+        import numpy as np
         arr = np.asarray(array)
         if arr.size % self.size:
             raise ValueError(

@@ -13,14 +13,15 @@ the calibration knobs behind the paper's Table 3 MPI row.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.bcl.address import BclAddress
 from repro.bcl.api import BclPort
 from repro.upper.collectives import Collectives
 from repro.upper.eadi import ANY_SOURCE, ANY_TAG, EadiEndpoint, RecvStatus
+
+if TYPE_CHECKING:  # annotation-only: the *_array helpers import numpy
+    import numpy as np
 
 __all__ = ["MpiEndpoint", "ANY_SOURCE", "ANY_TAG"]
 
@@ -134,6 +135,7 @@ class MpiEndpoint(Collectives):
 
     def send_array(self, dst_rank: int, array: np.ndarray,
                    tag: int = 0) -> Generator:
+        import numpy as np
         data = np.ascontiguousarray(array).tobytes()
         buf = self.scratch(max(len(data), 1), slot=self._SEND_SLOT)
         self.proc.write(buf, data)
@@ -147,6 +149,7 @@ class MpiEndpoint(Collectives):
         may be reused immediately; the scratch slot itself must not be
         re-staged until the handle completes.
         """
+        import numpy as np
         data = np.ascontiguousarray(array).tobytes()
         buf = self.scratch(max(len(data), 1), slot=self._SEND_SLOT)
         self.proc.write(buf, data)
@@ -154,6 +157,7 @@ class MpiEndpoint(Collectives):
         return op
 
     def recv_array(self, src_rank: int, tag: int, dtype, shape) -> Generator:
+        import numpy as np
         nbytes = int(np.dtype(dtype).itemsize * int(np.prod(shape)))
         buf = self.scratch(max(nbytes, 1), slot=self._RECV_SLOT)
         yield from self.recv(src_rank, tag, buf, nbytes)

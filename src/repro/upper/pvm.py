@@ -14,15 +14,16 @@ to a task, and ``recv``/``upk_*`` retrieve it.
 from __future__ import annotations
 
 import struct
-from typing import Generator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.bcl.address import BclAddress
 from repro.bcl.api import BclPort
 from repro.kernel.errors import BclError
 from repro.upper.collectives import Collectives
 from repro.upper.eadi import ANY_SOURCE, ANY_TAG, EadiEndpoint
+
+if TYPE_CHECKING:  # annotation-only: the array pack/unpack import numpy
+    import numpy as np
 
 __all__ = ["PvmTask"]
 
@@ -92,6 +93,7 @@ class PvmTask(Collectives):
         return self._append(struct.pack(f"<{len(values)}d", *values))
 
     def pack_array(self, array: np.ndarray) -> Generator:
+        import numpy as np
         return self._append(np.ascontiguousarray(array).tobytes())
 
     # ------------------------------------------------------------ messaging
@@ -138,6 +140,7 @@ class PvmTask(Collectives):
         return values[0] if count == 1 else list(values)
 
     def upk_array(self, dtype, shape) -> Generator:
+        import numpy as np
         nbytes = int(np.dtype(dtype).itemsize * int(np.prod(shape)))
         data = yield from self._take(nbytes)
         return np.frombuffer(data, dtype=dtype).reshape(shape)

@@ -3,13 +3,15 @@
 These exercise the public APIs the way a real DAWNING-3000 user would:
 MPI for scientific computing, raw BCL messaging for services, and
 open-channel RMA for data serving.
+
+The stencil and the sample sort import numpy when they are called; the
+service and key-value kernels move raw bytes and do not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.bcl.api import BclLibrary
 from repro.cluster import Cluster
@@ -17,6 +19,9 @@ from repro.firmware.packet import ChannelKind
 from repro.sim import Store
 from repro.sim.time import ns_to_us
 from repro.upper.job import run_spmd
+
+if TYPE_CHECKING:  # annotation-only: the array kernels import numpy
+    import numpy as np
 
 __all__ = ["run_stencil", "run_request_service", "run_kv_store",
            "run_sample_sort", "StencilResult", "ServiceResult",
@@ -44,6 +49,7 @@ def run_stencil(cluster: Cluster, n_ranks: int = 4, rows: int = 64,
     """
     if rows % n_ranks:
         raise ValueError(f"rows={rows} must divide evenly by {n_ranks}")
+    import numpy as np
     local_rows = rows // n_ranks
     row_bytes = cols * 8
     t0 = cluster.env.now
@@ -119,6 +125,7 @@ def run_stencil(cluster: Cluster, n_ranks: int = 4, rows: int = 64,
 def reference_stencil(rows: int = 64, cols: int = 64,
                       iterations: int = 10) -> np.ndarray:
     """Single-process reference for :func:`run_stencil` verification."""
+    import numpy as np
     grid = np.zeros((rows, cols))
     grid[:, 0] = 100.0
     grid[0, :] = 100.0
@@ -294,6 +301,7 @@ def run_sample_sort(cluster: Cluster, n_ranks: int = 4,
     a variable-size alltoall (sizes first, then data), and locally
     merge.  Verifies global sortedness and rough balance.
     """
+    import numpy as np
     t0 = cluster.env.now
     state: dict = {}
 

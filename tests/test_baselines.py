@@ -278,6 +278,21 @@ def test_kernel_level_ports_are_per_node():
     assert ports() == ports() == [(0, 4096), (0, 4097), (1, 4096)]
 
 
+@pytest.mark.parametrize("messages", [10, 100, 400])
+def test_kernel_socket_buffers_are_freed_on_send_done(messages):
+    """Each datagram's kernel buffer goes back at its SEND_DONE, so the
+    sender's frames do not grow with the message count (they were
+    never freed: 43 / 133 / 433 frames after 10 / 100 / 400 messages)."""
+    cluster = Cluster(n_nodes=2, architecture="kernel_level")
+    allocator = cluster.node(0).allocator
+    sample = measure_one_way(cluster, 4096, repeats=messages, warmup=0)
+    assert sample.received_payloads_ok
+    assert set(sample.samples_us) == {123.89}
+    assert allocator.n_frames - allocator.free_frames == 33
+    kspace = cluster.node(0).kernel.socket_layer.kspace
+    assert kspace.pinned_pages == 32       # the receive pool only
+
+
 def test_kernel_socket_datagram_too_big_for_buffer(kl_cluster):
     def receiver():
         proc = kl_cluster.spawn(1)

@@ -125,3 +125,31 @@ def test_single_switch_host_barrier_is_log2_rounds(n_ranks):
                                 collectives="host", op="barrier")
     rounds = int(math.log2(n_ranks))
     assert point["latency_us"] == ns_to_us(39_140 * rounds)
+
+
+def _tree_levels(n_ranks: int, fanout: int = 4) -> int:
+    """Levels of the MCP fan-in tree over ``n_ranks`` one-rank nodes."""
+    return round(math.log(n_ranks, fanout))
+
+
+@pytest.mark.parametrize("n_ranks", [4])
+def test_single_switch_nic_barrier_is_log4_levels(n_ranks):
+    """Closed form at a rank count the scale sweep does not run: the
+    single-switch NIC barrier costs 3.413 us plus 27.516 us per level
+    of the fanout-4 firmware tree (58.445 us at 16 ranks, in the
+    sweep)."""
+    point = measure_scale_point(n_ranks=n_ranks, topology="single_switch",
+                                collectives="nic", op="barrier")
+    assert point["latency_us"] == \
+        ns_to_us(3_413 + 27_516 * _tree_levels(n_ranks))
+
+
+@pytest.mark.parametrize("n_ranks", [4, 16, 64])
+def test_single_switch_nic_allreduce_adds_one_step_per_level(n_ranks):
+    """The single-switch NIC allreduce of one float64 costs 3.893 us
+    plus 27.566 us per tree level: 31.459 / 59.025 / 86.591 us at 4 /
+    16 / 64 ranks."""
+    point = measure_scale_point(n_ranks=n_ranks, topology="single_switch",
+                                collectives="nic", op="allreduce")
+    assert point["latency_us"] == \
+        ns_to_us(3_893 + 27_566 * _tree_levels(n_ranks))
