@@ -63,6 +63,11 @@ def _points(smoke: bool) -> list[tuple[str, str, int, str]]:
 
 
 def _time_point(op: str, topology: str, ranks: int, policy: str) -> dict:
+    if op == "allreduce":
+        # The array reduction imports numpy on first use: pay that once,
+        # outside the first allreduce cell's timed window.  A sweep with
+        # no allreduce point (--smoke) never loads it.
+        import numpy  # noqa: F401
     gc.collect()
     with RunProbe() as probe:
         start = time.perf_counter()

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import gc
 import json
-import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -36,37 +34,16 @@ REQUIRED_META_KEYS = ("git_sha", "python", "platform", "timestamp_utc",
                       "seed")
 
 
-def git_sha() -> str:
-    """The checked-out commit, or ``"unknown"`` outside a git repo."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, timeout=10)
-    except OSError:
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
-
-
 def run_metadata(seed: int) -> dict[str, Any]:
-    meta = {
-        "git_sha": git_sha(),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "seed": seed,
-    }
-    # Digest of the default cost model, so `repro diff` can tell a
-    # deliberate reconfiguration apart from a behaviour drift.  The
-    # benchmarks all run DAWNING_3000; tolerate an unimportable package
-    # (the bench scripts insert src/ on sys.path themselves).
-    try:
-        from repro.config import DAWNING_3000
-        from repro.telemetry.ledger import config_digest
-        meta["config_digest"] = config_digest(DAWNING_3000)
-    except Exception:
-        meta["config_digest"] = "unknown"
+    """Run provenance (:func:`repro.telemetry.ledger.run_meta`) plus the
+    digest of the default cost model, so `repro diff` can tell a
+    deliberate reconfiguration apart from a behaviour drift.  The
+    benchmarks all run DAWNING_3000."""
+    from repro.config import DAWNING_3000
+    from repro.telemetry.ledger import config_digest, run_meta
+
+    meta = run_meta(seed)
+    meta["config_digest"] = config_digest(DAWNING_3000)
     return meta
 
 

@@ -449,7 +449,7 @@ def _audit_selftest() -> int:
     def past_event():
         env = Environment()
         Auditor(env)
-        env._now = 100
+        env.now = 100
         ev = Event(env)
         ev._ok = True
         ev._value = None

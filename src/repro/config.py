@@ -39,6 +39,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
+
+from repro.sim.time import bytes_per_second_to_ns_per_byte, us
 
 __all__ = ["CostModel", "DAWNING_3000", "DNET_MESH", "LOSSY_DAWNING",
            "dawning_3000", "dnet_mesh", "lossy_dawning"]
@@ -195,7 +199,40 @@ class CostModel:
     # -------------------------------------------------------------- helpers
     def scaled_host_us(self, us_value: float) -> float:
         """Host software cost, scaled for CPU frequency ablations."""
-        return us_value * (self.cpu_ref_mhz / self.cpu_mhz)
+        return us_value * self.host_scale
+
+    # Derived values, computed once per cost model so that per-operation
+    # code does not convert the same constant on every call.  Each one
+    # rounds exactly as the per-call conversion it replaces.
+    @cached_property
+    def host_scale(self) -> float:
+        """Factor on host software costs: ``cpu_ref_mhz / cpu_mhz``."""
+        return self.cpu_ref_mhz / self.cpu_mhz
+
+    @cached_property
+    def ns(self) -> SimpleNamespace:
+        """Every ``*_us`` field in integer nanoseconds, without the
+        suffix: ``cfg.ns.wire_inject == us(cfg.wire_inject_us)``.
+
+        Only a fixed delay may be read here.  A cost computed from a
+        field (``words * pio_write_word_us``, a scaled host cost) must
+        still be rounded once, after the arithmetic.
+        """
+        return SimpleNamespace(**{
+            f.name[:-3]: us(getattr(self, f.name))
+            for f in dataclasses.fields(self) if f.name.endswith("_us")})
+
+    @cached_property
+    def dma_ns_per_byte(self) -> float:
+        """Host DMA time per byte; ``round(n * dma_ns_per_byte)`` is
+        ``transfer_time_ns(n, dma_mb_s)``."""
+        return bytes_per_second_to_ns_per_byte(self.dma_mb_s)
+
+    @cached_property
+    def wire_ns_per_byte(self) -> float:
+        """Wire serialization time per byte; ``round(n *
+        wire_ns_per_byte)`` is ``transfer_time_ns(n, wire_mb_s)``."""
+        return bytes_per_second_to_ns_per_byte(self.wire_mb_s)
 
     def pio_write_us(self, words: int) -> float:
         return words * self.pio_write_word_us
@@ -212,9 +249,6 @@ class CostModel:
         """
         extra = max(0, n_pages - 1)
         return self.descriptor_base_words + extra * self.descriptor_words_per_page
-
-    def wire_ns_per_byte(self) -> float:
-        return 1e3 / self.wire_mb_s
 
     def replace(self, **changes) -> "CostModel":
         """Return a copy with ``changes`` applied (ablation helper)."""

@@ -294,7 +294,7 @@ class FaultInjector:
         self.events.append(event)
         for listener in self.listeners:
             listener(event)
-        if self.tracer is not None:
+        if self.tracer is not None and self.tracer.enabled:
             # Zero-duration span: the Chrome export renders category
             # "fault" records as instant markers on the scope's row.
             self.tracer.record(self.env.now, self.env.now, "fault", kind,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.firmware.packet import Packet, PacketType
-from repro.sim import Event, us
+from repro.sim import Event
 
 if TYPE_CHECKING:  # annotation-only: the reduce branch imports numpy
     import numpy as np
@@ -136,10 +136,13 @@ class NicCollectives:
 
     # ------------------------------------------------------ firmware side
     def _proc(self, seq: int) -> Generator:
-        start = self.env.now
-        yield self.env.sleep(us(self.cfg.mcp_coll_proc_us))
-        self.mcp._trace(start, "mcp", "mcp_coll_processing", None,
-                        coll_seq=seq)
+        env = self.env
+        start = env.now
+        yield env.sleep(self.cfg.ns.mcp_coll_proc)
+        tracer = self.mcp.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.record(start, env.now, "mcp", "mcp_coll_processing",
+                          self.mcp.name, None, coll_seq=seq)
 
     def _state(self, group_id: int, seq: int) -> _Pending:
         return self._pending.setdefault((group_id, seq), _Pending())

@@ -39,8 +39,7 @@ from repro.firmware.collectives import NicCollectives
 from repro.firmware.reliability import GoBackNReceiver, GoBackNSender
 from repro.firmware.tlb import NicTlb
 from repro.hw.nic import LandingZone, Nic, NicPortState
-from repro.sim import Environment, Resource, Store, Tracer, us
-from repro.sim.time import transfer_time_ns
+from repro.sim import Environment, Resource, Store, Tracer
 
 __all__ = ["Mcp", "slice_segments"]
 
@@ -115,18 +114,17 @@ class Mcp:
         env.process(self._recv_engine(), name=f"{self.name}.recv")
 
     # ------------------------------------------------------------ helpers
-    def _trace(self, start: int, category: str, stage: str,
-               message_id: Optional[int] = None, **data) -> None:
-        if self.tracer is not None:
-            self.tracer.record(start, self.env.now, category, stage,
-                               self.name, message_id, **data)
-
-    def _proc(self, cost_us: float, stage: str,
+    def _proc(self, cost_ns: int, stage: str,
               message_id: Optional[int] = None) -> Generator:
-        """Charge LANai processing time (not scaled by host CPU MHz)."""
-        start = self.env.now
-        yield self.env.sleep(us(cost_us))
-        self._trace(start, "mcp", stage, message_id)
+        """Charge LANai processing time (not scaled by host CPU MHz);
+        ``cost_ns`` is a ``cfg.ns`` value."""
+        env = self.env
+        start = env.now
+        yield env.sleep(cost_ns)
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.record(start, env.now, "mcp", stage, self.name,
+                          message_id)
 
     def register_metrics(self, registry) -> None:
         """Expose this NIC's firmware tallies to a telemetry registry:
@@ -163,7 +161,7 @@ class Mcp:
         if src_nic not in self._receivers:
             receiver = GoBackNReceiver(
                 f"{self.name}.from{src_nic}",
-                rearm_ns=us(self.cfg.retransmit_timeout_us))
+                rearm_ns=self.cfg.ns.retransmit_timeout)
             self._receivers[src_nic] = receiver
             if self.audit is not None:
                 self.audit.register_receiver(self, src_nic, receiver)
@@ -200,7 +198,7 @@ class Mcp:
             request: SendRequest = yield self.nic.send_ring.get()
             # "MCP completes a sending operation by reading send request
             # in the card's local memory" — the descriptor fetch.
-            yield from self._proc(self.cfg.mcp_fetch_request_us,
+            yield from self._proc(self.cfg.ns.mcp_fetch_request,
                                   "mcp_fetch_request", request.message_id)
             yield from self._execute_send(request)
 
@@ -219,7 +217,7 @@ class Mcp:
 
         if request.is_rma_read_request:
             # Control packet only; the data flows back as RMA_READ_RESP.
-            yield from self._proc(cfg.mcp_send_proc_us,
+            yield from self._proc(cfg.ns.mcp_send_proc,
                                   "mcp_send_processing", request.message_id)
             packet = Packet(
                 ptype=PacketType.RMA_READ_REQ,
@@ -239,7 +237,7 @@ class Mcp:
         if self.nic.translation_mode == "virtual":
             # Per-message protection/context validation on the NIC (the
             # check BCL moves into the kernel), then per-page TLB work.
-            yield from self._proc(cfg.ul_context_check_us, "nic_context_check",
+            yield from self._proc(cfg.ns.ul_context_check, "nic_context_check",
                                   request.message_id)
             segments = yield from self._resolve(
                 request.src_pid, request.src_vaddr, request.total_length,
@@ -251,7 +249,7 @@ class Mcp:
         last_index = len(offsets) - 1
         for index, offset in enumerate(offsets):
             frag_len = min(cfg.mtu, request.total_length - offset)
-            yield from self._proc(cfg.mcp_send_proc_us, "mcp_send_processing",
+            yield from self._proc(cfg.ns.mcp_send_proc, "mcp_send_processing",
                                   request.message_id)
             callbacks: list[Callable[[], None]] = []
             if frag_len:
@@ -305,19 +303,25 @@ class Mcp:
 
     # ------------------------------------------------------ inject engine
     def _inject_engine(self) -> Generator:
+        env = self.env
         cfg = self.cfg
-        gap = us(cfg.wire_gap_us)
+        gap = cfg.ns.wire_gap
+        inject = cfg.ns.wire_inject
+        header = cfg.wire_header_bytes
+        per_byte = cfg.wire_ns_per_byte
         while True:
             # An idle engine holds no packet (nor its callbacks) while
             # it waits for the next one.
             packet = callbacks = None
             packet, callbacks = yield self.tx_wire.get()
-            start = self.env.now
-            serialization = transfer_time_ns(
-                packet.wire_bytes(cfg.wire_header_bytes), cfg.wire_mb_s)
-            yield self.env.sleep(us(cfg.wire_inject_us) + serialization)
-            self._trace(start, "wire", "wire_inject", packet.message_id,
-                        nbytes=len(packet.payload))
+            start = env.now
+            serialization = round(packet.wire_bytes(header) * per_byte)
+            yield env.sleep(inject + serialization)
+            tracer = self.tracer
+            if tracer is not None and tracer.enabled:
+                tracer.record(start, env.now, "wire", "wire_inject",
+                              self.name, packet.message_id,
+                              nbytes=len(packet.payload))
             yield self.nic.endpoint.send(packet)
             for callback in callbacks:
                 callback()
@@ -330,13 +334,13 @@ class Mcp:
             packet = None  # an idle engine holds no packet
             packet: Packet = yield self.nic.rx_packets.get()
             if packet.ptype is PacketType.ACK:
-                yield from self._proc(cfg.mcp_ack_proc_us, "mcp_ack_processing",
+                yield from self._proc(cfg.ns.mcp_ack_proc, "mcp_ack_processing",
                                       packet.message_id)
                 if packet.src_nic in self._senders:
                     self._senders[packet.src_nic].on_ack(packet.ack_seq)
                 continue
             if packet.ptype is PacketType.NACK:
-                yield from self._proc(cfg.mcp_ack_proc_us,
+                yield from self._proc(cfg.ns.mcp_ack_proc,
                                       "mcp_nack_processing",
                                       packet.message_id)
                 if packet.src_nic in self._senders:
@@ -344,7 +348,7 @@ class Mcp:
                 continue
             if packet.ptype not in SEQUENCED:
                 continue
-            yield from self._proc(cfg.mcp_recv_proc_us, "mcp_recv_processing",
+            yield from self._proc(cfg.ns.mcp_recv_proc, "mcp_recv_processing",
                                   packet.message_id)
             if self.reliable:
                 flow = self.receiver_flow(packet.src_nic)
@@ -495,7 +499,7 @@ class Mcp:
                 packet.rma_offset + packet.rma_length > bound.capacity:
             # Refused: answer with an empty response so the requester's
             # landing zone completes as a short read instead of hanging.
-            yield from self._proc(self.cfg.mcp_send_proc_us,
+            yield from self._proc(self.cfg.ns.mcp_send_proc,
                                   "mcp_send_processing", packet.message_id)
             refusal = Packet(
                 ptype=PacketType.RMA_READ_RESP,
@@ -513,7 +517,7 @@ class Mcp:
         total = packet.rma_length
         for offset in fragment_offsets(total, self.cfg.mtu):
             frag_len = min(self.cfg.mtu, total - offset)
-            yield from self._proc(self.cfg.mcp_send_proc_us,
+            yield from self._proc(self.cfg.ns.mcp_send_proc,
                                   "mcp_send_processing", packet.message_id)
             if frag_len:
                 yield from self._gather_with_cut_through(

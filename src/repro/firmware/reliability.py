@@ -20,7 +20,7 @@ from typing import Callable, Generator, Optional
 
 from repro.config import CostModel
 from repro.firmware.packet import SEQUENCED_TYPES, Packet, PacketType
-from repro.sim import Environment, Event, us
+from repro.sim import Environment, Event
 
 __all__ = ["GoBackNSender", "GoBackNReceiver"]
 
@@ -117,7 +117,7 @@ class GoBackNSender:
         if nack_seq != self.base or not self._unacked:
             return  # stale: the gap was already repaired
         if self._last_nacked_base == self.base:
-            rearm_ns = us(self.cfg.retransmit_timeout_us)
+            rearm_ns = self.cfg.ns.retransmit_timeout
             if (self._last_fast_retx_at is None
                     or self.env.now - self._last_fast_retx_at < rearm_ns):
                 return  # this window is already being fast-retransmitted
@@ -136,7 +136,7 @@ class GoBackNSender:
                                            name=f"{self.name}.watchdog")
 
     def _watchdog(self) -> Generator:
-        timeout_ns = us(self.cfg.retransmit_timeout_us)
+        timeout_ns = self.cfg.ns.retransmit_timeout
         while self._unacked:
             deadline = self._base_sent_at + timeout_ns
             if self.env.now < deadline:

@@ -18,7 +18,7 @@ from collections import OrderedDict
 from typing import Generator, Optional
 
 from repro.config import CostModel
-from repro.sim import Environment, Tracer, us
+from repro.sim import Environment, Tracer
 
 __all__ = ["NicTlb"]
 
@@ -55,18 +55,19 @@ class NicTlb:
         if key in self._entries:
             self.hits += 1
             self._entries.move_to_end(key)
-            yield self.env.sleep(us(self.cfg.nic_tlb_hit_us))
+            yield self.env.sleep(self.cfg.ns.nic_tlb_hit)
             frame = self._entries[key]
             outcome = "nic_tlb_hit"
         else:
             self.misses += 1
-            yield self.env.sleep(us(self.cfg.nic_tlb_miss_us))
+            yield self.env.sleep(self.cfg.ns.nic_tlb_miss)
             frame = fetch_translation(pid, vpage)
             self._insert(key, frame)
             outcome = "nic_tlb_miss"
-        if self.tracer is not None:
-            self.tracer.record(start, self.env.now, "mcp", outcome,
-                               self.name, message_id, vpage=vpage)
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.record(start, self.env.now, "mcp", outcome, self.name,
+                          message_id, vpage=vpage)
         return frame
 
     def invalidate(self, pid: int, vpage: Optional[int] = None) -> None:

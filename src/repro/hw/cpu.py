@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.config import CostModel
-from repro.sim import Environment, Resource, Tracer, us
+from repro.sim import MICROSECOND, Environment, Resource, Tracer
 
 __all__ = ["Cpu"]
 
@@ -41,7 +41,9 @@ class Cpu:
         """
         if cost_us < 0:
             raise ValueError(f"negative CPU cost {cost_us}")
-        duration = us(self.cfg.scaled_host_us(cost_us) if scale else cost_us)
+        # rounds exactly as us(cfg.scaled_host_us(cost_us)) does
+        duration = round((cost_us * self.cfg.host_scale if scale
+                          else cost_us) * MICROSECOND)
         resource = self._resource
         req = resource.request()
         try:
@@ -50,9 +52,10 @@ class Cpu:
             start = env.now
             yield env.sleep(duration)
             self.busy_ns += duration
-            if self.tracer is not None:
-                self.tracer.record(start, start + duration, category, stage,
-                                   self.name, message_id)
+            tracer = self.tracer
+            if tracer is not None and tracer.enabled:
+                tracer.record(start, start + duration, category, stage,
+                              self.name, message_id)
         finally:
             resource.release(req)
 

@@ -31,8 +31,7 @@ from typing import Callable, Generator, Optional
 
 from repro.config import CostModel
 from repro.firmware.packet import Packet
-from repro.sim import Environment, Store, us
-from repro.sim.time import transfer_time_ns
+from repro.sim import Environment, Store
 
 __all__ = ["Link", "LinkEndpoint"]
 
@@ -114,14 +113,15 @@ class Link:
         the serialization window."""
         inbox = self._inboxes[src]
         dst = src.peer
-        prop = us(self.cfg.link_propagation_us)
+        cfg = self.cfg
+        prop = cfg.ns.link_propagation
+        header = cfg.wire_header_bytes
+        per_byte = cfg.wire_ns_per_byte
         while True:
             # An idle direction holds no packet while it waits.
             packet = outcomes = out_packet = None
             packet: Packet = yield inbox.get()
-            serialization = transfer_time_ns(
-                packet.wire_bytes(self.cfg.wire_header_bytes),
-                self.cfg.wire_mb_s)
+            serialization = round(packet.wire_bytes(header) * per_byte)
             if self.injector is not None:
                 outcomes = self.injector.adjudicate(packet)
             else:

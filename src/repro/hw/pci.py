@@ -14,8 +14,7 @@ from typing import Generator, Optional
 
 from repro.config import CostModel
 from repro.hw.cpu import Cpu
-from repro.sim import Environment, Resource, Tracer, us
-from repro.sim.time import transfer_time_ns
+from repro.sim import MICROSECOND, Environment, Resource, Tracer
 
 __all__ = ["PciBus"]
 
@@ -60,18 +59,20 @@ class PciBus:
             raise ValueError(f"negative word count {words}")
         if words == 0:
             return
-        duration = us(words * per_word_us)
+        duration = round(words * per_word_us * MICROSECOND)
+        env = self.env
         # PIO occupies the issuing CPU *and* the bus for its duration.
         with cpu._resource.request() as cpu_req:
             yield cpu_req
             with self._bus.request() as bus_req:
                 yield bus_req
-                start = self.env.now
-                yield self.env.sleep(duration)
+                start = env.now
+                yield env.sleep(duration)
                 cpu.busy_ns += duration
-                if self.tracer is not None:
-                    self.tracer.record(start, self.env.now, "pio", stage,
-                                       self.name, message_id, words=words)
+                tracer = self.tracer
+                if tracer is not None and tracer.enabled:
+                    tracer.record(start, env.now, "pio", stage, self.name,
+                                  message_id, words=words)
 
     # ------------------------------------------------------------- DMA
     def dma(self, nbytes: int, *, stage: str = "dma",
@@ -85,18 +86,21 @@ class PciBus:
         """
         if nbytes < 0:
             raise ValueError(f"negative DMA length {nbytes}")
-        start = self.env.now
+        env = self.env
+        cfg = self.cfg
+        start = env.now
         if setup:
-            yield self.env.sleep(us(self.cfg.dma_setup_us))
+            yield env.sleep(cfg.ns.dma_setup)
+        per_byte = cfg.dma_ns_per_byte
         remaining = nbytes
         while remaining > 0:
             burst = min(remaining, DMA_BURST_BYTES)
             with self._bus.request() as req:
                 yield req
-                yield self.env.sleep(
-                    transfer_time_ns(burst, self.cfg.dma_mb_s))
+                yield env.sleep(round(burst * per_byte))
             remaining -= burst
         self.dma_bytes += nbytes
-        if self.tracer is not None:
-            self.tracer.record(start, self.env.now, "dma", stage, self.name,
-                               message_id, nbytes=nbytes)
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.record(start, env.now, "dma", stage, self.name,
+                          message_id, nbytes=nbytes)

@@ -15,7 +15,7 @@ from typing import Generator, Optional
 from repro.config import CostModel
 from repro.firmware.packet import Packet
 from repro.hw.link import LinkEndpoint
-from repro.sim import Environment, Store, us
+from repro.sim import Environment, Store
 
 __all__ = ["Switch"]
 
@@ -50,7 +50,7 @@ class Switch:
 
     def _forwarder(self, port: int) -> Generator:
         inbox = self._inboxes[port]
-        latency = us(self.cfg.switch_latency_us)
+        latency = self.cfg.ns.switch_latency
         while True:
             # Let go of the last packet before blocking: an idle port
             # must not keep it alive until the next one arrives.

@@ -102,23 +102,36 @@ class AddressSpace:
         """
         if nbytes == 0:
             return []
-        if not self.is_mapped(vaddr, nbytes):
-            raise VmFault(
-                f"pid {self.pid}: range [{vaddr:#x}, +{nbytes}) not mapped")
-        segs: list[tuple[int, int]] = []
-        remaining = nbytes
-        cursor = vaddr
-        while remaining > 0:
-            paddr = self.translate(cursor)
-            in_page = self.page_size - (cursor % self.page_size)
-            length = min(in_page, remaining)
-            if segs and segs[-1][0] + segs[-1][1] == paddr:
-                segs[-1] = (segs[-1][0], segs[-1][1] + length)
+        if vaddr >= 0 and nbytes > 0:
+            # One walk over the page table: translate and coalesce page
+            # by page, and fault at the first unmapped page.
+            page_size = self.page_size
+            table = self._page_table
+            vpage, offset = divmod(vaddr, page_size)
+            segs: list[tuple[int, int]] = []
+            seg_start = seg_end = -1
+            remaining = nbytes
+            while remaining > 0:
+                frame = table.get(vpage)
+                if frame is None:
+                    break
+                paddr = frame * page_size + offset
+                length = page_size - offset
+                if length > remaining:
+                    length = remaining
+                if paddr != seg_end:
+                    if seg_end >= 0:
+                        segs.append((seg_start, seg_end - seg_start))
+                    seg_start = paddr
+                seg_end = paddr + length
+                remaining -= length
+                vpage += 1
+                offset = 0
             else:
-                segs.append((paddr, length))
-            cursor += length
-            remaining -= length
-        return segs
+                segs.append((seg_start, seg_end - seg_start))
+                return segs
+        raise VmFault(
+            f"pid {self.pid}: range [{vaddr:#x}, +{nbytes}) not mapped")
 
     # -------------------------------------------------------- data access
     def write(self, vaddr: int, data: bytes) -> None:

@@ -41,6 +41,15 @@ loop is tuned:
   as ``run(until=...)`` targets;
 * :meth:`Environment.run` processes events in an inlined loop instead
   of dispatching through :meth:`step` per event;
+* the per-event path spends as few Python calls as it can:
+  :attr:`Environment.now` is a plain attribute, not a property; an
+  event born triggered (a process's start event, a free resource
+  grant, a store hand-off) is built and queued by one helper,
+  :func:`_ready`, without the constructor chain; and a pooled
+  :meth:`Environment.sleep` queues a future timer inline.  A process
+  must not keep its bound ``_resume`` on itself to save the lookup:
+  that is a process <-> bound-method cycle per process, which a run
+  with the collector off leaves behind;
 * :meth:`Environment.run` holds the cyclic garbage collector off while
   it runs and restores the caller's setting afterwards.  Every event
   allocates short-lived objects, and a collection every few hundred of
@@ -180,7 +189,7 @@ class Event:
             # which is exactly the open bucket.
             env._bucket.append(self)
         else:
-            env._push(env._now, self)
+            env._push(env.now, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -196,7 +205,7 @@ class Event:
         if env._keys is None:
             env._bucket.append(self)
         else:
-            env._push(env._now, self)
+            env._push(env.now, self)
         return self
 
     def defuse(self) -> None:
@@ -216,6 +225,32 @@ class Event:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
+
+
+_new = object.__new__
+
+
+def _ready(cls: type, env: "Environment", value: Any = None) -> Event:
+    """A new ``cls`` event, triggered with ``value`` and queued at the
+    current instant: what ``cls(env).succeed(value)`` does, in one call.
+
+    For events born triggered: a process's start event, a free
+    :class:`~repro.sim.Resource` grant, a :class:`~repro.sim.Store` get
+    of a waiting item and a ``put`` that did not block.  Slots a
+    subclass adds to :class:`Event`'s are the caller's to set.
+    """
+    ev = _new(cls)
+    ev.env = env
+    ev._callbacks = None
+    ev._value = value
+    ev._ok = True
+    ev._defused = False
+    ev._scheduled = True
+    if env._keys is None:
+        env._bucket.append(ev)
+    else:
+        env._push(env.now, ev)
+    return ev
 
 
 class Timeout(Event):
@@ -240,7 +275,7 @@ class Timeout(Event):
         self._scheduled = True
         self.delay = delay
         self._recycle = False
-        env._push(env._now + delay, self)
+        env._push(env.now + delay, self)
 
 
 class _ConditionBase(Event):
@@ -395,15 +430,18 @@ class Process(Event):
 
     def __init__(self, env: "Environment", generator: Generator,
                  name: Optional[str] = None):
-        super().__init__(env)
+        self.env = env
+        self._callbacks = None
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._scheduled = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
         self.is_alive = True
         # Kick off at the current instant.
-        start = Event(env)
-        start.succeed()
-        start._callbacks = [self._resume]
+        _ready(Event, env)._callbacks = [self._resume]
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at this instant."""
@@ -493,13 +531,15 @@ class Environment:
     same-timestamp events.
     """
 
-    __slots__ = ("_now", "_seq", "_active_process", "_timeout_pool",
+    __slots__ = ("now", "_seq", "_active_process", "_timeout_pool",
                  "_audit", "_tie_break", "_telemetry", "_recorder",
                  "_keys", "_bucket", "_pos", "_merged", "_buckets",
                  "_times", "_n_events")
 
     def __init__(self, initial_time: int = 0, tie_break=None):
-        self._now: int = initial_time
+        #: current virtual time in nanoseconds (a plain attribute: the
+        #: model reads it on every charged operation)
+        self.now: int = initial_time
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         self._timeout_pool: list[Timeout] = []
@@ -546,11 +586,6 @@ class Environment:
         return self._n_events
 
     @property
-    def now(self) -> int:
-        """Current virtual time in nanoseconds."""
-        return self._now
-
-    @property
     def active_process(self) -> Optional[Process]:
         return self._active_process
 
@@ -590,7 +625,17 @@ class Environment:
             t._ok = True
             t._defused = False
             t.delay = delay
-            self._push(self._now + delay, t)
+            if delay and self._keys is None:
+                # _push inlined for a future instant in FIFO mode.
+                when = self.now + delay
+                bucket = self._buckets.get(when)
+                if bucket is None:
+                    self._buckets[when] = [t]
+                    heappush(self._times, when)
+                else:
+                    bucket.append(t)
+            else:
+                self._push(self.now + delay, t)
             return t
         t = Timeout(self, delay)
         t._recycle = True
@@ -613,7 +658,7 @@ class Environment:
             seq = self._seq
             keys[event] = self._tie_break.key(when, seq)
             self._seq = seq + 1
-        if when == self._now:
+        if when == self.now:
             self._bucket.append(event)
         else:
             bucket = self._buckets.get(when)
@@ -629,7 +674,7 @@ class Environment:
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
         event._scheduled = True
-        self._push(self._now + delay, event)
+        self._push(self.now + delay, event)
 
     def _schedule_at(self, event: Event, when: int) -> None:
         """Schedule a triggered event at an absolute time (test hook).
@@ -647,7 +692,7 @@ class Environment:
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None when idle."""
         if self._pos < len(self._bucket):
-            return self._now
+            return self.now
         return self._times[0] if self._times else None
 
     def _order_tail(self, bucket: list[Event], pos: int,
@@ -684,13 +729,13 @@ class Environment:
             if not self._times:
                 raise SimulationError("no scheduled events")
             when = heappop(self._times)
-            if when < self._now:  # pragma: no cover - engine invariant
+            if when < self.now:  # pragma: no cover - engine invariant
                 raise SimulationError("time went backwards")
             if self._recorder is not None:
                 self._recorder.on_advance(when, self._n_events)
             bucket = self._bucket = self._buckets.pop(when)
             pos = self._merged = 0
-            self._now = when
+            self.now = when
         if self._keys is not None:
             self._merged = self._order_tail(bucket, pos, self._merged)
         event = bucket[pos]
@@ -742,9 +787,9 @@ class Environment:
                 stop = until
             else:
                 horizon = int(until)
-                if horizon < self._now:
+                if horizon < self.now:
                     raise SimulationError(
-                        f"until={horizon} is in the past (now={self._now})")
+                        f"until={horizon} is in the past (now={self.now})")
         buckets = self._buckets
         times = self._times
         pool = self._timeout_pool
@@ -777,23 +822,23 @@ class Environment:
                             raise SimulationError(
                                 "simulation ran out of events before the "
                                 "target event triggered (deadlock at "
-                                f"t={self._now} ns)")
+                                f"t={self.now} ns)")
                         if audit is not None:
                             audit.on_quiesce(self)
                         if horizon is not None:
-                            self._now = horizon
+                            self.now = horizon
                         return None
                     if horizon is not None and times[0] > horizon:
-                        self._now = horizon
+                        self.now = horizon
                         return None
                     when = heappop(times)
                     bucket = self._bucket = buckets.pop(when)
                     pos = merged = 0
-                    if audit is not None and when < self._now:
-                        audit.on_past_event(bucket[0], when, self._now)
+                    if audit is not None and when < self.now:
+                        audit.on_past_event(bucket[0], when, self.now)
                     if recorder is not None:
                         recorder.on_advance(when, n)
-                    self._now = when
+                    self.now = when
                     continue
                 n += 1
                 callbacks = event._callbacks

@@ -27,6 +27,11 @@ items are a deque, because an incast can queue many of them, but it
 is made when an item is actually buffered (``Store._push``) and let go
 when a get drains it (``Store._pop``); while the store is empty
 ``_items`` is an empty tuple.
+
+A free grant, a get of an item already waiting and a put that does not
+block return an event that is triggered from birth; the engine's
+``_ready`` helper builds and queues it in one call, so this module
+never touches the event queue itself.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.core import (_PENDING, Environment, Event, SimulationError,
+                            _ready)
 
 __all__ = ["Resource", "Store"]
 
@@ -48,7 +54,12 @@ class _Request(Event):
     __slots__ = ("resource", "_withdrawn")
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        self.env = resource.env
+        self._callbacks = None
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._scheduled = False
         self.resource = resource
         self._withdrawn = False
 
@@ -98,11 +109,14 @@ class Resource:
         return len(self._queue)
 
     def request(self) -> _Request:
-        req = _Request(self)
         if len(self._users) < self.capacity:
+            # A free grant is born triggered.
+            req = _ready(_Request, self.env)
+            req.resource = self
+            req._withdrawn = False
             self._users.append(req)
-            req.succeed()
         else:
+            req = _Request(self)
             self._queue.append(req)
         return req
 
@@ -132,7 +146,12 @@ class _StoreGet(Event):
     __slots__ = ("store",)
 
     def __init__(self, store: "Store"):
-        super().__init__(store.env)
+        self.env = store.env
+        self._callbacks = None
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._scheduled = False
         self.store = store
 
     def _on_orphaned(self) -> None:
@@ -148,7 +167,12 @@ class _StorePut(Event):
     __slots__ = ("store", "item")
 
     def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
+        self.env = store.env
+        self._callbacks = None
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._scheduled = False
         self.store = store
         self.item = item
 
@@ -196,9 +220,7 @@ class Store:
             put_ev = _StorePut(self, item)
             self._putters.append(put_ev)
             return put_ev
-        done = Event(self.env)
-        done.succeed()
-        return done
+        return _ready(Event, self.env)
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False (drops) when the store is full.
@@ -218,9 +240,7 @@ class Store:
     def get(self) -> Event:
         """Remove and return the oldest item (blocking)."""
         if self._items:
-            ev = Event(self.env)
-            ev.succeed(self._pop())
-            return ev
+            return _ready(Event, self.env, self._pop())
         getter = _StoreGet(self)
         self._getters.append(getter)
         return getter

@@ -4,13 +4,20 @@ The virtual clock counts integer nanoseconds.  All hardware costs in
 :mod:`repro.config` are expressed in microseconds (the unit the paper
 reports) and converted with :func:`us` before they reach the clock, so
 the event queue only ever adds and compares integers and runs are
-bit-for-bit reproducible.  Where that conversion happens varies: fixed
-delays are converted once when a component is built (switch latency,
-link propagation, the wire gap), but per-operation costs are converted
-on every call (``Cpu.execute``, ``Mcp._proc`` and the MCP inject
-engine), so a run does float arithmetic per charged operation: about
-197,000 :func:`us` calls in the 256-rank host barrier.  The rounding
-is deterministic, so that costs host time, not reproducibility.
+bit-for-bit reproducible.
+
+No charge converts a constant per operation.  Each
+:class:`~repro.config.CostModel` converts once, on first use: ``cfg.ns``
+holds every ``*_us`` field in whole nanoseconds (the MCP processing
+costs, wire injection and gap, DMA setup, switch latency, link
+propagation), ``cfg.host_scale`` is the CPU-frequency factor, and
+``cfg.dma_ns_per_byte``/``cfg.wire_ns_per_byte`` are the per-byte
+factors of :func:`transfer_time_ns`.  What is left per operation is
+one :func:`round` of a computed cost, in the same float order as
+before, so every duration is bit-identical to the per-call conversion:
+``round((cost * (ref_mhz / mhz)) * 1000)`` for a host charge and
+``round(nbytes * (1e3 / rate))`` for a transfer.  Before the hoist the
+256-rank host barrier made about 197,000 :func:`us` calls.
 """
 
 from __future__ import annotations

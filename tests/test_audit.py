@@ -84,7 +84,7 @@ def test_cluster_attaches_auditor_only_on_request(monkeypatch):
 def test_past_event_detected():
     env = Environment()
     Auditor(env)
-    env._now = 100
+    env.now = 100
     ev = Event(env)
     ev._ok = True
     ev._value = None
