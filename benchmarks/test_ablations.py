@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ablations
+from repro.experiments.runner import run_all
 
 from benchmarks.conftest import run_once
 
 
 def test_pindown_thrashing(benchmark):
-    result = run_once(benchmark, ablations.run_pindown)
+    result, = run_once(benchmark, run_all, only=["abl-pindown"])
     print()
     print(result.format())
     warm = result.rows[0]["latency_us"]
@@ -19,7 +19,7 @@ def test_pindown_thrashing(benchmark):
 
 
 def test_pio_cost_sensitivity(benchmark):
-    result = run_once(benchmark, ablations.run_pio)
+    result, = run_once(benchmark, run_all, only=["abl-pio"])
     print()
     print(result.format())
     # "A good motherboard can improve the I/O performance heavily":
@@ -32,7 +32,7 @@ def test_pio_cost_sensitivity(benchmark):
 
 
 def test_cpu_frequency_sensitivity(benchmark):
-    result = run_once(benchmark, ablations.run_cpu_frequency)
+    result, = run_once(benchmark, run_all, only=["abl-cpu"])
     print()
     print(result.format())
     lats = [r["oneway_0b_us"] for r in result.rows]
@@ -48,7 +48,7 @@ def test_cpu_frequency_sensitivity(benchmark):
 
 
 def test_nic_tlb_thrashing(benchmark):
-    result = run_once(benchmark, ablations.run_nic_tlb)
+    result, = run_once(benchmark, run_all, only=["abl-nic-tlb"])
     print()
     print(result.format())
     ul = [r for r in result.rows if r["architecture"] == "user_level"]
@@ -61,7 +61,7 @@ def test_nic_tlb_thrashing(benchmark):
 
 
 def test_shm_chunk_size(benchmark):
-    result = run_once(benchmark, ablations.run_shm_chunk)
+    result, = run_once(benchmark, run_all, only=["abl-shm-chunk"])
     print()
     print(result.format())
     by_chunk = {r["chunk_bytes"]: r["bandwidth_mb_s"] for r in result.rows}
@@ -76,7 +76,7 @@ def test_shm_chunk_size(benchmark):
 
 
 def test_reliability_cost(benchmark):
-    result = run_once(benchmark, ablations.run_reliability)
+    result, = run_once(benchmark, run_all, only=["abl-reliability"])
     print()
     print(result.format())
     reliable = result.row(config="reliable (BCL)")
@@ -89,7 +89,7 @@ def test_reliability_cost(benchmark):
 
 
 def test_nack_fast_retransmit(benchmark):
-    result = run_once(benchmark, ablations.run_nack)
+    result, = run_once(benchmark, run_all, only=["abl-nack"])
     print()
     print(result.format())
     fast = result.row(config="NACK fast retransmit")["transfer_us"]

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import extensions
+from repro.experiments.runner import run_all
 
 from benchmarks.conftest import run_once
 
 
 def test_smp_scaling(benchmark):
-    result = run_once(benchmark, extensions.run_smp_scaling)
+    result, = run_once(benchmark, run_all, only=["ext-smp-scaling"])
     print()
     print(result.format())
     rows = {r["pairs"]: r for r in result.rows}
@@ -21,7 +21,7 @@ def test_smp_scaling(benchmark):
 
 
 def test_bidirectional(benchmark):
-    result = run_once(benchmark, extensions.run_bidirectional)
+    result, = run_once(benchmark, run_all, only=["ext-bidirectional"])
     print()
     print(result.format())
     one_way = result.row(pattern="one-way")
@@ -33,7 +33,7 @@ def test_bidirectional(benchmark):
 
 
 def test_topology_comparison(benchmark):
-    result = run_once(benchmark, extensions.run_topologies)
+    result, = run_once(benchmark, run_all, only=["ext-topologies"])
     print()
     print(result.format())
     rows = {r["topology"]: r for r in result.rows}
@@ -51,7 +51,7 @@ def test_topology_comparison(benchmark):
 
 
 def test_send_window(benchmark):
-    result = run_once(benchmark, extensions.run_send_window)
+    result, = run_once(benchmark, run_all, only=["ext-send-window"])
     print()
     print(result.format())
     by_window = {r["window"]: r["bandwidth_mb_s"] for r in result.rows}
@@ -62,7 +62,7 @@ def test_send_window(benchmark):
 
 
 def test_dnet_vs_myrinet(benchmark):
-    result = run_once(benchmark, extensions.run_dnet)
+    result, = run_once(benchmark, run_all, only=["ext-dnet"])
     print()
     print(result.format())
     myri = result.row(san="Myrinet")
@@ -75,7 +75,7 @@ def test_dnet_vs_myrinet(benchmark):
 
 
 def test_collective_scaling(benchmark):
-    result = run_once(benchmark, extensions.run_collective_scaling)
+    result, = run_once(benchmark, run_all, only=["ext-collective-scaling"])
     print()
     print(result.format())
     lat = {r["ranks"]: r["latency_us"] for r in result.rows}
@@ -87,7 +87,7 @@ def test_collective_scaling(benchmark):
 
 
 def test_allreduce_algorithms(benchmark):
-    result = run_once(benchmark, extensions.run_allreduce_algorithms)
+    result, = run_once(benchmark, run_all, only=["ext-allreduce-algorithms"])
     print()
     print(result.format())
     rows = {r["elements"]: r for r in result.rows}

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import timelines
 from repro.experiments.common import PAPER
+from repro.experiments.runner import run_all
 
 from benchmarks.conftest import run_once
 
 
 def test_fig5_transmission_timeline(benchmark):
-    result = run_once(benchmark, timelines.run_fig5)
+    result, = run_once(benchmark, run_all, only=["fig5"])
     print()
     print(result.format())
     push = result.row(stage="TOTAL push into network")["duration_us"]
@@ -25,7 +25,7 @@ def test_fig5_transmission_timeline(benchmark):
 
 
 def test_fig6_reception_timeline(benchmark):
-    result = run_once(benchmark, timelines.run_fig6)
+    result, = run_once(benchmark, run_all, only=["fig6"])
     print()
     print(result.format())
     total = result.row(stage="TOTAL reception overhead")["duration_us"]

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import timelines
 from repro.experiments.common import PAPER, measure_architecture_latency
+from repro.experiments.runner import run_all
 
 from benchmarks.conftest import run_once
 
 
 def test_fig7_one_way_timeline(benchmark):
-    result = run_once(benchmark, timelines.run_fig7)
+    result, = run_once(benchmark, run_all, only=["fig7"])
     print()
     print(result.format())
     total = result.row(stage="TOTAL one-way")["duration_us"]

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import curves
 from repro.experiments.common import PAPER
+from repro.experiments.runner import run_all
 
 from benchmarks.conftest import run_once
 
 
 def test_fig8_latency_curve(benchmark):
-    result = run_once(benchmark, curves.run_fig8)
+    result, = run_once(benchmark, run_all, only=["fig8"])
     print()
     print(result.format())
 

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import curves
 from repro.experiments.common import PAPER
+from repro.experiments.runner import run_all
 
 from benchmarks.conftest import run_once
 
 
 def test_fig9_bandwidth_curve(benchmark):
-    result = run_once(benchmark, curves.run_fig9)
+    result, = run_once(benchmark, run_all, only=["fig9"])
     print()
     print(result.format())
 

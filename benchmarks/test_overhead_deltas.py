@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import overheads
 from repro.experiments.common import PAPER
+from repro.experiments.runner import run_all
 
 from benchmarks.conftest import run_once
 
 
 def test_section5_overheads(benchmark):
-    result = run_once(benchmark, overheads.run)
+    result, = run_once(benchmark, run_all, only=["overheads"])
     print()
     print(result.format())
 

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from repro.experiments import table1
+from repro.experiments.runner import run_all
 
 from benchmarks.conftest import run_once
 
 
 def test_table1(benchmark):
-    result = run_once(benchmark, table1.run)
+    result, = run_once(benchmark, run_all, only=["table1"])
     print()
     print(result.format())
 

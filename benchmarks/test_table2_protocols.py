@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import table2
 from repro.experiments.common import PAPER
+from repro.experiments.runner import run_all
 
 from benchmarks.conftest import run_once
 
 
 def test_table2(benchmark):
-    result = run_once(benchmark, table2.run)
+    result, = run_once(benchmark, run_all, only=["table2"])
     print()
     print(result.format())
 

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import table3
 from repro.experiments.common import PAPER
+from repro.experiments.runner import run_all
 
 from benchmarks.conftest import run_once
 
 
 def test_table3(benchmark):
-    result = run_once(benchmark, table3.run)
+    result, = run_once(benchmark, run_all, only=["table3"])
     print()
     print(result.format())
 

@@ -15,13 +15,14 @@ Usage::
 """
 
 from repro.experiments.common import measure_architecture_latency
-from repro.experiments.table1 import run as run_table1
+from repro.experiments.runner import run_all
 
 
 def main() -> None:
     print("counting critical-path events for one message per "
           "architecture...\n")
-    print(run_table1().format())
+    table1, = run_all(only=["table1"])
+    print(table1.format())
 
     print("\nmeasuring 0-byte one-way latency per architecture...")
     kernel = measure_architecture_latency("kernel_level", 0)

@@ -159,13 +159,19 @@ class KernelSocket:
     def sendto(self, dst_node: int, dst_port: int, vaddr: int,
                nbytes: int) -> Generator:
         """Send a message (segmented into kl_mtu datagrams), blocking
-        until the kernel has accepted all segments."""
-        handler = self._sendto_handler(dst_node, dst_port, vaddr, nbytes)
+        until the kernel has accepted all segments.
+
+        The first datagram's id is drawn before the trap, so the trap's
+        entry and exit are charged to that message's critical path.
+        """
+        first_id = next_message_id()
+        handler = self._sendto_handler(dst_node, dst_port, vaddr, nbytes,
+                                       first_id)
         yield from self.lib.kernel.syscall(self.proc, "sendto", handler,
-                                           path="send")
+                                           path="send", message_id=first_id)
 
     def _sendto_handler(self, dst_node: int, dst_port: int, vaddr: int,
-                        nbytes: int) -> Generator:
+                        nbytes: int, first_id: int) -> Generator:
         cfg = self.cfg
         kernel = self.lib.kernel
         kernel.security.check_buffer(self.proc.space, vaddr, nbytes)
@@ -174,7 +180,7 @@ class KernelSocket:
         offsets = range(0, max(nbytes, 1), cfg.kl_mtu)
         for offset in offsets:
             seg_len = min(cfg.kl_mtu, nbytes - offset) if nbytes else 0
-            message_id = next_message_id()
+            message_id = first_id if offset == 0 else next_message_id()
             yield from self.proc.cpu.execute(
                 cfg.kl_proto_send_us, category="kernel",
                 stage="kl_proto_send", message_id=message_id)
@@ -240,9 +246,12 @@ class KernelSocket:
             if self._reader_wakeup is None:
                 self._reader_wakeup = Event(self.env)
             yield self._reader_wakeup
+        # The datagram is queued before the trap, so the trap's entry
+        # and exit are charged to the message it delivers.
         handler = self._recvfrom_handler(vaddr, capacity)
         result = yield from self.lib.kernel.syscall(
-            self.proc, "recvfrom", handler, path="recv")
+            self.proc, "recvfrom", handler, path="recv",
+            message_id=self._rx[0].message_id)
         return result
 
     def _recvfrom_handler(self, vaddr: int, capacity: int) -> Generator:

@@ -63,7 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="run experiment cells on N worker processes")
     ev.add_argument("--only", action="append", metavar="NAME",
-                    help="run only the named experiment (repeatable)")
+                    help="run only the named experiment (repeatable; "
+                         "see --list)")
+    ev.add_argument("--list", action="store_true",
+                    help="list experiment names and exit")
     ev.add_argument("--no-cache", action="store_true",
                     help="recompute every cell, ignoring the run cache")
     ev.add_argument("--cache-dir", metavar="DIR", default=None,
@@ -278,7 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_evaluate(args) -> int:
     from repro.experiments.cache import RunCache
-    from repro.experiments.runner import run_all
+    from repro.experiments.runner import EXPERIMENTS, run_all
+    if args.list:
+        for experiment in EXPERIMENTS:
+            print(f"{experiment.name:28s} {experiment.group}")
+        return 0
     if args.audit:
         # Global switch, exported via REPRO_OBSERVERS so --jobs N worker
         # processes inherit it.  The auditor is a pure observer, so

@@ -191,12 +191,6 @@ class Cluster:
                    for s in mcp._senders.values())
 
     @property
-    def total_retransmit_timeouts(self) -> int:
-        return sum(s.timeouts
-                   for mcp in self.mcps
-                   for s in mcp._senders.values())
-
-    @property
     def total_injected_faults(self) -> int:
         return sum(inj.total_losses + inj.corruptions + inj.duplicates
                    + inj.reorders for inj in self.fault_injectors)

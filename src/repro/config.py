@@ -237,9 +237,6 @@ class CostModel:
     def pio_write_us(self, words: int) -> float:
         return words * self.pio_write_word_us
 
-    def pio_read_us(self, words: int) -> float:
-        return words * self.pio_read_word_us
-
     def descriptor_words(self, n_pages: int) -> int:
         """Send-descriptor size for a buffer spanning ``n_pages`` pages.
 

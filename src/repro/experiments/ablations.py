@@ -1,6 +1,10 @@
 """Ablations of the design choices the paper argues for.
 
-Each ``run_*`` quantifies one claim from the paper's discussion:
+Each ablation quantifies one claim from the paper's discussion.  An
+ablation is a runner experiment (``abl-*`` in
+:data:`repro.experiments.runner.EXPERIMENTS`): a tuple of settings
+below, one cell function that simulates one setting on a fresh
+cluster, and a ``merge_*`` that assembles the table:
 
 * **pin-down cache** — repeated sends from a warm buffer hit the
   kernel pin-down table; a rotating working set larger than the table
@@ -18,37 +22,30 @@ Each ``run_*`` quantifies one claim from the paper's discussion:
 * **shared-memory chunk size** — the intra-node pipelining granularity
   behind the 391 MB/s figure;
 * **reliability** — what the 5.65 us of MCP protocol processing buys
-  and costs (the BIP trade-off).
+  and costs (the BIP trade-off);
+* **NACK** — loss recovery by fast retransmit vs timeout alone.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.baselines import library_for
 from repro.cluster import Cluster
-from repro.config import DAWNING_3000, CostModel
+from repro.config import CostModel
 from repro.experiments.common import ExperimentResult
 from repro.faults import FaultPlan
-from repro.firmware.packet import ChannelKind
 from repro.instrument.measure import measure_intra_node, measure_one_way
-from repro.sim import Store
-from repro.sim.time import ns_to_us
 
 __all__ = [
-    "run_pindown",
-    "run_pio",
-    "run_cpu_frequency",
-    "run_nic_tlb",
-    "run_shm_chunk",
-    "run_reliability",
-    "run_nack",
-    "run_all",
+    "pindown_latency", "merge_pindown",
+    "pio_point", "merge_pio",
+    "cpu_point", "merge_cpu_frequency",
+    "nic_tlb_latency", "merge_nic_tlb",
+    "shm_point", "merge_shm_chunk",
+    "reliability_point", "merge_reliability",
+    "nack_transfer_us", "merge_nack",
 ]
 
-# Default per-configuration sweeps.  Each tuple element is one runner
-# cell (an independent simulation on a fresh cluster); the run_* entry
-# points below are the serial compositions of the same cells.
+# Per-configuration sweeps: each tuple element is one runner cell (an
+# independent simulation on a fresh cluster).
 PINDOWN_SCENARIOS = (("warm (1 buffer, hits)", 1),
                      ("within capacity (4 buffers)", 4),
                      ("thrashing (16 buffers)", 16),
@@ -63,56 +60,13 @@ RELIABILITY_CONFIGS = (("reliable (BCL)", True),
 NACK_CONFIGS = (("NACK fast retransmit", True), ("timeout only", False))
 
 
-def _rotating_send_latency(cfg: CostModel, architecture: str,
-                           n_buffers: int, buffer_bytes: int,
-                           rounds: int = 3) -> float:
-    """Mean one-way latency while the sender rotates over ``n_buffers``
-    distinct buffers (stressing whichever translation cache the
-    architecture uses)."""
-    cluster = Cluster(n_nodes=2, cfg=cfg, architecture=architecture)
-    env = cluster.env
-    lib_cls = library_for(architecture)
-    sync: Store = Store(env)
-    starts: list[int] = []
-    samples: list[float] = []
-    total = n_buffers * rounds
-
-    def receiver():
-        proc = cluster.spawn(1)
-        port = yield from lib_cls(proc).create_port()
-        buf = proc.alloc(buffer_bytes)
-        sync.try_put(("addr", port.address))
-        for i in range(total):
-            yield from port.post_recv(0, buf, buffer_bytes)
-            sync.try_put(("ready", i))
-            yield from port.wait_recv()
-            if i >= n_buffers:   # skip the first (cold) round
-                samples.append(ns_to_us(env.now - starts[i]))
-
-    def sender():
-        proc = cluster.spawn(0)
-        port = yield from lib_cls(proc).create_port()
-        _, address = yield sync.get()
-        dest = address.with_channel(ChannelKind.NORMAL, 0)
-        buffers = [proc.alloc(buffer_bytes) for _ in range(n_buffers)]
-        for buf in buffers:
-            proc.write(buf, b"a" * buffer_bytes)
-        for i in range(total):
-            yield sync.get()
-            starts.append(env.now)
-            yield from port.send(dest, buffers[i % n_buffers], buffer_bytes)
-            yield from port.wait_send()
-
-    done = env.process(receiver(), name="abl.recv")
-    env.process(sender(), name="abl.send")
-    env.run(until=done)
-    return sum(samples) / len(samples)
-
-
 def pindown_latency(cfg: CostModel, n_buffers: int) -> float:
-    """One pin-down scenario: rotating 32 KB sends over a 64-page table."""
+    """One pin-down scenario: 32 KB sends rotating over ``n_buffers``
+    buffers with a 64-page table; the first, cold round is warm-up."""
     small = cfg.replace(pindown_capacity_pages=64)
-    return _rotating_send_latency(small, "semi_user", n_buffers, 32768)
+    return measure_one_way(Cluster(n_nodes=2, cfg=small), 32768,
+                           repeats=2 * n_buffers, warmup=n_buffers,
+                           buffers=n_buffers).latency_us
 
 
 def merge_pindown(cfg: CostModel, latencies: list) -> ExperimentResult:
@@ -127,11 +81,6 @@ def merge_pindown(cfg: CostModel, latencies: list) -> ExperimentResult:
         result.add(scenario=label, working_set_pages=n_buffers * 8,
                    table_pages=64, latency_us=latency)
     return result
-
-
-def run_pindown(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
-    return merge_pindown(cfg, [pindown_latency(cfg, n)
-                               for _, n in PINDOWN_SCENARIOS])
 
 
 def pio_point(cfg: CostModel, factor: float) -> dict:
@@ -157,11 +106,6 @@ def merge_pio(cfg: CostModel, rows: list) -> ExperimentResult:
     return result
 
 
-def run_pio(cfg: CostModel = DAWNING_3000,
-            factors: Sequence[float] = PIO_FACTORS) -> ExperimentResult:
-    return merge_pio(cfg, [pio_point(cfg, factor) for factor in factors])
-
-
 def cpu_point(cfg: CostModel, mhz: float) -> dict:
     """One CPU-frequency point: inter- and intra-node 0-byte latency."""
     varied = cfg.replace(cpu_mhz=mhz)
@@ -184,17 +128,19 @@ def merge_cpu_frequency(cfg: CostModel, rows: list) -> ExperimentResult:
     return result
 
 
-def run_cpu_frequency(cfg: CostModel = DAWNING_3000,
-                      mhz: Sequence[float] = CPU_MHZ) -> ExperimentResult:
-    return merge_cpu_frequency(cfg, [cpu_point(cfg, clock)
-                                     for clock in mhz])
-
-
 def nic_tlb_latency(cfg: CostModel, architecture: str,
                     n_buffers: int) -> float:
-    """One NIC-TLB point: rotating 4 KB sends with an 8-entry TLB."""
+    """One NIC-TLB point: 4 KB sends rotating over ``n_buffers``
+    buffers with an 8-entry TLB; the first, cold round is warm-up.
+
+    User-level translation collapses when the buffer working set
+    exceeds the NIC TLB; BCL's kernel table does not (the paper's
+    large-memory argument).
+    """
     tiny_tlb = cfg.replace(nic_tlb_entries=8)
-    return _rotating_send_latency(tiny_tlb, architecture, n_buffers, 4096)
+    cluster = Cluster(n_nodes=2, cfg=tiny_tlb, architecture=architecture)
+    return measure_one_way(cluster, 4096, repeats=2 * n_buffers,
+                           warmup=n_buffers, buffers=n_buffers).latency_us
 
 
 def merge_nic_tlb(cfg: CostModel, latencies: list) -> ExperimentResult:
@@ -209,14 +155,6 @@ def merge_nic_tlb(cfg: CostModel, latencies: list) -> ExperimentResult:
         result.add(architecture=architecture,
                    working_set_buffers=n_buffers, latency_us=latency)
     return result
-
-
-def run_nic_tlb(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
-    """User-level translation collapses when the buffer working set
-    exceeds the NIC TLB; BCL's kernel table does not (the paper's
-    large-memory argument)."""
-    return merge_nic_tlb(cfg, [nic_tlb_latency(cfg, arch, n)
-                               for arch, n in NIC_TLB_POINTS])
 
 
 def shm_point(cfg: CostModel, chunk: int) -> dict:
@@ -239,11 +177,6 @@ def merge_shm_chunk(cfg: CostModel, rows: list) -> ExperimentResult:
     for row in rows:
         result.add(**row)
     return result
-
-
-def run_shm_chunk(cfg: CostModel = DAWNING_3000,
-                  chunks: Sequence[int] = SHM_CHUNKS) -> ExperimentResult:
-    return merge_shm_chunk(cfg, [shm_point(cfg, chunk) for chunk in chunks])
 
 
 def reliability_point(cfg: CostModel, reliable: bool) -> dict:
@@ -271,14 +204,14 @@ def merge_reliability(cfg: CostModel, rows: list) -> ExperimentResult:
     return result
 
 
-def run_reliability(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
-    return merge_reliability(cfg, [reliability_point(cfg, reliable)
-                                   for _, reliable in RELIABILITY_CONFIGS])
-
-
 def nack_transfer_us(cfg: CostModel, nack: bool) -> float:
     """End-to-end 20 KB transfer time with DATA seq 1's first wire copy
-    dropped (a scripted plan: it draws no randomness)."""
+    dropped (a scripted plan: it draws no randomness).
+
+    One mid-message packet of the 5-packet transfer is lost; ``nack``
+    switches the receiver's NACK signalling (an extension beyond the
+    paper, using the NACK type its packet format reserves) on or off.
+    """
     varied = cfg.replace(retransmit_timeout_us=5000.0, nack_enabled=nack)
     cluster = Cluster(n_nodes=2, cfg=varied,
                       fault_plan=FaultPlan(drop_seqs=(1,)))
@@ -295,21 +228,3 @@ def merge_nack(cfg: CostModel, times: list) -> ExperimentResult:
     for (label, _), transfer_us in zip(NACK_CONFIGS, times):
         result.add(config=label, transfer_us=transfer_us)
     return result
-
-
-def run_nack(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
-    """Loss-recovery latency: NACK fast retransmit vs timeout-only.
-
-    One mid-message packet of a 5-packet transfer is dropped; the table
-    reports the end-to-end transfer time with and without the
-    receiver's NACK signalling (an extension beyond the paper, using
-    the NACK type its packet format reserves).
-    """
-    return merge_nack(cfg, [nack_transfer_us(cfg, nack)
-                            for _, nack in NACK_CONFIGS])
-
-
-def run_all(cfg: CostModel = DAWNING_3000) -> list[ExperimentResult]:
-    return [run_pindown(cfg), run_pio(cfg), run_cpu_frequency(cfg),
-            run_nic_tlb(cfg), run_shm_chunk(cfg), run_reliability(cfg),
-            run_nack(cfg)]

@@ -8,10 +8,10 @@ half-bandwidth point called out.
 
 Each sweep point is an independent *cell* (fresh cluster, one size, one
 path) so the parallel runner can fan the sweep out across worker
-processes; :func:`run_fig8`/:func:`run_fig9` are the serial
-compositions of the same cells, guaranteeing byte-identical output
-either way.  Figures 8 and 9 share cells — the runner computes each
-(size, path) point once and merges it into both figures.
+processes, with output byte-identical to a serial run.  Figures 8 and
+9 share cells — the runner computes each (size, path) point once and
+merges it into both figures (``fig8``/``fig9`` in
+:data:`repro.experiments.runner.EXPERIMENTS`).
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from repro.cluster import Cluster
-from repro.config import DAWNING_3000, CostModel
+from repro.config import CostModel
 from repro.experiments.common import PAPER, ExperimentResult
 from repro.instrument.measure import measure_one_way
 
-__all__ = ["run_fig8", "run_fig9", "measure_point", "merge_fig8",
-           "merge_fig9", "DEFAULT_SIZES"]
+__all__ = ["measure_point", "merge_fig8", "merge_fig9", "DEFAULT_SIZES"]
 
 DEFAULT_SIZES = (0, 4, 64, 256, 1024, 4096, 16384, 65536, 131072)
 
@@ -86,18 +85,3 @@ def merge_fig9(cfg: CostModel, payloads: Sequence[dict]) -> ExperimentResult:
                      f"({peak / cfg.wire_mb_s:.0%} of wire); "
                      f"half-bandwidth first reached at {half_at} bytes.")
     return result
-
-
-def _points(sizes: Sequence[int], cfg: CostModel) -> list[dict]:
-    return ([measure_point(cfg, n, False) for n in sizes]
-            + [measure_point(cfg, n, True) for n in sizes])
-
-
-def run_fig8(sizes: Sequence[int] = DEFAULT_SIZES,
-             cfg: CostModel = DAWNING_3000) -> ExperimentResult:
-    return merge_fig8(cfg, _points(sizes, cfg))
-
-
-def run_fig9(sizes: Sequence[int] = DEFAULT_SIZES,
-             cfg: CostModel = DAWNING_3000) -> ExperimentResult:
-    return merge_fig9(cfg, _points(sizes, cfg))

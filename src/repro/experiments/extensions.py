@@ -21,12 +21,12 @@ from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
 from repro.experiments.common import ExperimentResult
 from repro.firmware.packet import ChannelKind
-from repro.instrument.measure import measure_intra_node, measure_one_way
-from repro.sim import Store
+from repro.instrument.measure import measure_one_way
 from repro.sim.time import ns_to_us
 
 __all__ = ["run_smp_scaling", "run_bidirectional", "run_topologies",
-           "run_all"]
+           "run_send_window", "run_dnet", "run_collective_scaling",
+           "run_allreduce_algorithms"]
 
 
 def _concurrent_intra_pairs(cfg: CostModel, n_pairs: int,
@@ -286,9 +286,3 @@ def run_allreduce_algorithms(cfg: CostModel = DAWNING_3000
                    winner="tree" if times["tree"] < times["ring"]
                    else "ring")
     return result
-
-
-def run_all(cfg: CostModel = DAWNING_3000) -> list[ExperimentResult]:
-    return [run_smp_scaling(cfg), run_bidirectional(cfg),
-            run_topologies(cfg), run_send_window(cfg), run_dnet(cfg),
-            run_collective_scaling(cfg), run_allreduce_algorithms(cfg)]

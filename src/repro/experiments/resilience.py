@@ -29,14 +29,14 @@ import os
 from typing import Any, Sequence
 
 from repro.cluster import Cluster
-from repro.config import DAWNING_3000, LOSSY_DAWNING, CostModel
+from repro.config import LOSSY_DAWNING, CostModel
 from repro.experiments.common import ExperimentResult
 from repro.faults import FaultPlan
 from repro.instrument.measure import measure_one_way
 from repro.instrument.recovery import RecoveryTracker, recovery_summary
 from repro.instrument.stats import bandwidth_mb_s
 
-__all__ = ["run", "measure_resilience_point", "merge_resilience",
+__all__ = ["measure_resilience_point", "merge_resilience",
            "loss_rates_pct", "message_sizes", "CAMPAIGN_SEED",
            "DEFAULT_LOSS_PCTS", "DEFAULT_SIZES"]
 
@@ -147,12 +147,3 @@ def merge_resilience(cfg: CostModel,
     if degraded:
         result.notes += "\nGoodput retained: " + "; ".join(degraded) + "."
     return result
-
-
-def run(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
-    """Serial composition of the sweep (same cells as the runner)."""
-    payloads = [measure_resilience_point(cfg, loss, nbytes, intra)
-                for intra in (False, True)
-                for loss in loss_rates_pct()
-                for nbytes in message_sizes()]
-    return merge_resilience(cfg, payloads)

@@ -1,8 +1,10 @@
 """Run the full evaluation: every table, figure and ablation.
 
-``python -m repro.experiments.runner`` regenerates the paper's
-evaluation section and prints paper-vs-measured for each entry (the
-source of EXPERIMENTS.md's numbers).
+:data:`EXPERIMENTS` is the one definition of every experiment, and
+``python -m repro evaluate`` (:func:`run_all`) the one way to run it:
+it regenerates the paper's evaluation section and prints
+paper-vs-measured for each entry (the source of EXPERIMENTS.md's
+numbers).  A single experiment is ``run_all(only=[name])[0]``.
 
 The evaluation is decomposed into *cells* — independent simulations of
 one configuration each (a sweep point of Figures 8/9, one ablation
@@ -23,8 +25,6 @@ points) are computed once per invocation.
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -32,12 +32,12 @@ from repro.baselines.models import table2_presets
 from repro.config import DAWNING_3000, CostModel
 from repro.experiments import ablations, curves, extensions, overheads, \
     resilience, scale, serve, table1, table2, table3, timelines
-from repro.experiments.cache import RunCache, default_cache_dir
+from repro.experiments.cache import RunCache
 from repro.experiments.common import ExperimentResult, result_from_payload, \
     result_to_payload
 from repro.telemetry.ledger import fold_stage_rows
 
-__all__ = ["run_all", "run_cell", "plan", "main", "Cell", "Experiment",
+__all__ = ["run_all", "run_cell", "plan", "Cell", "Experiment",
            "EXPERIMENTS"]
 
 
@@ -305,7 +305,7 @@ def run_all(cfg: CostModel = DAWNING_3000, include_ablations: bool = True,
     order is fixed, so the result list (and its formatting) is
     identical to a serial run.  ``cache`` (a :class:`RunCache`) reuses
     payloads across invocations; ``only`` restricts the run to the
-    named experiments (see ``--list`` for the names).
+    named experiments (``repro evaluate --list`` prints the names).
 
     ``ledger_sink`` (a dict, mutated in place) collects the raw
     material for a ``repro-run/1`` ledger from every cell payload that
@@ -338,55 +338,3 @@ def run_all(cfg: CostModel = DAWNING_3000, include_ablations: bool = True,
                 ledger_sink["events"] += int(events)
     return [experiment.merge(cfg, [payloads[cell] for cell in cells])
             for experiment, cells in zip(selected, cell_lists)]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.runner",
-        description="Regenerate the paper's evaluation "
-                    "(tables, figures, ablations, extensions).")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan experiment cells out over N worker "
-                             "processes (output is byte-identical to "
-                             "a serial run)")
-    parser.add_argument("--no-ablations", action="store_true",
-                        help="skip the ablation studies")
-    parser.add_argument("--no-extensions", action="store_true",
-                        help="skip the beyond-the-paper extensions")
-    parser.add_argument("--only", action="append", metavar="NAME",
-                        help="run only the named experiment "
-                             "(repeatable; see --list)")
-    parser.add_argument("--list", action="store_true",
-                        help="list experiment names and exit")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every cell, ignoring the run cache")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="run-cache directory (default: "
-                             f"$REPRO_CACHE_DIR or {default_cache_dir()})")
-    return parser
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
-    if args.list:
-        for experiment in EXPERIMENTS:
-            print(f"{experiment.name:28s} {experiment.group}")
-        return 0
-    cache = None
-    if not args.no_cache:
-        cache = RunCache(args.cache_dir)
-    try:
-        results = run_all(include_ablations=not args.no_ablations,
-                          include_extensions=not args.no_extensions,
-                          jobs=args.jobs, cache=cache, only=args.only)
-    except ValueError as exc:
-        parser.error(str(exc))
-    for result in results:
-        print(result.format())
-        print()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

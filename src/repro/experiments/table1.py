@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from repro.baselines import library_for
 from repro.cluster import Cluster
-from repro.config import DAWNING_3000, CostModel
+from repro.config import CostModel
 from repro.experiments.common import ExperimentResult
 from repro.firmware.packet import ChannelKind
 from repro.sim import Store
 
-__all__ = ["run", "count_architecture", "merge_counts"]
+__all__ = ["count_architecture", "merge_counts"]
 
 #: message size used for the counted crossing
 MESSAGE_BYTES = 64
@@ -116,8 +116,3 @@ def merge_counts(cfg: CostModel, counts: list[dict]) -> ExperimentResult:
                    paper_trappings=p_traps, paper_interrupts=p_irqs,
                    paper_nic_access=p_nic)
     return result
-
-
-def run(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
-    return merge_counts(cfg, [count_architecture(cfg, arch)
-                              for arch, *_ in _ARCHITECTURES])

@@ -16,11 +16,11 @@ qualitative claims this table must reproduce:
 from __future__ import annotations
 
 from repro.baselines.models import ProtocolPreset, table2_presets
-from repro.config import DAWNING_3000, CostModel
+from repro.config import CostModel
 from repro.experiments.common import ExperimentResult
 from repro.instrument.measure import measure_one_way
 
-__all__ = ["run", "measure_protocol", "merge_protocols"]
+__all__ = ["measure_protocol", "merge_protocols"]
 
 BANDWIDTH_BYTES = 131072
 
@@ -79,7 +79,3 @@ def merge_protocols(cfg: CostModel, rows: list[dict]) -> ExperimentResult:
     for preset, row in zip(table2_presets(cfg), rows):
         result.add(protocol=preset.name, notes=preset.notes, **row)
     return result
-
-
-def run(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
-    return merge_protocols(cfg, [_measure(p) for p in table2_presets(cfg)])

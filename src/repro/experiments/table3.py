@@ -14,7 +14,7 @@ from repro.instrument.measure import measure_intra_node, measure_one_way
 from repro.sim.time import ns_to_us
 from repro.upper.job import run_spmd
 
-__all__ = ["run", "measure_layer", "merge_layers",
+__all__ = ["measure_layer", "merge_layers",
            "layer_pingpong_half_rtt_us", "layer_bandwidth_mb_s"]
 
 BANDWIDTH_BYTES = 262144
@@ -116,8 +116,3 @@ def merge_layers(cfg: CostModel, rows: list[dict]) -> ExperimentResult:
         result.add(layer=label, **row, paper_latency=paper_lat,
                    paper_bandwidth=paper_bw)
     return result
-
-
-def run(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
-    return merge_layers(cfg, [measure_layer(cfg, layer)
-                              for layer in LAYERS])

@@ -91,10 +91,6 @@ class Packet:
         if self.ptype in SEQUENCED_TYPES and not self.crc:
             self.crc = compute_crc(self.payload)
 
-    @property
-    def wire_payload_bytes(self) -> int:
-        return len(self.payload)
-
     def wire_bytes(self, header_bytes: int) -> int:
         return header_bytes + len(self.payload) + len(self.route)
 

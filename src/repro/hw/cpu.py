@@ -58,7 +58,3 @@ class Cpu:
                               self.name, message_id)
         finally:
             resource.release(req)
-
-    @property
-    def utilisation_ns(self) -> int:
-        return self.busy_ns

@@ -27,7 +27,6 @@ class PathCounters:
     nic_accesses_from_user: int = 0
     nic_accesses_from_kernel: int = 0
     data_copies: int = 0          # host-CPU payload copies (not DMA)
-    dma_transfers: int = 0
     pio_words: int = 0
     syscalls_by_name: dict[str, int] = field(default_factory=dict)
 
@@ -52,9 +51,6 @@ class PathCounters:
     def record_copy(self) -> None:
         self.data_copies += 1
 
-    def record_dma(self) -> None:
-        self.dma_transfers += 1
-
     def register_into(self, registry, **labels) -> None:
         """Expose these counters as callback-backed registry instruments.
 
@@ -68,7 +64,6 @@ class PathCounters:
             "repro_traps_recv_path_total": lambda: self.traps_recv_path,
             "repro_interrupts_total": lambda: self.interrupts,
             "repro_data_copies_total": lambda: self.data_copies,
-            "repro_dma_transfers_total": lambda: self.dma_transfers,
             "repro_pio_words_total": lambda: self.pio_words,
         }
         for name, fn in series.items():
@@ -83,17 +78,6 @@ class PathCounters:
             lambda: self.nic_accesses_from_kernel,
             kind="counter", space="kernel", **labels)
 
-    @property
-    def nic_access_location(self) -> str:
-        """Where the NIC was touched on the observed path."""
-        if self.nic_accesses_from_kernel and self.nic_accesses_from_user:
-            return "kernel+user"
-        if self.nic_accesses_from_kernel:
-            return "kernel"
-        if self.nic_accesses_from_user:
-            return "user"
-        return "none"
-
     def snapshot(self) -> "PathCounters":
         return PathCounters(
             traps=self.traps,
@@ -103,7 +87,6 @@ class PathCounters:
             nic_accesses_from_user=self.nic_accesses_from_user,
             nic_accesses_from_kernel=self.nic_accesses_from_kernel,
             data_copies=self.data_copies,
-            dma_transfers=self.dma_transfers,
             pio_words=self.pio_words,
             syscalls_by_name=dict(self.syscalls_by_name),
         )
@@ -120,7 +103,6 @@ class PathCounters:
             nic_accesses_from_kernel=(self.nic_accesses_from_kernel
                                       - before.nic_accesses_from_kernel),
             data_copies=self.data_copies - before.data_copies,
-            dma_transfers=self.dma_transfers - before.dma_transfers,
             pio_words=self.pio_words - before.pio_words,
             syscalls_by_name={
                 k: v - before.syscalls_by_name.get(k, 0)

@@ -61,7 +61,8 @@ def measure_one_way(cluster, nbytes: int, repeats: int = 5,
                     channel_kind: ChannelKind = ChannelKind.NORMAL,
                     sender_node: int = 0,
                     receiver_node: Optional[int] = None,
-                    verify_payload: bool = True) -> LatencySample:
+                    verify_payload: bool = True,
+                    buffers: int = 1) -> LatencySample:
     """One-way latency of a ``nbytes`` message, sender start to
     receiver completion, over the requested channel kind.
 
@@ -69,6 +70,11 @@ def measure_one_way(cluster, nbytes: int, repeats: int = 5,
     (the intra-node path).  A route the cluster's library cannot carry
     (on ``kernel_level``: intra-node, or a system channel) raises
     ``ValueError`` before anything is simulated.
+
+    The sender allocates ``buffers`` distinct buffers and sends message
+    ``i`` from buffer ``i % buffers``: a working set larger than a
+    translation cache (the kernel pin-down table, the NIC TLB) misses
+    on every send, where one buffer stays warm.
     """
     library = library_for(cluster.architecture)
     if receiver_node is None:
@@ -111,9 +117,12 @@ def measure_one_way(cluster, nbytes: int, repeats: int = 5,
         kind, address = yield posted.get()
         assert kind == "addr"
         dest = address.with_channel(channel_kind, 0)
-        buf = proc.alloc(max(nbytes, 1))
+        # map(), not a comprehension: the harness's own host calls stay
+        # those of the one-buffer loop (test_call_budget.py)
+        bufs = list(map(proc.alloc, [max(nbytes, 1)] * buffers))
         for i in range(total):
             yield posted.get()                    # buffer is posted
+            buf = bufs[i % buffers]
             proc.write(buf, _pattern(nbytes, i))  # prep, unmeasured
             start_times.append(env.now)
             yield from port.send(dest, buf, nbytes)

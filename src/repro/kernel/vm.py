@@ -10,8 +10,6 @@ the NIC.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.hw.memory import FrameAllocator
 from repro.kernel.errors import VmFault
 
@@ -166,6 +164,3 @@ class AddressSpace:
     @property
     def pinned_pages(self) -> int:
         return len(self._pin_counts)
-
-    def iter_regions(self) -> Iterator[tuple[int, int]]:
-        return iter(self._regions.items())

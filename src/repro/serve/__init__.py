@@ -13,12 +13,12 @@ from repro.serve.pool import STOP, RequestQueue, WorkerPool
 from repro.serve.rpc import (HEADER_BYTES, K_REQUEST, K_STOP, R_OK, R_SHED,
                              RequestHeader, pack_header, unpack_header)
 from repro.serve.switch import FrontSwitch
-from repro.serve.tier import ServeReport, percentile_nearest_rank, run_serve
+from repro.serve.tier import ServeReport, run_serve
 
 __all__ = [
     "ARRIVALS", "POLICIES", "SERVICE_DISTS",
     "AdmissionWindow", "FrontSwitch", "RequestQueue", "STOP", "WorkerPool",
-    "ServeConfig", "ServeReport", "run_serve", "percentile_nearest_rank",
+    "ServeConfig", "ServeReport", "run_serve",
     "HEADER_BYTES", "K_REQUEST", "K_STOP", "R_OK", "R_SHED",
     "RequestHeader", "pack_header", "unpack_header",
 ]

@@ -30,13 +30,13 @@ records, and the EADI credit machinery bounding undrained arrivals.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.cluster import Cluster
 from repro.config import DAWNING_3000, CostModel
+from repro.instrument.stats import nearest_rank
 from repro.serve.admission import AdmissionWindow
 from repro.serve.config import ServeConfig
 from repro.serve.pool import WorkerPool
@@ -49,15 +49,7 @@ from repro.upper.eadi import ANY_SOURCE, ANY_TAG
 from repro.upper.job import run_spmd
 from repro.workloads.serve import schedules
 
-__all__ = ["ServeReport", "run_serve", "percentile_nearest_rank"]
-
-
-def percentile_nearest_rank(sorted_values: list, p: float):
-    """Exact nearest-rank percentile of an ascending list."""
-    if not sorted_values:
-        return None
-    rank = max(1, math.ceil(p / 100.0 * len(sorted_values)))
-    return sorted_values[rank - 1]
+__all__ = ["ServeReport", "run_serve"]
 
 
 @dataclass
@@ -354,9 +346,9 @@ def run_serve(scfg: ServeConfig, rho: float,
         shed_server=shed_server_n["n"],
         shed_client=shed_client,
         goodput_rps=(ok / (span_ns / 1e9)) if span_ns else 0.0,
-        p50_us=percentile_nearest_rank(lat_us, 50),
-        p99_us=percentile_nearest_rank(lat_us, 99),
-        p999_us=percentile_nearest_rank(lat_us, 99.9),
+        p50_us=nearest_rank(lat_us, 50),
+        p99_us=nearest_rank(lat_us, 99),
+        p999_us=nearest_rank(lat_us, 99.9),
         admission_parks=sum(w.parks for w in windows),
         peak_in_flight=max((w.peak_in_flight for w in windows), default=0),
         peak_parked=max((w.peak_parked for w in windows), default=0),

@@ -28,9 +28,10 @@ run.
 from __future__ import annotations
 
 import json
-import math
 import re
 from typing import Any, Callable, Iterable, Optional
+
+from repro.instrument.stats import nearest_rank
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -169,20 +170,21 @@ class Histogram(Instrument):
         """Exact nearest-rank quantile; 0.0 on an empty histogram."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
-        if not self.values:
-            return 0.0
-        if self._sorted is None:
-            self._sorted = sorted(self.values)
-        # nearest-rank: smallest value with cumulative share >= q
-        rank = math.ceil(q * len(self._sorted))
-        return self._sorted[max(rank, 1) - 1]
+        return self._nearest_rank(q, 1)
 
     def percentile(self, p: float) -> float:
         """Exact nearest-rank percentile for ``p`` in [0, 100];
         0.0 on an empty histogram."""
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile {p} outside [0, 100]")
-        return self.quantile(p / 100.0)
+        return self._nearest_rank(p, 100)
+
+    def _nearest_rank(self, p: float, scale: int) -> float:
+        if not self.values:
+            return 0.0
+        if self._sorted is None:
+            self._sorted = sorted(self.values)
+        return nearest_rank(self._sorted, p, scale)
 
     @property
     def p50(self) -> float:

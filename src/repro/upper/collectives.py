@@ -4,9 +4,10 @@ BCL itself "supports point to point message passing.  All other
 collective message passing should be implemented in the higher level
 software" (paper section 4) — this module is that higher level.  The
 algorithms are the classical ones (binomial trees, dissemination
-barrier, ring allgather, pairwise alltoall), written against the small
-endpoint interface both MPI and PVM expose (``_send``/``_recv`` on raw
-byte buffers plus scratch allocation).
+barrier, ring allgather, pairwise alltoall), written against the
+EADI-2 endpoint both MPI and PVM carry (``self.eadi``: ``send``/
+``isend``/``recv``/``wait`` on raw byte buffers), with staging buffers
+from :meth:`Collectives.scratch`.
 
 numpy is imported inside the array collectives (reduce, allreduce,
 scan, reduce_scatter), never at module level: a run of barriers,
@@ -62,10 +63,10 @@ _TAG_SPAN = _EPOCH_STRIDE * _EPOCH_SLOTS
 class Collectives:
     """Mixin implementing collectives over endpoint point-to-point ops.
 
-    Host classes must provide: ``rank``, ``size``,
-    ``scratch(nbytes, slot=0)`` (an allocated staging vaddr; distinct
-    slots never alias), ``_send``/``_isend``/``_recv``/``_wait`` on raw
-    byte buffers, and ``proc`` (the user process, for buffer access).
+    Host classes must provide: ``rank``, ``size``, ``eadi`` (the
+    :class:`~repro.upper.eadi.EadiEndpoint` the messages go through),
+    ``proc`` (the user process, for buffer access) and an empty
+    ``_scratch`` dict for :meth:`scratch`.
 
     Every collective draws a fresh *epoch tag* per call (``tag=None``,
     the default): back-to-back collectives on the same endpoint use
@@ -84,6 +85,17 @@ class Collectives:
     collectives_policy: str = "host"
     nic_group = None          # CollGroup of this endpoint's node
     nic_coll = None           # NicCollectives engine of the node's MCP
+
+    def scratch(self, nbytes: int, slot: int = 0) -> int:
+        """A reusable staging buffer, keyed by size bucket and slot.
+
+        Distinct slots guarantee two live buffers never alias (e.g. a
+        collective's internal staging vs its caller-visible buffer).
+        """
+        key = (1 << max(nbytes - 1, 1).bit_length(), slot)
+        if key not in self._scratch:
+            self._scratch[key] = self.proc.alloc(key[0])
+        return self._scratch[key]
 
     def _coll_stride(self) -> int:
         """Tag distance between epochs, derived from the communicator.
@@ -159,8 +171,8 @@ class Collectives:
         while distance < n:
             dst = (self.rank + distance) % n
             src = (self.rank - distance) % n
-            yield from self._send(dst, buf, 0, tag + round_no)
-            yield from self._recv(src, tag + round_no, buf, 1)
+            yield from self.eadi.send(dst, buf, 0, tag + round_no)
+            yield from self.eadi.recv(src, tag + round_no, buf, 1)
             distance *= 2
             round_no += 1
 
@@ -184,7 +196,7 @@ class Collectives:
         # Receive from parent (clear lowest set bit).
         if relative != 0:
             parent = (root + (relative & (relative - 1))) % n
-            yield from self._recv(parent, tag, vaddr, nbytes)
+            yield from self.eadi.recv(parent, tag, vaddr, nbytes)
         # Forward to children.
         mask = 1
         while mask < n:
@@ -192,7 +204,7 @@ class Collectives:
                     and relative + mask < n:
                 if relative & mask == 0:
                     child = (root + relative + mask) % n
-                    yield from self._send(child, vaddr, nbytes, tag)
+                    yield from self.eadi.send(child, vaddr, nbytes, tag)
             mask <<= 1
 
     # ---------------------------------------------------------------- reduce
@@ -215,12 +227,12 @@ class Collectives:
             if relative & mask:
                 parent = (root + (relative & ~mask)) % n
                 self.proc.write(buf, acc.tobytes())
-                yield from self._send(parent, buf, nbytes, tag)
+                yield from self.eadi.send(parent, buf, nbytes, tag)
                 return None
             peer_rel = relative | mask
             if peer_rel < n:
                 peer = (root + peer_rel) % n
-                yield from self._recv(peer, tag, buf, nbytes)
+                yield from self.eadi.recv(peer, tag, buf, nbytes)
                 incoming = np.frombuffer(
                     self.proc.read(buf, nbytes), dtype=acc.dtype
                 ).reshape(acc.shape)
@@ -300,10 +312,10 @@ class Collectives:
             send_idx = (self.rank - step) % n
             recv_idx = (self.rank - step - 1) % n
             self.proc.write(send_buf, blocks[send_idx].tobytes())
-            op_handle = yield from self._isend(right, send_buf, nbytes,
+            op_handle = yield from self.eadi.isend(right, send_buf, nbytes,
                                                tag + step)
-            yield from self._recv(left, tag + step, recv_buf, nbytes)
-            yield from self._wait(op_handle)
+            yield from self.eadi.recv(left, tag + step, recv_buf, nbytes)
+            yield from self.eadi.wait(op_handle)
             incoming = np.frombuffer(self.proc.read(recv_buf, nbytes),
                                      dtype=flat.dtype)
             blocks[recv_idx] = REDUCE_OPS[op](blocks[recv_idx], incoming)
@@ -312,10 +324,10 @@ class Collectives:
             send_idx = (self.rank - step + 1) % n
             recv_idx = (self.rank - step) % n
             self.proc.write(send_buf, blocks[send_idx].tobytes())
-            op_handle = yield from self._isend(right, send_buf, nbytes,
+            op_handle = yield from self.eadi.isend(right, send_buf, nbytes,
                                                tag + 64 + step)
-            yield from self._recv(left, tag + 64 + step, recv_buf, nbytes)
-            yield from self._wait(op_handle)
+            yield from self.eadi.recv(left, tag + 64 + step, recv_buf, nbytes)
+            yield from self.eadi.wait(op_handle)
             blocks[recv_idx] = np.frombuffer(
                 self.proc.read(recv_buf, nbytes), dtype=flat.dtype).copy()
         result = np.concatenate(blocks)
@@ -340,13 +352,13 @@ class Collectives:
         nbytes = acc.nbytes
         buf = self.scratch(max(nbytes, 1), slot=1)
         if self.rank > 0:
-            yield from self._recv(self.rank - 1, tag, buf, nbytes)
+            yield from self.eadi.recv(self.rank - 1, tag, buf, nbytes)
             incoming = np.frombuffer(self.proc.read(buf, nbytes),
                                      dtype=acc.dtype).reshape(acc.shape)
             acc = REDUCE_OPS[op](incoming, acc)
         if self.rank + 1 < self.size:
             self.proc.write(buf, acc.tobytes())
-            yield from self._send(self.rank + 1, buf, nbytes, tag)
+            yield from self.eadi.send(self.rank + 1, buf, nbytes, tag)
         return acc
 
     # --------------------------------------------------------- reduce_scatter
@@ -392,10 +404,10 @@ class Collectives:
                 if rank == root:
                     blocks.append(self.proc.read(vaddr, nbytes))
                 else:
-                    yield from self._recv(rank, tag + rank, buf, nbytes)
+                    yield from self.eadi.recv(rank, tag + rank, buf, nbytes)
                     blocks.append(self.proc.read(buf, nbytes))
             return blocks
-        yield from self._send(root, vaddr, nbytes, tag + self.rank)
+        yield from self.eadi.send(root, vaddr, nbytes, tag + self.rank)
         return None
 
     def scatter(self, blocks, vaddr: int, nbytes: int, root: int = 0,
@@ -412,9 +424,9 @@ class Collectives:
                     self.proc.write(vaddr, block)
                 else:
                     self.proc.write(buf, block)
-                    yield from self._send(rank, buf, nbytes, tag + rank)
+                    yield from self.eadi.send(rank, buf, nbytes, tag + rank)
             return
-        yield from self._recv(root, tag + self.rank, vaddr, nbytes)
+        yield from self.eadi.recv(root, tag + self.rank, vaddr, nbytes)
 
     # -------------------------------------------------------------- allgather
     def allgather(self, vaddr: int, nbytes: int,
@@ -437,9 +449,10 @@ class Collectives:
         carried = blocks[self.rank]
         for step in range(n - 1):
             self.proc.write(send_buf, carried)
-            op = yield from self._isend(right, send_buf, nbytes, tag + step)
-            yield from self._recv(left, tag + step, recv_buf, nbytes)
-            yield from self._wait(op)
+            op = yield from self.eadi.isend(right, send_buf, nbytes,
+                                            tag + step)
+            yield from self.eadi.recv(left, tag + step, recv_buf, nbytes)
+            yield from self.eadi.wait(op)
             carried = self.proc.read(recv_buf, nbytes)
             blocks[(self.rank - step - 1) % n] = carried
         return [blocks[r] for r in range(n)]
@@ -462,8 +475,8 @@ class Collectives:
             dst = (self.rank + step) % n
             src = (self.rank - step) % n
             self.proc.write(send_buf, blocks[dst])
-            op = yield from self._isend(dst, send_buf, nbytes, tag + step)
-            yield from self._recv(src, tag + step, recv_buf, nbytes)
-            yield from self._wait(op)
+            op = yield from self.eadi.isend(dst, send_buf, nbytes, tag + step)
+            yield from self.eadi.recv(src, tag + step, recv_buf, nbytes)
+            yield from self.eadi.wait(op)
             out[src] = self.proc.read(recv_buf, nbytes)
         return out

@@ -13,12 +13,12 @@ the calibration knobs behind the paper's Table 3 MPI row.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.bcl.address import BclAddress
 from repro.bcl.api import BclPort
 from repro.upper.collectives import Collectives
-from repro.upper.eadi import ANY_SOURCE, ANY_TAG, EadiEndpoint, RecvStatus
+from repro.upper.eadi import ANY_SOURCE, ANY_TAG, EadiEndpoint
 
 if TYPE_CHECKING:  # annotation-only: the *_array helpers import numpy
     import numpy as np
@@ -50,17 +50,6 @@ class MpiEndpoint(Collectives):
     # ----------------------------------------------------------- buffers
     def alloc(self, nbytes: int) -> int:
         return self.proc.alloc(nbytes)
-
-    def scratch(self, nbytes: int, slot: int = 0) -> int:
-        """A reusable staging buffer, keyed by size bucket and slot.
-
-        Distinct slots guarantee two live buffers never alias (e.g. a
-        collective's internal staging vs its caller-visible buffer).
-        """
-        key = (1 << max(nbytes - 1, 1).bit_length(), slot)
-        if key not in self._scratch:
-            self._scratch[key] = self.proc.alloc(key[0])
-        return self._scratch[key]
 
     # ---------------------------------------------------- point to point
     def send(self, dst_rank: int, vaddr: int, nbytes: int,
@@ -102,22 +91,6 @@ class MpiEndpoint(Collectives):
                                       recv_capacity)
         yield from self.wait(op)
         return status
-
-    # -------------------------------- hooks used by the Collectives mixin
-    def _send(self, dst: int, vaddr: int, nbytes: int,
-              tag: int) -> Generator:
-        return self.send(dst, vaddr, nbytes, tag)
-
-    def _isend(self, dst: int, vaddr: int, nbytes: int,
-               tag: int) -> Generator:
-        return self.isend(dst, vaddr, nbytes, tag)
-
-    def _recv(self, src: int, tag: int, vaddr: int,
-              capacity: int) -> Generator:
-        return self.recv(src, tag, vaddr, capacity)
-
-    def _wait(self, op) -> Generator:
-        return self.wait(op)
 
     # ------------------------------------------------------------ teardown
     def close(self) -> None:

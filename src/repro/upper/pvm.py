@@ -14,7 +14,7 @@ to a task, and ``recv``/``upk_*`` retrieve it.
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.bcl.address import BclAddress
 from repro.bcl.api import BclPort
@@ -144,26 +144,3 @@ class PvmTask(Collectives):
         nbytes = int(np.dtype(dtype).itemsize * int(np.prod(shape)))
         data = yield from self._take(nbytes)
         return np.frombuffer(data, dtype=dtype).reshape(shape)
-
-    # ---------------------------------------------------------- collectives
-    def scratch(self, nbytes: int, slot: int = 0) -> int:
-        """Reusable staging buffer keyed by (size bucket, slot)."""
-        key = (1 << max(nbytes - 1, 1).bit_length(), slot)
-        if key not in self._scratch:
-            self._scratch[key] = self.proc.alloc(key[0])
-        return self._scratch[key]
-
-    def _send(self, dst: int, vaddr: int, nbytes: int,
-              tag: int) -> Generator:
-        return self.eadi.send(dst, vaddr, nbytes, tag)
-
-    def _isend(self, dst: int, vaddr: int, nbytes: int,
-               tag: int) -> Generator:
-        return self.eadi.isend(dst, vaddr, nbytes, tag)
-
-    def _recv(self, src: int, tag: int, vaddr: int,
-              capacity: int) -> Generator:
-        return self.eadi.recv(src, tag, vaddr, capacity)
-
-    def _wait(self, op) -> Generator:
-        return self.eadi.wait(op)

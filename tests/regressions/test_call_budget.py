@@ -50,7 +50,7 @@ BUDGET_PYTHON = (3, 11)
 BUDGETS = {
     "bcl_one_way_0B": (14192, 6541, 2496),
     "bcl_one_way_128KiB": (192961, 77355, 36438),
-    "host_barrier_16": (459043, 244851, 82179),
+    "host_barrier_16": (458531, 244339, 82179),
 }
 
 

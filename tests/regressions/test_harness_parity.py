@@ -9,7 +9,11 @@ cluster's architecture, and a one-node cluster means intra-node; all of
 these must reproduce byte for byte:
 
 * ``.format()`` of Tables 1-3, the Section 5 overheads and the
-  pin-down, NIC-TLB, NACK, CPU-frequency and shm-chunk ablations;
+  pin-down, NIC-TLB, NACK, CPU-frequency and shm-chunk ablations, now
+  computed through ``run_all(only=[name])``, the runner path
+  ``repro evaluate`` takes (the pin-down and NIC-TLB ablations no
+  longer rotate buffers in a ping-pong of their own, but through
+  ``measure_one_way(..., buffers=n)``);
 * ``curves.measure_point`` at 0, 4096 and 131072 B, intra and inter;
 * one lossy inter-node ``measure_resilience_point``;
 * the stdout of ``repro latency --architecture user_level``,
@@ -20,6 +24,10 @@ BCL port calls.  Its pins were recorded through its old socket harness
 before the fold: the stdout of ``repro latency --architecture
 kernel_level`` at 0 and 10000 B, and the per-message samples at 0, 4096,
 10000 and 65536 B.
+
+The PIO and reliability ablations and Figures 8 and 9 had no pin of
+their own; theirs were recorded through the runner before the serial
+``run*()`` copies of every experiment were deleted.
 """
 
 from __future__ import annotations
@@ -32,8 +40,8 @@ import pytest
 from repro import cli
 from repro.cluster import Cluster
 from repro.config import DAWNING_3000
-from repro.experiments import ablations, curves, overheads, resilience
-from repro.experiments import table1, table2, table3
+from repro.experiments import curves, resilience
+from repro.experiments.runner import run_all
 from repro.instrument.measure import measure_one_way
 
 
@@ -41,17 +49,8 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-EXPERIMENTS = {
-    "table1": table1.run,
-    "table2": table2.run,
-    "table3": table3.run,
-    "overheads": overheads.run,
-    "abl-pindown": ablations.run_pindown,
-    "abl-nic-tlb": ablations.run_nic_tlb,
-    "abl-nack": ablations.run_nack,
-    "abl-cpu-frequency": ablations.run_cpu_frequency,
-    "abl-shm-chunk": ablations.run_shm_chunk,
-}
+#: digest key -> runner experiment name, where the two differ
+RUNNER_NAMES = {"abl-cpu-frequency": "abl-cpu"}
 
 EXPERIMENT_DIGESTS = {
     "abl-cpu-frequency":
@@ -62,8 +61,16 @@ EXPERIMENT_DIGESTS = {
         "6d5c21f8774d41685e738d4a1912811a85944162a32e57edc31e53f029fa267a",
     "abl-pindown":
         "3e6d478225bc96ba75c911528eba4e2040c295a9bd9832177d884469524149dd",
+    "abl-pio":
+        "3b98302e0b03ed05291a1cc289ad191bc15c61c3a2c30c7dde762725c99782f4",
+    "abl-reliability":
+        "a14c97e3a9df9c2bd3ffd68a26a7aba5c39eed2d197cfa0b9c315adad3d2f9c6",
     "abl-shm-chunk":
         "8808d89de903cf882bbb7403c9e28cd71bdc78a2b7697e7d87376129f4470454",
+    "fig8":
+        "b4d96748e546a209a14e0b0aee5e99bdcac988efe4981fc4fbb682503f57301d",
+    "fig9":
+        "5a6937fa4fa81765c41c24284035d65a6b7c82032a0c10747b4c044d05947218",
     "overheads":
         "3a8e62b33abde52575c68a0a7db65ee9629a53d176a99ac514532503a11a4cdb",
     "table1":
@@ -75,9 +82,10 @@ EXPERIMENT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_DIGESTS))
 def test_experiment_digest(name):
-    assert _sha(EXPERIMENTS[name]().format()) == EXPERIMENT_DIGESTS[name]
+    result, = run_all(only=[RUNNER_NAMES.get(name, name)])
+    assert _sha(result.format()) == EXPERIMENT_DIGESTS[name]
 
 
 POINT_DIGESTS = {

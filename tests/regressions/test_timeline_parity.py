@@ -8,8 +8,9 @@ figures now read :meth:`SpanBuilder.records_for` and the observe export
 is the tracer exporter with ``flows``; both must reproduce byte for
 byte:
 
-* ``run_fig5()``, ``run_fig6()``, ``run_fig7()`` and ``overheads.run()``
-  as ``.format()``, and ``repro timeline`` stdout;
+* Figures 5-7 and the overheads as ``.format()`` (computed through
+  ``run_all(only=[name])``, as ``repro evaluate`` runs them), and
+  ``repro timeline`` stdout;
 * the flow events (``ph`` ``s``/``f``) of ``repro observe --spans-out``
   for four ping-pongs, keyed by row name rather than tid, with message
   ids renumbered by first appearance (they are process-global).
@@ -24,8 +25,7 @@ import re
 import pytest
 
 from repro import cli
-from repro.experiments import overheads
-from repro.experiments.timelines import run_fig5, run_fig6, run_fig7
+from repro.experiments.runner import run_all
 
 
 def _sha(text: str) -> str:
@@ -43,13 +43,10 @@ FIGURE_DIGESTS = {
         "3a8e62b33abde52575c68a0a7db65ee9629a53d176a99ac514532503a11a4cdb",
 }
 
-FIGURES = {"fig5": run_fig5, "fig6": run_fig6, "fig7": run_fig7,
-           "overheads": overheads.run}
-
-
-@pytest.mark.parametrize("name", sorted(FIGURES))
+@pytest.mark.parametrize("name", sorted(FIGURE_DIGESTS))
 def test_figure_digest(name):
-    assert _sha(FIGURES[name]().format()) == FIGURE_DIGESTS[name]
+    result, = run_all(only=[name])
+    assert _sha(result.format()) == FIGURE_DIGESTS[name]
 
 
 def test_timeline_command_digest(capsys):

@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+from repro.instrument.stats import nearest_rank
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 
 
@@ -76,3 +77,18 @@ def test_percentile_matches_quantile():
     assert h.percentile(50) == h.quantile(0.5) == 5.0
     assert h.percentile(0) == 1.0
     assert h.percentile(100) == 9.0
+
+
+def test_nearest_rank_is_exact_at_p999():
+    """99.9 / 100 is 0.9990000000000001 in floats, which once put p99.9
+    of 1000 values at rank 1000 (the maximum); the rank is exact."""
+    values = list(range(1, 1001))
+    assert nearest_rank(values, 99.9) == 999
+    assert nearest_rank(values, 99) == 990
+    assert nearest_rank(values, 0.999, scale=1) == 999
+    assert nearest_rank([], 50) is None
+    h = Histogram("h", "", ())
+    for v in reversed(values):
+        h.observe(v)
+    assert h.percentile(99.9) == h.quantile(0.999) == 999
+    assert h.percentile(99) == h.quantile(0.99) == 990

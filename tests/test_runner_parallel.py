@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import ablations, runner, table1
+from repro import cli
+from repro.experiments import runner
 from repro.experiments.cache import RunCache
 
 #: cheap experiments (sub-second each) used for end-to-end parity runs
@@ -43,19 +44,20 @@ def test_jobs_rows_identical_to_serial(jobs, subset):
     assert formatted(parallel) == serial_formatted(only)
 
 
-def test_run_all_matches_direct_experiment_calls():
-    """The cell/merge decomposition reproduces the run_* entry points."""
-    results = runner.run_all(only=["table1", "abl-pio"])
-    assert formatted(results) == (table1.run().format(),
-                                  ablations.run_pio().format())
-
-
 def test_cli_jobs_output_byte_identical(capsys):
-    args = ["--no-cache", "--only", "table1", "--only", "abl-nack"]
-    assert runner.main(args) == 0
+    args = ["evaluate", "--no-cache", "--only", "table1", "--only",
+            "abl-nack"]
+    assert cli.main(args) == 0
     serial_out = capsys.readouterr().out
-    assert runner.main(args + ["--jobs", "2"]) == 0
+    assert cli.main(args + ["--jobs", "2"]) == 0
     assert capsys.readouterr().out == serial_out
+
+
+def test_cli_lists_every_experiment(capsys):
+    assert cli.main(["evaluate", "--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == \
+        [[e.name, e.group] for e in runner.EXPERIMENTS]
 
 
 # ------------------------------------------------------------------- cells

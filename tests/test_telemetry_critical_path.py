@@ -151,6 +151,23 @@ def test_latency_histogram_matches_extents(zero_byte_run):
     assert measured_ns <= set(hist.values)
 
 
+def test_kernel_level_traps_land_on_their_message():
+    """The ``sendto`` trap entry and the ``recvfrom`` trap exit lie on a
+    kernel-level message's critical path: its stages sum to the whole
+    27.696 us sample, with 2.62 us of trap and 5.50 us of wait left (the
+    receive interrupt's work, which carries no message id)."""
+    cluster = Cluster(n_nodes=2, architecture="kernel_level",
+                      observers=enabled() | {"telemetry"})
+    sample = measure_one_way(cluster, 0, repeats=1, warmup=2)
+    assert sample.samples_us == [27.696]
+    session = cluster.telemetry
+    report = session.critical_path(session.message_ids()[-1])
+    assert report.total_ns == 27696
+    assert {s.stage: s.ns for s in report.stages} == {
+        "trap": 2620, "check": 6000, "SRQ fill": 3600, "mcp": 6470,
+        "wire": 3506, "wait": 5500}
+
+
 # --------------------------------------------------- anomalies, end to end
 def test_lossy_run_flags_recovery_anomalies():
     cluster = Cluster(n_nodes=2, observers=enabled() | {"telemetry"},
