@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import PAPER, measure_architecture_latency
+from repro.cluster import Cluster
+from repro.experiments.common import PAPER
 from repro.experiments.runner import run_all
+from repro.instrument.measure import measure_one_way
 
 from benchmarks.conftest import run_once
 
@@ -30,9 +32,10 @@ def test_fig7_one_way_timeline(benchmark):
 
 def test_fig7_semi_user_extra_vs_user_level(benchmark):
     def measure():
-        bcl = measure_architecture_latency("semi_user", 0)
-        ul = measure_architecture_latency("user_level", 0)
-        return bcl, ul
+        return tuple(
+            measure_one_way(Cluster(n_nodes=2, architecture=a), 0,
+                            repeats=3, warmup=2).latency_us
+            for a in ("semi_user", "user_level"))
 
     bcl, ul = run_once(benchmark, measure)
     extra = bcl - ul

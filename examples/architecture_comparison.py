@@ -14,8 +14,15 @@ Usage::
     python examples/architecture_comparison.py
 """
 
-from repro.experiments.common import measure_architecture_latency
+from repro.cluster import Cluster
 from repro.experiments.runner import run_all
+from repro.instrument.measure import measure_one_way
+
+
+def one_way_us(architecture: str) -> float:
+    """0-byte one-way latency on a 2-node cluster of ``architecture``."""
+    return measure_one_way(Cluster(n_nodes=2, architecture=architecture),
+                           0, repeats=3, warmup=2).latency_us
 
 
 def main() -> None:
@@ -25,9 +32,9 @@ def main() -> None:
     print(table1.format())
 
     print("\nmeasuring 0-byte one-way latency per architecture...")
-    kernel = measure_architecture_latency("kernel_level", 0)
-    user = measure_architecture_latency("user_level", 0)
-    semi = measure_architecture_latency("semi_user", 0)
+    kernel = one_way_us("kernel_level")
+    user = one_way_us("user_level")
+    semi = one_way_us("semi_user")
     print(f"  kernel-level     : {kernel:6.2f} us   (traps both sides, "
           "interrupts, 2 copies)")
     print(f"  user-level       : {user:6.2f} us   (no kernel anywhere; "

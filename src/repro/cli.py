@@ -2,14 +2,17 @@
 
 Commands:
 
-* ``evaluate``   — regenerate the paper's tables/figures (+ ablations)
-* ``latency``    — one-way latency for a message size and architecture
-* ``bandwidth``  — bandwidth sweep over message sizes
-* ``timeline``   — the 0-byte stage timeline (Figure 7 view)
-* ``trace``      — run a traced message and dump a chrome://tracing JSON
-* ``report``     — run a short workload and print the cluster report
-* ``faults``     — run a fault-injected transfer and print the recovery
-  summary (optionally dumping a trace with the fault markers)
+* ``evaluate``   — regenerate the paper's tables/figures (+ ablations);
+  ``--only fig7`` prints the 0-byte stage timeline
+* ``observe``    — the point-to-point command: a telemetry-enabled
+  ping-pong of any ``--architecture``, inter- or intra-node.  Every run
+  prints its bytes / latency / MB/s row; several ``--bytes`` sizes give
+  the bandwidth sweep.  One run also prints the latency percentiles,
+  the per-stage critical-path breakdown (Figure 7 per message) and, on
+  request, the top-K slowest messages, per-message drill-downs, the
+  cluster utilisation report (``--report``), a metrics dump and a
+  chrome://tracing export (``--spans-out``).  ``--drop`` runs under a
+  seeded fault plan and prints the go-back-N recovery summary
 * ``audit``      — run clean and faulted transfers with the runtime
   invariant auditor attached and print the checker summary
   (``--selftest`` proves each checker fires on a seeded violation)
@@ -17,13 +20,11 @@ Commands:
   workloads run under shuffled tie-break seeds and checked by
   differential delivery oracles (``--shrink`` minimizes failures to
   ready-to-commit regression tests)
-* ``observe``    — run a telemetry-enabled ping-pong and print the
-  message-lifecycle view: latency percentiles, the per-stage
-  critical-path breakdown (Figure 7 per message), the top-K slowest
-  messages, per-message drill-downs and a metrics dump
 * ``scale``      — host vs NIC collectives (and congestion scenarios)
   on a chosen fabric at a chosen rank count: one scale-sweep point,
   with the critical-path stage table
+* ``serve``      — serving-tier offered-load sweep: tail latency,
+  goodput and shed counts through saturation
 * ``diff``       — regression attribution between two run ledgers (or
   BENCH_*.json perf artifacts): ranked per-stage and per-metric delta
   tables naming the stage whose share grew
@@ -32,7 +33,7 @@ Commands:
 
 Run artifacts: ``evaluate``, ``observe``, ``scale`` and ``serve`` all
 take ``--ledger-out FILE`` to write a self-describing ``repro-run/1``
-ledger for later ``repro diff``.  ``faults``, ``fuzz`` and ``serve``
+ledger for later ``repro diff``.  ``observe``, ``fuzz`` and ``serve``
 take ``--recorder`` to ride the crash flight recorder along
 (``REPRO_OBSERVERS=recorder`` does the same globally).
 """
@@ -40,6 +41,7 @@ take ``--recorder`` to ride the crash flight recorder along
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -78,49 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--ledger-out", metavar="FILE", default=None,
                     help="write a repro-run/1 ledger (stage table, "
                          "events, provenance) for later `repro diff`")
-
-    lat = sub.add_parser("latency", help="one-way latency measurement")
-    lat.add_argument("--bytes", type=int, default=0)
-    lat.add_argument("--architecture", default="semi_user",
-                     choices=["semi_user", "user_level", "kernel_level"])
-    lat.add_argument("--intra-node", action="store_true")
-    lat.add_argument("--repeats", type=int, default=3)
-
-    bw = sub.add_parser("bandwidth", help="bandwidth sweep")
-    bw.add_argument("--sizes", type=int, nargs="+",
-                    default=[1024, 4096, 16384, 65536, 131072])
-    bw.add_argument("--intra-node", action="store_true")
-
-    sub.add_parser("timeline", help="0-byte stage timeline (Figure 7)")
-
-    tr = sub.add_parser("trace", help="dump a chrome://tracing JSON")
-    tr.add_argument("--output", default="bcl_trace.json")
-    tr.add_argument("--bytes", type=int, default=4096)
-    tr.add_argument("--message-id", type=int, default=None, metavar="N",
-                    help="export only the records tagged with message N "
-                         "(negative N indexes this run's messages from "
-                         "the end, -1 = last)")
-
-    rp = sub.add_parser("report", help="cluster utilisation report")
-    rp.add_argument("--bytes", type=int, default=65536)
-    rp.add_argument("--messages", type=int, default=8)
-
-    fl = sub.add_parser("faults",
-                        help="fault-injected transfer + recovery summary")
-    fl.add_argument("--bytes", type=int, default=65536)
-    fl.add_argument("--messages", type=int, default=8)
-    fl.add_argument("--seed", type=int, default=1)
-    fl.add_argument("--drop", type=float, default=0.05, metavar="RATE",
-                    help="per-packet drop probability (default 0.05)")
-    fl.add_argument("--corrupt", type=float, default=0.0, metavar="RATE")
-    fl.add_argument("--duplicate", type=float, default=0.0, metavar="RATE")
-    fl.add_argument("--reorder", type=float, default=0.0, metavar="RATE")
-    fl.add_argument("--trace-output", metavar="FILE", default=None,
-                    help="also dump a chrome://tracing JSON with the "
-                         "injected faults as instant markers")
-    fl.add_argument("--recorder", action="store_true",
-                    help="ride the crash flight recorder along; a "
-                         "failed run dumps postmortem-*.json")
 
     au = sub.add_parser("audit",
                         help="run audited transfers (clean + faulted) and "
@@ -162,32 +121,47 @@ def build_parser() -> argparse.ArgumentParser:
                          "oracle failure dumps postmortem-*.json")
 
     ob = sub.add_parser("observe",
-                        help="telemetry-enabled ping-pong: latency "
-                             "percentiles, per-stage critical paths, "
-                             "slowest messages, metrics dump")
-    ob.add_argument("--bytes", type=int, default=0,
-                    help="payload size (default 0, the Figure 7 case)")
-    ob.add_argument("--messages", type=int, default=4)
+                        help="the point-to-point ping-pong: latency and "
+                             "bandwidth of any architecture, percentiles, "
+                             "per-stage critical paths, fault recovery, "
+                             "traces and reports")
+    ob.add_argument("--architecture", default="semi_user",
+                    choices=["semi_user", "user_level", "kernel_level"])
+    ob.add_argument("--bytes", type=int, nargs="+", default=[0],
+                    metavar="N",
+                    help="payload size (default 0, the Figure 7 case); "
+                         "several sizes print only the bandwidth table, "
+                         "one fresh cluster per size")
+    ob.add_argument("--messages", type=int, default=4,
+                    help="measured messages after one warm-up (default 4)")
     ob.add_argument("--intra-node", action="store_true")
     ob.add_argument("--drop", type=float, default=0.0, metavar="RATE",
-                    help="per-packet drop probability, to observe "
-                         "go-back-N recovery anomalies (default 0)")
+                    help="per-packet drop probability; prints the fault "
+                         "plan and the go-back-N recovery summary "
+                         "(default 0)")
     ob.add_argument("--seed", type=int, default=1,
                     help="fault-plan seed when --drop is set")
     ob.add_argument("--top", type=int, default=0, metavar="K",
                     help="also list the K slowest messages")
     ob.add_argument("--message-id", type=int, default=None, metavar="N",
                     help="drill into message N: per-stage breakdown "
-                         "plus the causal span tree (negative N indexes "
-                         "this run's messages from the end, -1 = last)")
+                         "plus the causal span tree, and narrow "
+                         "--spans-out to it (negative N indexes this "
+                         "run's messages from the end, -1 = last)")
+    ob.add_argument("--report", action="store_true",
+                    help="also print the cluster utilisation report")
     ob.add_argument("--metrics", choices=["prom", "json"], default=None,
                     help="also dump the metrics registry")
     ob.add_argument("--spans-out", metavar="FILE", default=None,
                     help="write the run's chrome://tracing JSON with "
-                         "flow arrows along each message's span tree")
+                         "flow arrows along each message's span tree "
+                         "(injected faults appear as instant markers)")
     ob.add_argument("--ledger-out", metavar="FILE", default=None,
                     help="write a repro-run/1 ledger of this run for "
                          "later `repro diff`")
+    ob.add_argument("--recorder", action="store_true",
+                    help="ride the crash flight recorder along; a "
+                         "failed run dumps postmortem-*.json")
 
     sc = sub.add_parser("scale",
                         help="one scale-sweep point: host vs NIC "
@@ -279,6 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _globally(*names: str):
+    """Add observer ``names`` to the global set for the block, then take
+    out only those that were not on before it (an in-process caller's
+    own set survives)."""
+    added = set(names) - repro.cluster.enabled()
+    repro.cluster.enable(*names)
+    try:
+        yield
+    finally:
+        repro.cluster.disable(*added)
+
+
 def _cmd_evaluate(args) -> int:
     from repro.experiments.cache import RunCache
     from repro.experiments.runner import EXPERIMENTS, run_all
@@ -286,18 +273,17 @@ def _cmd_evaluate(args) -> int:
         for experiment in EXPERIMENTS:
             print(f"{experiment.name:28s} {experiment.group}")
         return 0
-    if args.audit:
-        # Global switch, exported via REPRO_OBSERVERS so --jobs N worker
-        # processes inherit it.  The auditor is a pure observer, so
-        # audited results (and cache entries) are byte-identical.
-        repro.cluster.enable("audit")
     cache = None if args.no_cache else RunCache(args.cache_dir)
     sink = {} if args.ledger_out else None
+    # --audit is the global switch, exported via REPRO_OBSERVERS so
+    # --jobs N worker processes inherit it.  The auditor is a pure
+    # observer, so audited results (and cache entries) are identical.
     try:
-        results = run_all(include_ablations=not args.no_ablations,
-                          include_extensions=not args.no_extensions,
-                          jobs=args.jobs, cache=cache, only=args.only,
-                          ledger_sink=sink)
+        with _globally(*(["audit"] if args.audit else [])):
+            results = run_all(include_ablations=not args.no_ablations,
+                              include_extensions=not args.no_extensions,
+                              jobs=args.jobs, cache=cache, only=args.only,
+                              ledger_sink=sink)
     except ValueError as exc:
         print(f"repro evaluate: error: {exc}", file=sys.stderr)
         return 2
@@ -314,124 +300,6 @@ def _cmd_evaluate(args) -> int:
                    "experiments": [r.experiment_id for r in results]})
         write_ledger(args.ledger_out, doc)
         print(f"wrote run ledger to {args.ledger_out}")
-    return 0
-
-
-def _cmd_latency(args) -> int:
-    from repro.experiments.common import measure_architecture_latency
-    from repro.instrument.measure import measure_one_way
-
-    if args.intra_node:
-        cluster = Cluster(n_nodes=1, architecture=args.architecture)
-        try:
-            value = measure_one_way(cluster, args.bytes,
-                                    repeats=args.repeats).latency_us
-        except ValueError as exc:   # kernel_level has no intra-node path
-            print(f"repro latency: error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        value = measure_architecture_latency(args.architecture, args.bytes,
-                                             repeats=args.repeats)
-    where = "intra-node" if args.intra_node else args.architecture
-    print(f"{args.bytes}-byte one-way latency ({where}): {value:.2f} us")
-    return 0
-
-
-def _cmd_bandwidth(args) -> int:
-    from repro.instrument.measure import measure_one_way
-    print(f"{'bytes':>9}  {'latency us':>11}  {'MB/s':>8}")
-    for nbytes in args.sizes:
-        sample = measure_one_way(Cluster(n_nodes=1 if args.intra_node else 2),
-                                 nbytes, repeats=2, warmup=1)
-        print(f"{nbytes:>9}  {sample.latency_us:>11.2f}  "
-              f"{sample.bandwidth_mb_s:>8.1f}")
-    return 0
-
-
-def _cmd_timeline(_args) -> int:
-    from repro.experiments.timelines import run_fig7
-    print(run_fig7().format())
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    from repro.instrument.measure import measure_one_way
-    from repro.telemetry.spans import write_chrome_trace
-    cluster = Cluster(n_nodes=2, trace=True)
-    measure_one_way(cluster, args.bytes, repeats=1, warmup=1)
-    message_id = args.message_id
-    if message_id is not None:
-        mids = sorted({r.message_id for r in cluster.tracer.records
-                       if r.message_id is not None})
-        if message_id < 0 and -message_id <= len(mids):
-            message_id = mids[message_id]
-        if message_id not in mids:
-            print(f"repro trace: error: no traced message "
-                  f"{args.message_id} (have {mids})", file=sys.stderr)
-            return 2
-    count = write_chrome_trace(cluster.tracer, args.output,
-                               message_id=message_id)
-    scope = "" if message_id is None else f" for message {message_id}"
-    print(f"wrote {count} trace events{scope} to {args.output} "
-          "(open in chrome://tracing or Perfetto)")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    from repro.instrument.measure import measure_one_way
-    from repro.instrument.report import cluster_report
-    cluster = Cluster(n_nodes=2)
-    measure_one_way(cluster, args.bytes, repeats=args.messages, warmup=1)
-    print(cluster_report(cluster).format())
-    return 0
-
-
-def _with_recorder(args) -> frozenset[str]:
-    """The global observer set, plus the flight recorder on
-    ``--recorder``."""
-    observers = repro.cluster.enabled()
-    return observers | {"recorder"} if args.recorder else observers
-
-
-def _cmd_faults(args) -> int:
-    from repro.config import LOSSY_DAWNING
-    from repro.faults import FaultPlan
-    from repro.instrument.measure import measure_one_way
-    from repro.instrument.recovery import RecoveryTracker, recovery_summary
-
-    plan = FaultPlan(seed=args.seed, drop_rate=args.drop,
-                     corrupt_rate=args.corrupt,
-                     duplicate_rate=args.duplicate,
-                     reorder_rate=args.reorder)
-    cluster = Cluster(n_nodes=2, cfg=LOSSY_DAWNING, fault_plan=plan,
-                      trace=(args.trace_output is not None
-                             or args.recorder or None),
-                      observers=_with_recorder(args))
-    tracker = RecoveryTracker(cluster)
-    try:
-        sample = measure_one_way(cluster, args.bytes,
-                                 repeats=args.messages, warmup=1)
-    except BaseException as exc:
-        from repro.telemetry.recorder import dump_on_failure
-        path = dump_on_failure(f"faults: {type(exc).__name__}",
-                               env=cluster.env, exc=exc, note=str(exc))
-        if path:
-            print(f"repro faults: postmortem written to {path}",
-                  file=sys.stderr)
-        raise
-    print(f"plan: {plan.describe()}")
-    print(f"{args.bytes}-byte one-way latency under faults: "
-          f"{sample.latency_us:.2f} us "
-          f"({sample.bandwidth_mb_s:.1f} MB/s goodput), payloads "
-          f"{'intact' if sample.received_payloads_ok else 'CORRUPTED'}")
-    for key, value in recovery_summary(cluster, tracker).items():
-        shown = f"{value:.2f}" if isinstance(value, float) else value
-        print(f"  {key:24s} {shown}")
-    if args.trace_output is not None:
-        from repro.telemetry.spans import write_chrome_trace
-        count = write_chrome_trace(cluster.tracer, args.trace_output)
-        print(f"wrote {count} trace events to {args.trace_output} "
-              "(faults appear as instant markers)")
     return 0
 
 
@@ -511,8 +379,7 @@ def _audit_selftest() -> int:
         assert endpoints
         cluster.auditor.check_quiesce()
 
-    repro.cluster.enable("audit")
-    try:
+    with _globally("audit"):
         print("auditor selftest (each case must raise AuditError):")
         expect("sim/past-event", past_event)
         expect("sim/orphaned-waiter", orphaned_waiter)
@@ -520,8 +387,6 @@ def _audit_selftest() -> int:
         expect("kernel/pin-leak", pin_leak)
         expect("bcl/credit-overflow", credit_overflow)
         expect("bcl/waiter-teardown", waiter_survives_teardown)
-    finally:
-        repro.cluster.disable("audit")
     if failures:
         print(f"selftest FAILED: {', '.join(failures)}", file=sys.stderr)
         return 1
@@ -534,8 +399,7 @@ def _cmd_audit(args) -> int:
     from repro.faults import FaultPlan
     from repro.instrument.measure import measure_one_way
 
-    repro.cluster.enable("audit")
-    try:
+    with _globally("audit"):
         for label, kwargs in (
                 ("clean", {}),
                 ("faulted", {"cfg": LOSSY_DAWNING,
@@ -552,16 +416,12 @@ def _cmd_audit(args) -> int:
             for key, value in report.items():
                 print(f"  {key:20s} {value}")
         print("audit: zero violations")
-    finally:
-        repro.cluster.disable("audit")
     if args.selftest:
         return _audit_selftest()
     return 0
 
 
 def _cmd_fuzz(args) -> int:
-    import os
-
     from repro.fuzz import emit_regression_test, run_campaign
 
     def progress(index, spec, failure):
@@ -574,18 +434,13 @@ def _cmd_fuzz(args) -> int:
     print(f"fuzz: seed={args.seed} runs={args.runs} "
           f"schedules={args.schedules} max-ops={args.max_ops}"
           f"{' (fault-free)' if args.no_faults else ''}")
-    if args.recorder:
-        repro.cluster.enable("recorder")
-    try:
+    with _globally(*(["recorder"] if args.recorder else [])):
         result = run_campaign(args.seed, args.runs,
                               n_schedules=args.schedules,
                               max_ops=args.max_ops,
                               allow_faults=not args.no_faults,
                               shrink=args.shrink,
                               progress=progress)
-    finally:
-        if args.recorder:
-            repro.cluster.disable("recorder")
     mix = ", ".join(f"{layer} x{count}"
                     for layer, count in sorted(result.by_layer.items()))
     print(f"fuzz: {result.checked} workloads checked ({mix}) under "
@@ -620,38 +475,80 @@ def _cmd_observe(args) -> int:
         render_top,
         run_ping_pong,
     )
-    from repro.telemetry.spans import write_chrome_trace
 
-    cluster, _sample = run_ping_pong(nbytes=args.bytes,
-                                     messages=args.messages,
-                                     intra_node=args.intra_node,
-                                     drop=args.drop, seed=args.seed)
+    # The views describe one run; a list of sizes prints only the
+    # bandwidth table.
+    views = {"--top": args.top, "--message-id": args.message_id is not None,
+             "--report": args.report, "--metrics": args.metrics,
+             "--spans-out": args.spans_out, "--ledger-out": args.ledger_out}
+    chosen = [flag for flag, on in views.items() if on]
+    if len(args.bytes) > 1 and chosen:
+        print(f"repro observe: error: {', '.join(chosen)} describe one "
+              f"run; pass one --bytes size, not {len(args.bytes)}",
+              file=sys.stderr)
+        return 2
+    try:
+        runs = [run_ping_pong(nbytes=nbytes, messages=args.messages,
+                              intra_node=args.intra_node, drop=args.drop,
+                              seed=args.seed,
+                              architecture=args.architecture,
+                              recorder=args.recorder)
+                for nbytes in args.bytes]
+    except ValueError as exc:   # a route the architecture cannot carry
+        print(f"repro observe: error: {exc}", file=sys.stderr)
+        return 2
+    cluster, sample, recovery = runs[0]
     session = cluster.telemetry
-    print(render_summary(session, args.bytes))
-    if args.top:
-        print()
-        print(render_top(session, args.top))
-    if args.message_id is not None:
+    mid = args.message_id
+    if mid is not None:
         mids = session.message_ids()
-        mid = args.message_id
-        if mid < 0:                     # index this run's messages
-            if -mid <= len(mids):
-                mid = mids[mid]
+        if mid < 0 and -mid <= len(mids):   # index this run's messages
+            mid = mids[mid]
         if mid not in mids:
             print(f"repro observe: error: no traced message "
                   f"{args.message_id} (have {mids})", file=sys.stderr)
             return 2
+    print(f"{'bytes':>9}  {'latency us':>11}  {'MB/s':>8}")
+    for run in runs:
+        print(f"{run.sample.nbytes:>9}  {run.sample.latency_us:>11.2f}  "
+              f"{run.sample.bandwidth_mb_s:>8.1f}")
+    if len(runs) > 1:
+        return 0
+    if recovery is not None:
+        print(f"plan: {cluster.fault_plan.describe()}")
+        print(f"payloads "
+              f"{'intact' if sample.received_payloads_ok else 'CORRUPTED'}")
+        for key, value in recovery.items():
+            shown = f"{value:.2f}" if isinstance(value, float) else value
+            print(f"  {key:24s} {shown}")
+    print()
+    print(render_summary(session, sample.nbytes))
+    if args.top:
+        print()
+        print(render_top(session, args.top))
+    if mid is not None:
         print()
         print(render_drilldown(session, mid))
+    if args.report:
+        from repro.instrument.report import cluster_report
+        print()
+        print(cluster_report(cluster).format())
     if args.spans_out is not None:
+        from repro.telemetry.spans import write_chrome_trace
+        flows = (session.span_trees() if mid is None
+                 else [session.span_tree(mid)])
         count = write_chrome_trace(cluster.tracer, args.spans_out,
-                                   flows=session.span_trees())
-        print(f"\nwrote {count} span events to {args.spans_out} "
+                                   message_id=mid, flows=flows)
+        scope = "" if mid is None else f" for message {mid}"
+        print(f"\nwrote {count} span events{scope} to {args.spans_out} "
               "(flow arrows link the lifecycle hops)")
     if args.ledger_out is not None:
         from repro.telemetry.ledger import write_ledger
-        write_ledger(args.ledger_out,
-                     session.to_ledger("observe", seed=args.seed))
+        write_ledger(args.ledger_out, session.to_ledger(
+            "observe", seed=args.seed,
+            extra={"architecture": args.architecture,
+                   "nbytes": sample.nbytes, "messages": args.messages,
+                   "intra_node": args.intra_node}))
         print(f"wrote run ledger to {args.ledger_out}")
     if args.metrics == "prom":
         print()
@@ -748,7 +645,9 @@ def _cmd_serve(args) -> int:
     print(header)
     print("-" * len(header))
     session = None
-    observers = _with_recorder(args)
+    observers = repro.cluster.enabled()
+    if args.recorder:
+        observers |= {"recorder"}
     if args.metrics or args.ledger_out:
         observers |= {"telemetry"}
     for rho in loads:
@@ -829,12 +728,6 @@ def _cmd_postmortem(args) -> int:
 
 _COMMANDS = {
     "evaluate": _cmd_evaluate,
-    "latency": _cmd_latency,
-    "bandwidth": _cmd_bandwidth,
-    "timeline": _cmd_timeline,
-    "trace": _cmd_trace,
-    "report": _cmd_report,
-    "faults": _cmd_faults,
     "audit": _cmd_audit,
     "fuzz": _cmd_fuzz,
     "observe": _cmd_observe,

@@ -1,21 +1,16 @@
-"""Shared experiment machinery: paper reference values, the one-way
-latency of any architecture, and result formatting."""
+"""Shared experiment machinery: paper reference values and result
+formatting."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.cluster import Cluster
-from repro.config import DAWNING_3000, CostModel
-from repro.instrument.measure import measure_one_way
-
 __all__ = [
     "PAPER",
     "ExperimentResult",
     "result_to_payload",
     "result_from_payload",
-    "measure_architecture_latency",
     "format_table",
 ]
 
@@ -117,13 +112,3 @@ def format_table(columns: list[str], rows: list[dict[str, Any]]) -> str:
     lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths))
               for row in table]
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------- measurers
-def measure_architecture_latency(architecture: str, nbytes: int = 0,
-                                 cfg: CostModel = DAWNING_3000,
-                                 repeats: int = 3, warmup: int = 2) -> float:
-    """One-way latency (us) on a 2-node cluster of ``architecture``
-    (semi_user, user_level or kernel_level)."""
-    cluster = Cluster(n_nodes=2, cfg=cfg, architecture=architecture)
-    return measure_one_way(cluster, nbytes, repeats, warmup).latency_us

@@ -4,11 +4,7 @@ extra, and its vanishing bandwidth impact at 128 KB."""
 from __future__ import annotations
 
 from repro.config import DAWNING_3000, CostModel
-from repro.experiments.common import (
-    PAPER,
-    ExperimentResult,
-    measure_architecture_latency,
-)
+from repro.experiments.common import PAPER, ExperimentResult
 from repro.experiments.timelines import (
     RECV_HOST_STAGES,
     SEND_HOST_STAGES,
@@ -44,7 +40,9 @@ def run(cfg: CostModel = DAWNING_3000) -> ExperimentResult:
     result.add(metric="NIC reliable-protocol time (us)",
                measured=reliability, paper=PAPER["reliability_nic_us"])
 
-    ul = measure_architecture_latency("user_level", 0, cfg)
+    ul = measure_one_way(
+        Cluster(n_nodes=2, cfg=cfg, architecture="user_level"), 0,
+        repeats=3, warmup=2).latency_us
     extra = one_way - ul
     result.add(metric="semi-user extra vs user-level (us)", measured=extra,
                paper=PAPER["semi_user_extra_us"])

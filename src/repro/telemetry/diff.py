@@ -186,12 +186,11 @@ class RunDiff:
 
     def render(self, top: int = 10) -> str:
         """Multi-line ranked delta table (CLI output)."""
-        lines = [f"run A: {self.a.label}  [{self.a.kind}"
-                 + (f", digest {self.a.config_digest}" if
-                    self.a.config_digest else "") + "]",
-                 f"run B: {self.b.label}  [{self.b.kind}"
-                 + (f", digest {self.b.config_digest}" if
-                    self.b.config_digest else "") + "]"]
+        lines = [f"run {name}: {run.label}  [{run.kind}"
+                 + (f", {run.architecture}" if run.architecture else "")
+                 + (f", digest {run.config_digest}" if run.config_digest
+                    else "") + "]"
+                 for name, run in (("A", self.a), ("B", self.b))]
         if not self.comparable:
             lines.append("warning: config digests differ — deltas "
                          "reflect deliberate reconfiguration, not drift")

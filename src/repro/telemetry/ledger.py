@@ -143,7 +143,8 @@ class RunView:
     ``stages`` is canonical stage -> total simulated ns; ``metrics``
     is a flat scalar map (histogram percentiles flattened to
     ``name.p99``-style keys; BENCH results flattened to
-    ``result/field`` keys).
+    ``result/field`` keys).  ``architecture`` is set when the ledger
+    recorded one.
     """
 
     path: str
@@ -151,6 +152,7 @@ class RunView:
     kind: str
     meta: dict = field(default_factory=dict)
     config_digest: Optional[str] = None
+    architecture: Optional[str] = None
     events: Optional[int] = None
     stages: dict[str, int] = field(default_factory=dict)
     metrics: dict[str, float] = field(default_factory=dict)
@@ -177,6 +179,8 @@ def _view_from_ledger(doc: dict, path: str) -> RunView:
                    kind=doc.get("kind", "run"),
                    meta=doc.get("meta", {}),
                    config_digest=doc.get("config_digest"),
+                   architecture=(doc.get("extra") or {}).get(
+                       "architecture"),
                    events=doc.get("events_processed"),
                    stages={stage: int(ns)
                            for stage, ns in doc.get("stages", [])})

@@ -1,6 +1,7 @@
 """The ``repro observe`` workload runner and report renderer.
 
-Runs a telemetry-enabled ping-pong on a fresh cluster and renders the
+Runs a telemetry-enabled ping-pong on a fresh cluster of any
+architecture (optionally under a seeded fault plan) and renders the
 operator's view of it: a latency summary (exact p50/p95/p99 from the
 metrics registry), the aggregate per-stage critical-path breakdown
 (the per-message Figure 7), the top-K slowest messages with their
@@ -9,37 +10,79 @@ bounding stage and anomaly flags, and per-message drill-downs.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.sim.time import ns_to_us
 from repro.telemetry.critical_path import FIGURE7_STAGES, CriticalPathReport
 from repro.telemetry.session import TelemetrySession
 
-__all__ = ["run_ping_pong", "render_summary", "render_top",
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster import Cluster
+    from repro.instrument.measure import LatencySample
+
+__all__ = ["PingPong", "run_ping_pong", "render_summary", "render_top",
            "render_drilldown"]
+
+
+class PingPong(NamedTuple):
+    """One observed ping-pong.  The telemetry session is
+    ``cluster.telemetry``; ``recovery`` is the go-back-N recovery
+    summary of a faulted run (``None`` without ``drop``)."""
+
+    cluster: "Cluster"
+    sample: "LatencySample"
+    recovery: Optional[dict]
 
 
 def run_ping_pong(nbytes: int = 0, messages: int = 4,
                   intra_node: bool = False, drop: float = 0.0,
-                  seed: int = 1):
-    """A telemetry-enabled 2-node (or intra-node) ping-pong.
+                  seed: int = 1, architecture: str = "semi_user",
+                  recorder: bool = False) -> PingPong:
+    """A telemetry-enabled 2-node (or intra-node) ping-pong on a fresh
+    cluster of ``architecture``: one warm-up, then ``messages``
+    measured messages.
 
-    Returns ``(cluster, sample)``; the telemetry session is
-    ``cluster.telemetry``.
+    ``drop`` > 0 runs on the lossy cost model under a seeded
+    :class:`~repro.faults.FaultPlan` with a recovery tracker attached.
+    ``recorder`` rides the flight recorder along; a run that raises
+    dumps its postmortem first.  A route ``architecture`` cannot carry
+    raises ``ValueError`` before anything is simulated.
     """
+    from repro.baselines import library_for
     from repro.cluster import Cluster, enabled
+    from repro.firmware.packet import ChannelKind
     from repro.instrument.measure import measure_one_way
 
+    library_for(architecture).check_route(0, 0 if intra_node else 1,
+                                          ChannelKind.NORMAL)
     kwargs = {}
     if drop > 0.0:
         from repro.config import LOSSY_DAWNING
         from repro.faults import FaultPlan
         kwargs = {"cfg": LOSSY_DAWNING,
                   "fault_plan": FaultPlan(seed=seed, drop_rate=drop)}
+    observers = enabled() | {"telemetry"}
+    if recorder:
+        observers |= {"recorder"}
     cluster = Cluster(n_nodes=1 if intra_node else 2,
-                      observers=enabled() | {"telemetry"}, **kwargs)
-    sample = measure_one_way(cluster, nbytes, repeats=messages, warmup=1)
-    return cluster, sample
+                      architecture=architecture, observers=observers,
+                      **kwargs)
+    tracker = None
+    if drop > 0.0:
+        from repro.instrument.recovery import (RecoveryTracker,
+                                               recovery_summary)
+        tracker = RecoveryTracker(cluster)
+    try:
+        sample = measure_one_way(cluster, nbytes, repeats=messages,
+                                 warmup=1)
+    except BaseException as exc:
+        from repro.telemetry.recorder import dump_on_failure
+        dump_on_failure(f"observe: {type(exc).__name__}", env=cluster.env,
+                        exc=exc, note=str(exc))
+        raise
+    recovery = (recovery_summary(cluster, tracker)
+                if tracker is not None else None)
+    return PingPong(cluster, sample, recovery)
 
 
 def _ordered_stages(reports: list[CriticalPathReport]) -> list[str]:

@@ -16,14 +16,16 @@ these must reproduce byte for byte:
   ``measure_one_way(..., buffers=n)``);
 * ``curves.measure_point`` at 0, 4096 and 131072 B, intra and inter;
 * one lossy inter-node ``measure_resilience_point``;
-* the stdout of ``repro latency --architecture user_level``,
-  ``repro latency --intra-node`` and ``repro bandwidth --intra-node``.
+* the stdout of the one-way latency command for ``--architecture
+  user_level`` and ``--intra-node``, and of the intra-node bandwidth
+  sweep.  ``repro observe`` now prints both: the latency line is
+  rebuilt from its bandwidth row.
 
 The kernel-level socket stack later joined the same harness, behind the
 BCL port calls.  Its pins were recorded through its old socket harness
-before the fold: the stdout of ``repro latency --architecture
-kernel_level`` at 0 and 10000 B, and the per-message samples at 0, 4096,
-10000 and 65536 B.
+before the fold: the stdout of the latency command for ``--architecture
+kernel_level`` at 0 B, and the per-message samples at 0, 4096, 10000
+and 65536 B.
 
 The PIO and reliability ablations and Figures 8 and 9 had no pin of
 their own; theirs were recorded through the runner before the serial
@@ -138,13 +140,15 @@ def test_kernel_level_samples(nbytes):
     assert sample.received_payloads_ok
 
 
+#: ``repro observe`` arguments of each pinned point-to-point command.
+#: The 0-byte commands ran with 2 warm-up messages and the observe run
+#: has 1, but the samples are identical either way.
 COMMANDS = {
-    "latency-kernel-level": ["latency", "--architecture", "kernel_level"],
-    "latency-kernel-level-10000": ["latency", "--architecture",
-                                   "kernel_level", "--bytes", "10000"],
-    "latency-user-level": ["latency", "--architecture", "user_level"],
-    "latency-intra": ["latency", "--intra-node"],
-    "bandwidth-intra": ["bandwidth", "--intra-node"],
+    "latency-kernel-level": ["--architecture", "kernel_level"],
+    "latency-user-level": ["--architecture", "user_level"],
+    "latency-intra": ["--intra-node"],
+    "bandwidth-intra": ["--intra-node", "--bytes", "1024", "4096", "16384",
+                        "65536", "131072", "--messages", "2"],
 }
 
 COMMAND_DIGESTS = {
@@ -154,8 +158,6 @@ COMMAND_DIGESTS = {
         "7a16e3e6fd50905ddded03d77a2099ed0fa70e2f38fb4ddf65d56070c1a5fa1b",
     "latency-kernel-level":
         "6bb3cab0a763fd9766722fa7a98c84ee75e605b5b9e35dcfb93c8c0708efae4c",
-    "latency-kernel-level-10000":
-        "c91fc46dfe346e843e38127bc23af6aa95edd53f0c168704df5f56279cbd9847",
     "latency-user-level":
         "529e2539e52017d12048dcc533a4cca452833ae7f65140789916385d641e14f9",
 }
@@ -163,5 +165,52 @@ COMMAND_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_command_digest(name, capsys):
-    assert cli.main(COMMANDS[name]) == 0
-    assert _sha(capsys.readouterr().out) == COMMAND_DIGESTS[name]
+    argv = COMMANDS[name]
+    if name.startswith("latency"):
+        argv = [*argv, "--messages", "3"]
+    assert cli.main(["observe", *argv]) == 0
+    out = capsys.readouterr().out
+    if name.startswith("latency"):
+        # the pinned one-line form, rebuilt from the bandwidth row
+        nbytes, latency, _mb_s = out.splitlines()[1].split()
+        where = "intra-node" if "--intra-node" in argv else argv[1]
+        out = f"{nbytes}-byte one-way latency ({where}): {latency} us\n"
+    assert _sha(out) == COMMAND_DIGESTS[name]
+
+
+#: ``repro observe --bytes 65536 --messages 8 --drop 0.1 --seed 3``:
+#: the fault plan and recovery lines, as the fault-campaign command
+#: printed them before ``observe`` took it over
+FAULT_LINES = """\
+plan: FaultPlan(seed=3, drop_rate=0.1)
+  data_packets             144
+  retransmissions          24
+  retx_amplification       1.17
+  fast_retransmits         6
+  retransmit_timeouts      0
+  duplicate_drops          0
+  out_of_order_drops       17
+  corrupt_drops            0
+  injected_losses          7
+  injected_drops           7
+  injected_burst_drops     0
+  injected_brownout_drops  0
+  injected_scripted_drops  0
+  injected_corruptions     0
+  injected_duplicates      0
+  injected_reorders        0
+  loss_episodes            6
+  recovered_episodes       6
+  unrecovered_episodes     0
+  ttr_mean_us              131.85
+  ttr_max_us               200.12
+"""
+
+
+def test_fault_recovery_lines(capsys):
+    assert cli.main(["observe", "--bytes", "65536", "--messages", "8",
+                     "--drop", "0.1", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["65536", "538.74", "121.6"]
+    assert lines[3] == "payloads intact"
+    assert "\n".join([lines[2], *lines[4:25]]) + "\n" == FAULT_LINES

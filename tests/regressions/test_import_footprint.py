@@ -24,7 +24,8 @@ import pytest
 
 import repro
 
-#: modules no message, serve or barrier path may load
+#: modules no message (``repro observe`` included), serve or barrier
+#: path may load
 HEAVY = ("numpy", "_hashlib", "subprocess", "platform", "multiprocessing")
 
 REPO = Path(__file__).resolve().parents[2]
@@ -36,7 +37,7 @@ CONFIG_DIGEST = "92750d5d6fae0549"
 CACHE_KEY = "8f1bdf41da28919f8a92390ee2f5de86843f3c545bb88b4cf66f4408159322d7"
 
 PROBE = r'''
-import json, sys
+import contextlib, io, json, sys
 
 import repro, repro.cli, repro.experiments.runner, repro.workloads
 from repro.cluster import Cluster
@@ -93,6 +94,10 @@ run_spmd(Cluster(n_nodes=2), 2, mpi, layer="mpi")
 out["pvm_echo"] = run_spmd(Cluster(n_nodes=2), 2, pvm,
                            layer="pvm")[0].decode()
 out["serve_ok"] = run_serve(ServeConfig(requests=100), 0.8).completed_ok
+with contextlib.redirect_stdout(io.StringIO()) as observed:
+    repro.cli.main(["observe", "--bytes", "0", "--drop", "0.1", "--top",
+                    "1", "--report"])
+out["observe_row"] = observed.getvalue().splitlines()[1].split()
 out["barrier_us"] = {c: scale(c, "barrier") for c in ("host", "nic")}
 out["after_runs"] = loaded()
 out["allreduce_us"] = {c: scale(c, "allreduce") for c in ("host", "nic")}
@@ -133,6 +138,7 @@ def test_message_serve_and_barrier_paths_load_no_heavy_module(probe):
     assert probe["one_way_us"] == [18.327, 53.685]
     assert probe["pvm_echo"] == "ping/pong"
     assert probe["serve_ok"] == 100
+    assert probe["observe_row"] == ["0", "18.33", "0.0"]
     assert probe["barrier_us"] == {"host": 156.56, "nic": 58.445}
     assert probe["after_runs"] == []
 

@@ -141,7 +141,7 @@ STAGE_SERIES_DIGESTS = {
 
 @pytest.mark.parametrize("nbytes", sorted(STAGE_SERIES_DIGESTS))
 def test_stage_ns_total_series(nbytes):
-    cluster, _sample = run_ping_pong(nbytes=nbytes)
+    cluster = run_ping_pong(nbytes=nbytes).cluster
     series = [[dict(i.labels), i.value()]
               for i in cluster.telemetry.registry
               if i.name == "repro_stage_ns_total"]

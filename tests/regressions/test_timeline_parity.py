@@ -9,8 +9,8 @@ is the tracer exporter with ``flows``; both must reproduce byte for
 byte:
 
 * Figures 5-7 and the overheads as ``.format()`` (computed through
-  ``run_all(only=[name])``, as ``repro evaluate`` runs them), and
-  ``repro timeline`` stdout;
+  ``run_all(only=[name])``, as ``repro evaluate`` runs them), and the
+  Figure 7 stdout of ``repro evaluate --only fig7``;
 * the flow events (``ph`` ``s``/``f``) of ``repro observe --spans-out``
   for four ping-pongs, keyed by row name rather than tid, with message
   ids renumbered by first appearance (they are process-global).
@@ -50,8 +50,10 @@ def test_figure_digest(name):
 
 
 def test_timeline_command_digest(capsys):
-    assert cli.main(["timeline"]) == 0
-    assert _sha(capsys.readouterr().out) == \
+    """The old ``repro timeline`` stdout is ``repro evaluate --only
+    fig7`` stdout less the blank line after the result."""
+    assert cli.main(["evaluate", "--only", "fig7", "--no-cache"]) == 0
+    assert _sha(capsys.readouterr().out[:-1]) == \
         "e7aec5b24deda91d4d374f32ab5a03954ee50342874f20b7029c9dc8a436fe26"
 
 

@@ -144,12 +144,16 @@ def test_user_level_library_requires_matching_cluster(cluster):
     run_procs(cluster, starter())
 
 
+def _one_way_0b_us(architecture):
+    return measure_one_way(Cluster(n_nodes=2, architecture=architecture),
+                           0, repeats=3, warmup=2).latency_us
+
+
 def test_user_level_faster_than_semi_user_level():
     """The paper's headline trade-off, re-derived: BCL pays ~22 % more
     0-byte latency than the user-level architecture."""
-    from repro.experiments.common import measure_architecture_latency
-    bcl = measure_architecture_latency("semi_user", nbytes=0)
-    ul = measure_architecture_latency("user_level", nbytes=0)
+    bcl = _one_way_0b_us("semi_user")
+    ul = _one_way_0b_us("user_level")
     extra = bcl - ul
     assert 0.15 <= extra / bcl <= 0.30          # "about 22%"
     assert extra == pytest.approx(4.17, abs=0.5)
@@ -252,9 +256,8 @@ def test_kernel_level_uses_interrupts_and_traps(kl_cluster):
 
 
 def test_kernel_level_slower_than_bcl():
-    from repro.experiments.common import measure_architecture_latency
-    bcl = measure_architecture_latency("semi_user", nbytes=0)
-    kl = measure_architecture_latency("kernel_level", nbytes=0)
+    bcl = _one_way_0b_us("semi_user")
+    kl = _one_way_0b_us("kernel_level")
     assert kl > bcl * 1.4
 
 

@@ -69,59 +69,78 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def _row(out: str) -> list[str]:
+    """The bandwidth-table row every ``repro observe`` run prints."""
+    header, row = out.splitlines()[:2]
+    assert header.split() == ["bytes", "latency", "us", "MB/s"]
+    return row.split()
+
+
 def test_cli_latency(capsys):
-    assert main(["latency", "--bytes", "0", "--repeats", "2"]) == 0
+    assert main(["observe", "--bytes", "0", "--messages", "2"]) == 0
     out = capsys.readouterr().out
-    assert "18.3" in out
+    assert _row(out)[1] == "18.33"
 
 
 def test_cli_latency_intra(capsys):
-    assert main(["latency", "--bytes", "0", "--intra-node",
-                 "--repeats", "2"]) == 0
-    assert "2.70" in capsys.readouterr().out
+    assert main(["observe", "--bytes", "0", "--intra-node",
+                 "--messages", "2"]) == 0
+    assert _row(capsys.readouterr().out)[1] == "2.70"
 
 
 def test_cli_latency_intra_honours_architecture(capsys, monkeypatch):
     """``--intra-node`` measures on a one-node cluster of the requested
     architecture (it used to build a semi-user cluster whatever the
     flag said)."""
-    import repro.cli as cli
+    import repro.cluster
     built = []
+    real = repro.cluster.Cluster
 
     def spy(*args, **kwargs):
-        cluster = Cluster(*args, **kwargs)
+        cluster = real(*args, **kwargs)
         built.append((len(cluster.nodes), cluster.architecture))
         return cluster
 
-    monkeypatch.setattr(cli, "Cluster", spy)
-    assert main(["latency", "--bytes", "0", "--intra-node",
-                 "--architecture", "user_level", "--repeats", "2"]) == 0
+    monkeypatch.setattr(repro.cluster, "Cluster", spy)
+    assert main(["observe", "--bytes", "0", "--intra-node",
+                 "--architecture", "user_level", "--messages", "2"]) == 0
     assert built == [(1, "user_level")]
-    direct = measure_one_way(Cluster(n_nodes=1, architecture="user_level"),
-                             0, repeats=2).latency_us
-    assert capsys.readouterr().out == \
-        f"0-byte one-way latency (intra-node): {direct:.2f} us\n"
+    direct = measure_one_way(real(n_nodes=1, architecture="user_level"),
+                             0, repeats=2, warmup=1).latency_us
+    assert _row(capsys.readouterr().out) == ["0", f"{direct:.2f}", "0.0"]
 
 
 def test_cli_latency_intra_kernel_level_is_an_error(capsys):
     """Kernel-level sockets have no intra-node path: exit 2 with the
     reason, not a traceback or a semi-user number."""
-    assert main(["latency", "--bytes", "0", "--intra-node",
+    assert main(["observe", "--bytes", "0", "--intra-node",
                  "--architecture", "kernel_level"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("repro latency: error: kernel-level "
+    assert captured.err.startswith("repro observe: error: kernel-level "
                                    "sockets have no intra-node path")
 
 
 def test_cli_bandwidth(capsys):
-    assert main(["bandwidth", "--sizes", "4096"]) == 0
-    out = capsys.readouterr().out
-    assert "4096" in out and "MB/s" in out
+    assert main(["observe", "--bytes", "4096", "65536"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "MB/s" in lines[0]
+    assert [line.split()[0] for line in lines[1:]] == ["4096", "65536"]
+
+
+def test_cli_bandwidth_rejects_per_run_views(capsys):
+    """The views describe one run: a size list with one of them exits 2
+    before anything runs."""
+    assert main(["observe", "--bytes", "0", "4096", "--top", "2",
+                 "--report"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro observe: error: --top, "
+                                   "--report describe one run")
 
 
 def test_cli_timeline(capsys):
-    assert main(["timeline"]) == 0
+    assert main(["evaluate", "--only", "fig7", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "fill_send_descriptor" in out
     assert "18.3" in out
@@ -129,8 +148,8 @@ def test_cli_timeline(capsys):
 
 def test_cli_trace(tmp_path, capsys):
     out_file = tmp_path / "t.json"
-    assert main(["trace", "--output", str(out_file),
-                 "--bytes", "1024"]) == 0
+    assert main(["observe", "--bytes", "1024", "--messages", "1",
+                 "--spans-out", str(out_file)]) == 0
     assert out_file.exists()
     assert json.loads(out_file.read_text())["traceEvents"]
 
@@ -138,17 +157,19 @@ def test_cli_trace(tmp_path, capsys):
 @pytest.mark.parametrize("message_id", ["-99", "12345"])
 def test_cli_trace_rejects_unknown_message_id(tmp_path, capsys, message_id):
     out_file = tmp_path / "t.json"
-    assert main(["trace", "--output", str(out_file), "--bytes", "1024",
+    assert main(["observe", "--bytes", "1024", "--messages", "1",
+                 "--spans-out", str(out_file),
                  "--message-id", message_id]) == 2
-    err = capsys.readouterr().err
-    assert f"no traced message {message_id} (have [" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"no traced message {message_id} (have [" in captured.err
     assert not out_file.exists()
 
 
 def test_cli_trace_message_id_selects_one_message(tmp_path, capsys):
     out_file = tmp_path / "t.json"
-    assert main(["trace", "--output", str(out_file), "--bytes", "1024",
-                 "--message-id", "-1"]) == 0
+    assert main(["observe", "--bytes", "1024", "--messages", "1",
+                 "--spans-out", str(out_file), "--message-id", "-1"]) == 0
     events = json.loads(out_file.read_text())["traceEvents"]
     mids = {e["args"]["message_id"] for e in events
             if "message_id" in e.get("args", {})}
@@ -157,19 +178,52 @@ def test_cli_trace_message_id_selects_one_message(tmp_path, capsys):
 
 
 def test_cli_report(capsys):
-    assert main(["report", "--bytes", "4096", "--messages", "2"]) == 0
+    assert main(["observe", "--bytes", "4096", "--messages", "2",
+                 "--report"]) == 0
     out = capsys.readouterr().out
     assert "node0" in out and "pindown" in out
 
 
 def test_cli_faults(tmp_path, capsys):
     out_file = tmp_path / "faults.json"
-    assert main(["faults", "--bytes", "20000", "--messages", "2",
+    assert main(["observe", "--bytes", "20000", "--messages", "2",
                  "--drop", "0.2", "--seed", "3",
-                 "--trace-output", str(out_file)]) == 0
+                 "--spans-out", str(out_file)]) == 0
     out = capsys.readouterr().out
     assert "FaultPlan" in out and "payloads intact" in out
     assert "retx_amplification" in out
     events = json.loads(out_file.read_text())["traceEvents"]
     markers = [e for e in events if e.get("ph") == "i"]
     assert markers and all(e["cat"] == "fault" for e in markers)
+
+
+def test_cli_serve(capsys):
+    assert main(["serve", "--loads", "0.8", "--requests", "100"]) == 0
+    row = capsys.readouterr().out.splitlines()[3].split()
+    assert row[0] == "0.80" and row[6] == "100"      # rho, ok
+
+
+@pytest.mark.parametrize("argv", [["--loads", "x"], ["--workers", "0"]],
+                         ids=["loads-x", "workers-0"])
+def test_cli_serve_rejects_bad_config(argv, capsys):
+    assert main(["serve", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro serve: error: ")
+
+
+def test_cli_fuzz(capsys):
+    assert main(["fuzz", "--seed", "1", "--runs", "2", "--quiet"]) == 0
+    assert capsys.readouterr().out.endswith("fuzz: all oracles passed\n")
+
+
+def test_cli_audit_selftest_keeps_the_global_observers(capsys):
+    """The auditor runs for the command only: an in-process caller's
+    observer set is the same after it."""
+    from repro.cluster import enabled
+    before = enabled()
+    assert main(["audit", "--messages", "2", "--selftest"]) == 0
+    assert enabled() == before
+    out = capsys.readouterr().out
+    assert "audit: zero violations" in out
+    assert out.endswith("selftest PASS: all checkers fire\n")

@@ -8,6 +8,8 @@ stage — as the top contributor.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -126,3 +128,28 @@ def test_cli_diff_renders_the_stage_table(regression_pair, tmp_path,
     assert "stage" in out and "growth" in out
     assert "bounding-stage attribution:" in out
     assert "warning: config digests differ" in out
+
+
+def test_cli_diff_explains_the_kernel_level_premium(tmp_path, capsys):
+    """Two 0-byte ``observe`` ledgers, semi-user against kernel-level:
+    the header names each architecture, the socket path's security
+    checks are the stage that grew most, and p50 moves from the
+    semi-user to the kernel-level one-way latency."""
+    paths = {}
+    for arch in ("semi_user", "kernel_level"):
+        paths[arch] = str(tmp_path / f"{arch}.json")
+        assert main(["observe", "--architecture", arch,
+                     "--ledger-out", paths[arch]]) == 0
+    capsys.readouterr()
+    with open(paths["kernel_level"], encoding="utf-8") as fh:
+        assert json.load(fh)["extra"] == {
+            "architecture": "kernel_level", "nbytes": 0, "messages": 4,
+            "intra_node": False}
+    assert main(["diff", paths["semi_user"], paths["kernel_level"],
+                 "--metric", "p50"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("run A: semi_user.json  [observe, semi_user,")
+    assert lines[1].startswith(
+        "run B: kernel_level.json  [observe, kernel_level,")
+    assert "stage-time delta driven by 'check'" in lines[-1]
+    assert "p50 regression: +51.1% (18327 -> 27696)" in lines[-1]

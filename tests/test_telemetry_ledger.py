@@ -174,7 +174,7 @@ def test_load_run_accepts_views_and_rejects_unknown_schemas():
 
 # ---------------------------------------------------- session.to_ledger
 def test_session_to_ledger_from_a_live_run():
-    cluster, sample = run_ping_pong(nbytes=4096, messages=4)
+    cluster, sample, _ = run_ping_pong(nbytes=4096, messages=4)
     assert sample.received_payloads_ok
     doc = cluster.telemetry.to_ledger("observe", seed=1, wall_s=0.5)
 

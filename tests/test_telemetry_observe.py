@@ -1,5 +1,5 @@
 """TelemetrySession wiring, layer metric registration, and the
-``repro observe`` / ``repro trace --message-id`` CLI surfaces."""
+``repro observe`` CLI surface."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from repro.telemetry.observe import (
 
 # ----------------------------------------------------------- session wiring
 def test_session_registers_layer_metrics():
-    cluster, _sample = run_ping_pong(nbytes=4096, messages=2)
+    cluster = run_ping_pong(nbytes=4096, messages=2).cluster
     registry = cluster.telemetry.registry
     text = registry.render_prometheus()
     # one registered family per absorbed layer
@@ -85,7 +85,7 @@ def test_cluster_telemetry_flag_and_global_switch(monkeypatch):
 
 
 def test_session_detach_stops_observing():
-    cluster, _sample = run_ping_pong(nbytes=0, messages=1)
+    cluster = run_ping_pong(nbytes=0, messages=1).cluster
     session = cluster.telemetry
     before = len(session.spans.message_ids())
     session.detach()
@@ -96,7 +96,7 @@ def test_session_detach_stops_observing():
 
 # -------------------------------------------------------------- renderers
 def test_render_summary_and_top():
-    cluster, _sample = run_ping_pong(nbytes=0, messages=3)
+    cluster = run_ping_pong(nbytes=0, messages=3).cluster
     session = cluster.telemetry
     summary = render_summary(session, 0)
     assert "message lifecycles" in summary
@@ -113,14 +113,22 @@ def test_render_summary_and_top():
 
 
 def test_run_ping_pong_variants():
-    cluster, sample = run_ping_pong(nbytes=0, messages=1, intra_node=True)
+    cluster, sample, recovery = run_ping_pong(nbytes=0, messages=1,
+                                              intra_node=True)
     assert sample.received_payloads_ok
     assert cluster.telemetry.message_ids()
+    assert recovery is None
 
-    cluster, sample = run_ping_pong(nbytes=8192, messages=2, drop=0.2,
-                                    seed=5)
+    cluster, sample, recovery = run_ping_pong(nbytes=8192, messages=2,
+                                              drop=0.2, seed=5)
     assert sample.received_payloads_ok          # recovered via go-back-N
     assert cluster.telemetry.message_ids()
+    assert recovery["retransmissions"] > 0
+
+    cluster, sample, _ = run_ping_pong(nbytes=0, messages=1,
+                                       architecture="kernel_level")
+    assert cluster.architecture == "kernel_level"
+    assert sample.samples_us == [27.696]
 
 
 # -------------------------------------------------------------------- CLI
@@ -167,8 +175,8 @@ def test_cli_observe_unknown_message(capsys):
 
 def test_cli_trace_message_id_filter(tmp_path, capsys):
     path = tmp_path / "one.json"
-    assert main(["trace", "--output", str(path), "--bytes", "0",
-                 "--message-id", "-1"]) == 0
+    assert main(["observe", "--bytes", "0", "--messages", "1",
+                 "--spans-out", str(path), "--message-id", "-1"]) == 0
     out = capsys.readouterr().out
     assert "for message " in out
     events = json.loads(path.read_text())["traceEvents"]

@@ -180,9 +180,9 @@ def test_observe_export_is_the_tracer_export_plus_flows(tmp_path,
     clusters = []
 
     def run_ping_pong(**kwargs):
-        cluster, sample = real(**kwargs)
-        clusters.append(cluster)
-        return cluster, sample
+        run = real(**kwargs)
+        clusters.append(run.cluster)
+        return run
 
     monkeypatch.setattr(observe, "run_ping_pong", run_ping_pong)
     path = tmp_path / "spans.json"
