@@ -1,41 +1,41 @@
 #!/usr/bin/env python
-"""Internet service: a request/response server over BCL system channels.
+"""Internet service: a request/response tier over the user-level path.
 
-Clients on three nodes fire fixed-size requests at a service node;
-the server replies over each client's system channel.  System-channel
-semantics (pre-pinned pool, drop-on-overflow) make this the datagram
-path a cluster Internet service would sit on — the paper's superserver
-"service node" scenario, where security of the communication layer is
-non-negotiable.
+Three client nodes multiplex many simulated users onto one service
+node running a pool of workers, through the RPC serving tier
+(``repro.serve``): credit-based admission on the clients, a bounded
+request queue on the server, and explicit shedding once both are full.
+This is the paper's superserver "service node" scenario: every request
+and reply crosses the semi-user-level BCL path without an interrupt.
+
+The run is checked for conservation: every offered request is either
+served or shed, at each load.
 
 Usage::
 
     python examples/request_service.py
 """
 
-from repro import Cluster
-from repro.workloads.apps import run_request_service
-from repro.workloads.streams import measure_hotspot
+from repro.serve import ServeConfig, run_serve
 
 
 def main() -> None:
-    print("3 client nodes -> 1 service node, request/response over "
-          "system channels...")
-    cluster = Cluster(n_nodes=4)
-    result = run_request_service(cluster, n_clients=3, requests_each=8,
-                                 request_bytes=256, response_bytes=1024)
-    print(f"  requests served    : {result.requests}")
-    print(f"  mean response time : {result.mean_response_us:.1f} us "
-          "(round trip + 5 us service time)")
-    print(f"  messages dropped   : {result.dropped} "
-          "(system pool sized for the load)")
-
-    print("\nhotspot pressure: 4 senders streaming at one node...")
-    hotspot = measure_hotspot(n_senders=4, message_bytes=4096,
-                              messages_each=8)
-    print(f"  aggregate delivered bandwidth: "
-          f"{hotspot.bandwidth_mb_s:.1f} MB/s "
-          "(bounded by the receiver's single 160 MB/s link)")
+    scfg = ServeConfig(n_servers=1, n_client_ranks=3, requests=120,
+                       service_us=100.0)
+    print(f"3 client nodes -> 1 service node ({scfg.workers} workers, "
+          f"capacity {scfg.capacity_rps:,.0f} rps), {scfg.requests} "
+          "requests per load...")
+    print(f"  {'load':>5s} {'offered':>8s} {'ok':>5s} {'shed':>5s} "
+          f"{'p50 us':>8s} {'p99 us':>8s}")
+    for rho in (0.5, 2.0):
+        report = run_serve(scfg, rho)
+        shed = report.shed_server + report.shed_client
+        print(f"  {rho:5.1f} {report.requests:8d} "
+              f"{report.completed_ok:5d} {shed:5d} "
+              f"{report.p50_us:8.1f} {report.p99_us:8.1f}")
+        if report.requests != report.completed_ok + shed:
+            raise SystemExit(f"load {rho}: {report.requests} offered but "
+                             f"{report.completed_ok} served + {shed} shed")
 
 
 if __name__ == "__main__":

@@ -100,10 +100,11 @@ def measure_scale_point(cfg: CostModel = DAWNING_3000, *,
 def measure_congestion_point(cfg: CostModel = DAWNING_3000, *,
                              n_ranks: int, topology: str,
                              scenario: str) -> dict:
-    """One congestion point (incast/hotspot/permutation) on a fabric."""
-    from repro.workloads import run_hotspot, run_incast, run_permutation
-    fns = {"incast": run_incast, "hotspot": run_hotspot,
-           "permutation": run_permutation}
+    """One congestion point (incast/hotspot/permutation) on a fabric.
+    Incast is the hotspot with every rank but the victim hot."""
+    from repro.workloads import run_hotspot, run_permutation
+    fns = {"incast": lambda c, n: run_hotspot(c, n, hot_fraction=1.0),
+           "hotspot": run_hotspot, "permutation": run_permutation}
     if scenario not in fns:
         raise ValueError(f"unknown scenario {scenario!r} "
                          f"(known: {sorted(fns)})")

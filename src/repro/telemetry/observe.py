@@ -80,8 +80,13 @@ def run_ping_pong(nbytes: int = 0, messages: int = 4,
         dump_on_failure(f"observe: {type(exc).__name__}", env=cluster.env,
                         exc=exc, note=str(exc))
         raise
-    recovery = (recovery_summary(cluster, tracker)
-                if tracker is not None else None)
+    recovery = None
+    if tracker is not None:
+        # Drain the trailing acks first: an episode whose retransmission
+        # arrived but whose ack has not yet advanced the sender's base
+        # would otherwise read as unrecovered.
+        cluster.env.run()
+        recovery = recovery_summary(cluster, tracker)
     return PingPong(cluster, sample, recovery)
 
 

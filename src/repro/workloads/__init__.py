@@ -1,42 +1,31 @@
-"""Workload generators: microbenchmarks and application kernels.
+"""Traffic generators: one driver per pattern, each with an experiment
+or CLI caller.
 
-The paper motivates clusters with "technical computing, Internet
-service, and database applications"; besides the ping-pong/streaming
-microbenchmarks the evaluation uses, this package provides one
-application kernel per motivating domain:
+* :func:`~repro.workloads.streams.measure_streaming_bandwidth` — a
+  window of BCL system-channel messages in flight (sustained
+  throughput, unlike the one-way T(n) sweep).
+* :mod:`repro.workloads.congestion` — fabric-scale adversarial MPI
+  traffic for judging topologies under load: many-to-one
+  (:func:`~repro.workloads.congestion.run_hotspot`; incast is
+  ``hot_fraction=1.0``) and a seeded permutation — see the scale-out
+  experiments.
+* :mod:`repro.workloads.serve` — the serving tier's open-loop load:
+  seeded Poisson/bursty arrival schedules with heavy-tailed request
+  sizes over a million-client id space — see ``repro.serve``, the one
+  request/response driver.
 
-* :func:`~repro.workloads.apps.run_stencil` — an iterative 2-D heat
-  stencil with MPI halo exchange (technical computing);
-* :func:`~repro.workloads.apps.run_request_service` — a multi-client
-  request/response service over BCL system channels (Internet service);
-* :func:`~repro.workloads.apps.run_kv_store` — a replicated key-value
-  store reading remote partitions via RMA open channels (database).
-
-:mod:`repro.workloads.congestion` adds fabric-scale adversarial
-traffic (incast, hotspot, permutation) for judging topologies under
-load — see the scale-out experiments.
-
-:mod:`repro.workloads.serve` generates the serving tier's open-loop
-load: seeded Poisson/bursty arrival schedules with heavy-tailed
-request sizes over a million-client id space — see ``repro.serve``.
+The paper's three motivating domains (technical computing, Internet
+service, databases) each have an application kernel under
+``examples/``: an MPI heat stencil and sample sort, the serving tier,
+and an RMA key-value store.
 """
 
 from repro.workloads.congestion import (
     CongestionResult,
     run_hotspot,
-    run_incast,
     run_permutation,
 )
-from repro.workloads.streams import (
-    measure_streaming_bandwidth,
-    measure_hotspot,
-)
-from repro.workloads.apps import (
-    run_kv_store,
-    run_request_service,
-    run_sample_sort,
-    run_stencil,
-)
+from repro.workloads.streams import measure_streaming_bandwidth
 from repro.workloads.serve import (
     Arrival,
     client_schedule,
@@ -48,13 +37,7 @@ __all__ = [
     "client_schedule",
     "schedules",
     "CongestionResult",
-    "measure_hotspot",
     "measure_streaming_bandwidth",
     "run_hotspot",
-    "run_incast",
     "run_permutation",
-    "run_kv_store",
-    "run_request_service",
-    "run_sample_sort",
-    "run_stencil",
 ]

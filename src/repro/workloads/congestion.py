@@ -6,12 +6,12 @@ congestion patterns through the full MPI-over-EADI-over-BCL stack so a
 topology (single_switch, switch_tree, mesh2d, fat_tree) can be judged
 under load:
 
-* :func:`run_incast` — many-to-one: every rank sends to rank 0, the
-  classic fan-in collapse that stresses the destination's edge link and
-  receive-side serialisation;
-* :func:`run_hotspot` — a fraction of ranks hammer one hot rank while
-  the rest exchange uniform background traffic, exposing how much the
-  hotspot steals from innocent flows;
+* :func:`run_hotspot` — many-to-one: a fraction of ranks hammer rank 0
+  while the rest exchange pairwise background traffic, exposing how
+  much the hotspot steals from innocent flows.  At ``hot_fraction=1.0``
+  every other rank sends to rank 0: incast, the classic fan-in collapse
+  that stresses the destination's edge link and receive-side
+  serialisation;
 * :func:`run_permutation` — a seed-deterministic derangement where each
   rank sends to exactly one peer and receives from exactly one peer,
   the pattern that separates full-bisection fabrics (fat-tree) from
@@ -31,17 +31,13 @@ from repro.cluster import Cluster
 from repro.sim.time import ns_to_us
 from repro.upper.job import run_spmd
 
-__all__ = ["run_incast", "run_hotspot", "run_permutation",
-           "CongestionResult"]
+__all__ = ["run_hotspot", "run_permutation", "CongestionResult"]
 
 
 @dataclass
 class CongestionResult:
     """Outcome of one congestion scenario."""
 
-    scenario: str
-    n_ranks: int
-    message_bytes: int
     total_bytes: int
     elapsed_us: float               #: start of traffic to last completion
     rank_finish_us: list[float] = field(default_factory=list)
@@ -59,43 +55,16 @@ class CongestionResult:
         return max(self.rank_finish_us) - min(self.rank_finish_us)
 
 
-def _collect(cluster: Cluster, n_ranks: int, fn, scenario: str,
-             message_bytes: int, total_bytes: int) -> CongestionResult:
+def _collect(cluster: Cluster, n_ranks: int, fn,
+             total_bytes: int) -> CongestionResult:
     """Run ``fn`` under :func:`run_spmd` and fold the per-rank
     (start_ns, finish_ns) pairs it returns into a result."""
     spans = run_spmd(cluster, n_ranks, fn)
     t0 = min(s for s, _ in spans)
     t1 = max(f for _, f in spans)
     return CongestionResult(
-        scenario=scenario, n_ranks=n_ranks, message_bytes=message_bytes,
         total_bytes=total_bytes, elapsed_us=ns_to_us(t1 - t0),
         rank_finish_us=[ns_to_us(f - t0) for _, f in spans])
-
-
-def run_incast(cluster: Cluster, n_ranks: int,
-               message_bytes: int = 4096,
-               messages_each: int = 4) -> CongestionResult:
-    """Every rank > 0 sends ``messages_each`` messages to rank 0."""
-    if n_ranks < 2:
-        raise ValueError("incast needs at least 2 ranks")
-
-    def prog(ep):
-        env = ep.port.env
-        yield from ep.barrier()
-        start = env.now
-        if ep.rank == 0:
-            buf = ep.scratch(message_bytes)
-            for _ in range(messages_each * (ep.size - 1)):
-                yield from ep.recv(-1, 1, buf, message_bytes)
-        else:
-            buf = ep.scratch(message_bytes)
-            ep.proc.write(buf, bytes([ep.rank & 0xFF]) * message_bytes)
-            for _ in range(messages_each):
-                yield from ep.send(0, buf, message_bytes, tag=1)
-        return start, env.now
-
-    total = message_bytes * messages_each * (n_ranks - 1)
-    return _collect(cluster, n_ranks, prog, "incast", message_bytes, total)
 
 
 def run_hotspot(cluster: Cluster, n_ranks: int,
@@ -106,8 +75,8 @@ def run_hotspot(cluster: Cluster, n_ranks: int,
     pairwise background traffic.
 
     Background ranks are paired off (i with i+1) and sendrecv; hot
-    ranks all send to rank 0.  With ``hot_fraction=1.0`` this
-    degenerates to :func:`run_incast`.
+    ranks all send to rank 0.  ``hot_fraction=1.0`` is incast: every
+    rank > 0 sends ``messages_each`` messages to rank 0.
     """
     if n_ranks < 2:
         raise ValueError("hotspot needs at least 2 ranks")
@@ -144,7 +113,7 @@ def run_hotspot(cluster: Cluster, n_ranks: int,
         return start, env.now
 
     total = message_bytes * messages_each * n_hot
-    return _collect(cluster, n_ranks, prog, "hotspot", message_bytes, total)
+    return _collect(cluster, n_ranks, prog, total)
 
 
 def run_permutation(cluster: Cluster, n_ranks: int,
@@ -176,5 +145,4 @@ def run_permutation(cluster: Cluster, n_ranks: int,
         return start, env.now
 
     total = message_bytes * messages_each * n_ranks
-    return _collect(cluster, n_ranks, prog, "permutation", message_bytes,
-                    total)
+    return _collect(cluster, n_ranks, prog, total)

@@ -1,9 +1,8 @@
-"""Streaming and contention microbenchmarks.
+"""Streaming microbenchmark.
 
 ``measure_streaming_bandwidth`` keeps a window of messages in flight
-(unlike the one-way T(n) sweep, this measures sustained throughput),
-and ``measure_hotspot`` drives several senders at one receiver to
-exercise switch output contention and receive-side serialisation.
+over the BCL system channel: unlike the one-way T(n) sweep, this
+measures sustained throughput.
 """
 
 from __future__ import annotations
@@ -12,12 +11,10 @@ from dataclasses import dataclass
 
 from repro.bcl.api import BclLibrary
 from repro.cluster import Cluster
-from repro.firmware.packet import ChannelKind
 from repro.sim import Store
 from repro.sim.time import ns_to_us
 
-__all__ = ["measure_streaming_bandwidth", "measure_hotspot",
-           "StreamResult"]
+__all__ = ["measure_streaming_bandwidth", "StreamResult"]
 
 
 @dataclass
@@ -44,14 +41,9 @@ def measure_streaming_bandwidth(cluster: Cluster, message_bytes: int,
         proc = cluster.spawn(1)
         port = yield from BclLibrary(proc).create_port()
         ready.try_put(port.address)
-        received = 0
-        t0 = None
-        while received < n_messages:
+        for _ in range(n_messages):
             event = yield from port.wait_recv()
-            if t0 is None:
-                t0 = env.now
             yield from port.recv_system(event)
-            received += 1
         out["elapsed"] = ns_to_us(env.now - out["start"])
 
     def sender():
@@ -80,43 +72,3 @@ def measure_streaming_bandwidth(cluster: Cluster, message_bytes: int,
     return StreamResult(total_bytes=message_bytes * n_messages,
                         elapsed_us=out["elapsed"], messages=n_messages)
 
-
-def measure_hotspot(n_senders: int = 4, message_bytes: int = 4096,
-                    messages_each: int = 8,
-                    cluster: Cluster | None = None) -> StreamResult:
-    """All senders target one receiver node (switch hotspot)."""
-    if cluster is None:
-        cluster = Cluster(n_nodes=n_senders + 1)
-    env = cluster.env
-    out = {}
-    ready: Store = Store(env)
-    total_messages = n_senders * messages_each
-
-    def receiver():
-        proc = cluster.spawn(0)
-        port = yield from BclLibrary(proc).create_port(
-            system_pool_buffers=64)
-        for _ in range(n_senders):
-            ready.try_put(port.address)
-        t0 = env.now
-        for _ in range(total_messages):
-            event = yield from port.wait_recv()
-            yield from port.recv_system(event)
-        out["elapsed"] = ns_to_us(env.now - t0)
-
-    def sender(node_id: int):
-        proc = cluster.spawn(node_id)
-        port = yield from BclLibrary(proc).create_port()
-        address = yield ready.get()
-        buf = proc.alloc(max(message_bytes, 1))
-        proc.write(buf, b"h" * message_bytes)
-        for _ in range(messages_each):
-            yield from port.send_system(address, buf, message_bytes)
-            yield from port.wait_send()
-
-    done = env.process(receiver(), name="hotspot.recv")
-    for node_id in range(1, n_senders + 1):
-        env.process(sender(node_id), name=f"hotspot.send{node_id}")
-    env.run(until=done)
-    return StreamResult(total_bytes=message_bytes * total_messages,
-                        elapsed_us=out["elapsed"], messages=total_messages)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -81,3 +85,17 @@ def all_routes(net) -> dict[tuple[int, int], tuple[int, ...]]:
     return {(src, dst): net.route(src, dst)
             for src in range(net.n_nodes) for dst in range(net.n_nodes)
             if src != dst}
+
+
+def load_example(name: str):
+    """Import ``examples/<name>.py`` as a module (its ``main()`` does not
+    run), for tests of the application kernels that live there."""
+    module_name = f"examples_{name}"
+    if module_name not in sys.modules:
+        path = pathlib.Path(__file__).resolve().parent.parent / "examples"
+        spec = importlib.util.spec_from_file_location(
+            module_name, path / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[module_name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[module_name]

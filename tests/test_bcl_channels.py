@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bcl.address import BclAddress
 from repro.bcl.api import BclLibrary
 from repro.cluster import Cluster
 from repro.firmware.descriptors import EventKind
@@ -13,6 +14,8 @@ from repro.kernel.errors import (
     ChannelBusyError,
     PortInUseError,
 )
+from repro.sim import Store
+from repro.sim.time import ns_to_us
 
 from tests.conftest import run_procs
 
@@ -219,6 +222,87 @@ def test_system_channel_message_larger_than_pool_buffer_dropped(cluster):
     run_procs(cluster, sender())
     cluster.env.run()
     assert state.system_dropped == 1
+
+
+def test_request_service_serves_all_clients():
+    """Request/response over system channels: 3 clients x 4 requests
+    against a server with a 64-buffer pool, 5 us of service work each."""
+    cluster = Cluster(n_nodes=4)
+    env = cluster.env
+    ready = Store(env)
+    response_us = []
+
+    def server():
+        proc = cluster.spawn(0)
+        port = yield from BclLibrary(proc).create_port(
+            port_id=1, system_pool_buffers=64)
+        for _ in range(3):
+            ready.try_put(port.address)
+        reply = proc.alloc(1024)
+        proc.write(reply, b"R" * 1024)
+        for _ in range(12):
+            event = yield from port.wait_recv()
+            data = yield from port.recv_system(event)
+            yield from proc.cpu.execute(5.0, category="app",
+                                        stage="service_request")
+            client = BclAddress(data[0], int.from_bytes(data[1:5], "little"))
+            yield from port.send_system(client, reply, 1024)
+
+    def client(node_id):
+        proc = cluster.spawn(node_id)
+        port = yield from BclLibrary(proc).create_port()
+        address = yield ready.get()
+        req = proc.alloc(256)
+        header = bytes([node_id]) + port.port_id.to_bytes(4, "little")
+        proc.write(req, header + b"q" * (256 - len(header)))
+        for _ in range(4):
+            t0 = env.now
+            yield from port.send_system(address, req, 256)
+            event = yield from port.wait_recv()
+            yield from port.recv_system(event)
+            response_us.append(ns_to_us(env.now - t0))
+
+    run_procs(cluster, server(), *(client(i) for i in range(1, 4)))
+    assert len(response_us) == 12
+    assert cluster.node(0).nic.port_state(1).system_dropped == 0
+    # round trip + 5 us service: bounded below by 2x one-way latency
+    assert sum(response_us) / len(response_us) > 40.0
+
+
+def test_hotspot_bounded_by_receiver_link():
+    """4 senders x 8 x 4 KB system messages into one 64-buffer pool."""
+    cluster = Cluster(n_nodes=5)
+    env = cluster.env
+    ready = Store(env)
+    out = {}
+
+    def receiver():
+        proc = cluster.spawn(0)
+        port = yield from BclLibrary(proc).create_port(
+            system_pool_buffers=64)
+        for _ in range(4):
+            ready.try_put(port.address)
+        t0 = env.now
+        for _ in range(32):
+            event = yield from port.wait_recv()
+            yield from port.recv_system(event)
+        out["elapsed_us"] = ns_to_us(env.now - t0)
+
+    def sender(node_id):
+        proc = cluster.spawn(node_id)
+        port = yield from BclLibrary(proc).create_port()
+        address = yield ready.get()
+        buf = proc.alloc(4096)
+        proc.write(buf, b"h" * 4096)
+        for _ in range(8):
+            yield from port.send_system(address, buf, 4096)
+            yield from port.wait_send()
+
+    run_procs(cluster, receiver(), *(sender(i) for i in range(1, 5)))
+    bandwidth_mb_s = 32 * 4096 / out["elapsed_us"]
+    # The receiver's single link is the ceiling.
+    assert bandwidth_mb_s <= cluster.cfg.wire_mb_s
+    assert bandwidth_mb_s > cluster.cfg.wire_mb_s * 0.7
 
 
 # ------------------------------------------------------------- port lifecycle

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 
 import pytest
 
@@ -195,6 +196,17 @@ def test_cli_faults(tmp_path, capsys):
     events = json.loads(out_file.read_text())["traceEvents"]
     markers = [e for e in events if e.get("ph") == "i"]
     assert markers and all(e["cat"] == "fault" for e in markers)
+
+
+def test_cli_faults_drain_before_the_recovery_summary(capsys):
+    """The last episode's retransmission lands before its ack advances
+    the sender's base; read without draining, the summary called it
+    unrecovered next to "payloads intact"."""
+    assert main(["observe", "--drop", "0.15", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "payloads intact" in out
+    assert re.search(r"^  recovered_episodes +2$", out, re.M)
+    assert re.search(r"^  unrecovered_episodes +0$", out, re.M)
 
 
 def test_cli_serve(capsys):

@@ -13,7 +13,8 @@ from repro.cluster import Cluster
 from repro.instrument.measure import measure_one_way
 from repro.telemetry.spans import chrome_trace_events
 from repro.upper.job import run_spmd
-from repro.workloads import run_sample_sort
+
+from tests.conftest import load_example
 
 
 def test_identical_latency_measurements():
@@ -62,6 +63,8 @@ def test_identical_mpi_job_timing():
 
 
 def test_identical_workload_results():
+    run_sample_sort = load_example("parallel_sort").run_sample_sort
+
     def run():
         result = run_sample_sort(Cluster(n_nodes=3), n_ranks=3,
                                  elements_per_rank=512)

@@ -153,3 +153,26 @@ def test_single_switch_nic_allreduce_adds_one_step_per_level(n_ranks):
                                 collectives="nic", op="allreduce")
     assert point["latency_us"] == \
         ns_to_us(3_893 + 27_566 * _tree_levels(n_ranks))
+
+
+@pytest.mark.parametrize("n_ranks", [8, 16, 32, 64, 128])
+def test_single_switch_host_allreduce_adds_one_step_per_doubling(n_ranks):
+    """From 8 ranks up, the single-switch host allreduce of one float64
+    costs 168.858 us plus exactly 57.876 us per doubling of the ranks
+    (458.238 us at 256 ranks, in the sweep)."""
+    point = measure_scale_point(n_ranks=n_ranks, topology="single_switch",
+                                collectives="host", op="allreduce")
+    doublings = int(math.log2(n_ranks)) - 3
+    assert point["latency_us"] == ns_to_us(168_858 + 57_876 * doublings)
+
+
+def test_single_switch_host_allreduce_small_rank_steps():
+    """Below 8 ranks the doubling step is not the affine one: 2 -> 4
+    ranks adds 70.035 us and 4 -> 8 ranks adds 56.286 us (42.537 /
+    112.572 / 168.858 us)."""
+    latency_ns = [round(measure_scale_point(
+        n_ranks=n, topology="single_switch", collectives="host",
+        op="allreduce")["latency_us"] * 1000) for n in (2, 4, 8)]
+    assert latency_ns == [42_537, 112_572, 168_858]
+    assert [b - a for a, b in zip(latency_ns, latency_ns[1:])] == \
+        [70_035, 56_286]

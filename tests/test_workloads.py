@@ -1,4 +1,5 @@
-"""Workload kernel tests: streaming, hotspot, and the three app kernels."""
+"""Workload tests: streaming, the congestion points, and the
+application kernels that live in ``examples/``."""
 
 from __future__ import annotations
 
@@ -6,14 +7,14 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.workloads import (
-    measure_hotspot,
-    measure_streaming_bandwidth,
-    run_kv_store,
-    run_request_service,
-    run_stencil,
-)
-from repro.workloads.apps import reference_stencil
+from repro.workloads import measure_streaming_bandwidth
+
+from tests.conftest import load_example
+
+run_stencil = load_example("mpi_stencil").run_stencil
+reference_stencil = load_example("mpi_stencil").reference_stencil
+run_kv_store = load_example("rma_kv_store").run_kv_store
+run_sample_sort = load_example("parallel_sort").run_sample_sort
 
 
 def test_streaming_reaches_near_peak_bandwidth():
@@ -30,15 +31,6 @@ def test_streaming_window_one_is_slower():
     serial = measure_streaming_bandwidth(Cluster(n_nodes=2), 4096,
                                          n_messages=16, window=1)
     assert pipelined.bandwidth_mb_s > serial.bandwidth_mb_s * 1.2
-
-
-def test_hotspot_bounded_by_receiver_link():
-    result = measure_hotspot(n_senders=4, message_bytes=4096,
-                             messages_each=8)
-    cfg = Cluster(n_nodes=2).cfg
-    # The receiver's single link is the ceiling.
-    assert result.bandwidth_mb_s <= cfg.wire_mb_s
-    assert result.bandwidth_mb_s > cfg.wire_mb_s * 0.7
 
 
 @pytest.mark.parametrize("n_ranks,rows", [(2, 16), (4, 32)])
@@ -61,15 +53,6 @@ def test_stencil_rejects_uneven_split():
         run_stencil(Cluster(n_nodes=3), n_ranks=3, rows=16, cols=16)
 
 
-def test_request_service_serves_all_clients():
-    result = run_request_service(Cluster(n_nodes=4), n_clients=3,
-                                 requests_each=4)
-    assert result.requests == 12
-    assert result.dropped == 0
-    # round trip + 5 us service: bounded below by 2x one-way latency
-    assert result.mean_response_us > 40.0
-
-
 def test_kv_store_reads_correct_and_one_sided():
     cluster = Cluster(n_nodes=3)
     result = run_kv_store(cluster, n_partitions=2, reads=8)
@@ -81,7 +64,6 @@ def test_kv_store_reads_correct_and_one_sided():
 
 @pytest.mark.parametrize("n_ranks,elements", [(2, 512), (3, 700), (4, 1024)])
 def test_sample_sort_correct(n_ranks, elements):
-    from repro.workloads import run_sample_sort
     result = run_sample_sort(Cluster(n_nodes=min(n_ranks, 4)),
                              n_ranks=n_ranks,
                              elements_per_rank=elements,
@@ -92,8 +74,30 @@ def test_sample_sort_correct(n_ranks, elements):
 
 
 def test_sample_sort_mixed_placement():
-    from repro.workloads import run_sample_sort
     result = run_sample_sort(Cluster(n_nodes=2), n_ranks=4,
                              elements_per_rank=600,
                              placement=[0, 0, 1, 1])
     assert result.sorted_ok
+
+
+#: ``measure_congestion_point(n_ranks=16, ...)`` as ext-scale runs it:
+#: (elapsed_us, tail_spread_us) per (topology, scenario).  Incast is
+#: ``run_hotspot`` with every non-root rank hot.
+CONGESTION_POINTS = {
+    ("single_switch", "incast"): (2175.083, 784.209),
+    ("single_switch", "hotspot"): (551.535, 114.917),
+    ("single_switch", "permutation"): (469.984, 6.798),
+    ("fat_tree", "incast"): (2106.464, 1132.430),
+    ("fat_tree", "hotspot"): (624.973, 184.359),
+    ("fat_tree", "permutation"): (694.422, 152.483),
+}
+
+
+@pytest.mark.parametrize("topology,scenario", CONGESTION_POINTS)
+def test_congestion_point_is_pinned(topology, scenario):
+    from repro.experiments.scale import measure_congestion_point
+    point = measure_congestion_point(n_ranks=16, topology=topology,
+                                     scenario=scenario)
+    elapsed_us, tail_spread_us = CONGESTION_POINTS[topology, scenario]
+    assert round(point["elapsed_us"], 3) == elapsed_us
+    assert round(point["tail_spread_us"], 3) == tail_spread_us
