@@ -19,7 +19,10 @@ these must reproduce byte for byte:
 * the stdout of the one-way latency command for ``--architecture
   user_level`` and ``--intra-node``, and of the intra-node bandwidth
   sweep.  ``repro observe`` now prints both: the latency line is
-  rebuilt from its bandwidth row.
+  rebuilt from its bandwidth row;
+* the cluster utilisation report of ``repro observe --report``,
+  recorded while a report module of its own still re-read every
+  component's tallies field by field.
 
 The kernel-level socket stack later joined the same harness, behind the
 BCL port calls.  Its pins were recorded through its old socket harness
@@ -149,6 +152,15 @@ COMMANDS = {
     "latency-intra": ["--intra-node"],
     "bandwidth-intra": ["--intra-node", "--bytes", "1024", "4096", "16384",
                         "65536", "131072", "--messages", "2"],
+    # the cluster utilisation report, from its header line to the end
+    # (the summary above it names message ids, which count up across
+    # clusters): one with interrupts, one with recovery and injected
+    # faults
+    "report-8192": ["--bytes", "8192", "--messages", "3", "--report"],
+    "report-kernel-level": ["--architecture", "kernel_level",
+                            "--messages", "3", "--report"],
+    "report-drop": ["--bytes", "65536", "--messages", "8", "--drop", "0.1",
+                    "--seed", "3", "--report"],
 }
 
 COMMAND_DIGESTS = {
@@ -160,6 +172,12 @@ COMMAND_DIGESTS = {
         "6bb3cab0a763fd9766722fa7a98c84ee75e605b5b9e35dcfb93c8c0708efae4c",
     "latency-user-level":
         "529e2539e52017d12048dcc533a4cca452833ae7f65140789916385d641e14f9",
+    "report-8192":
+        "4c331722d8df71ace8825fb16cadb79245d283412a4d60f8cf8ae1966d2aee60",
+    "report-drop":
+        "2cbcf2c5437ace528de82b60b900cabfe9c3f005d34286cb64cd4a613a95bea2",
+    "report-kernel-level":
+        "bece8e9ccc9ad2ba44503b4c2c04add3d2ed4b725baee5d908e9a521332891a4",
 }
 
 
@@ -175,6 +193,8 @@ def test_command_digest(name, capsys):
         nbytes, latency, _mb_s = out.splitlines()[1].split()
         where = "intra-node" if "--intra-node" in argv else argv[1]
         out = f"{nbytes}-byte one-way latency ({where}): {latency} us\n"
+    elif name.startswith("report"):
+        out = out[out.index("cluster report"):]
     assert _sha(out) == COMMAND_DIGESTS[name]
 
 
