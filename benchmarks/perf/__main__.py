@@ -1,8 +1,8 @@
-"""Run both benchmark suites: ``PYTHONPATH=src:. python -m benchmarks.perf``.
+"""Run the benchmark suites: ``PYTHONPATH=src:. python -m benchmarks.perf``.
 
-Writes ``BENCH_engine.json``, ``BENCH_experiments.json`` and
-``BENCH_scale.json`` into ``--out-dir`` (default: the current
-directory).  Pass ``--suite`` to run a subset.
+Writes ``BENCH_engine.json`` and ``BENCH_scale.json`` into
+``--out-dir`` (default: the current directory).  Pass ``--suite`` to
+run a subset.
 """
 
 from __future__ import annotations
@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from benchmarks.perf import bench_engine, bench_experiments, bench_scale
+from benchmarks.perf import bench_engine, bench_scale
 
 SUITES = {
     "engine": (bench_engine, "BENCH_engine.json"),
-    "experiments": (bench_experiments, "BENCH_experiments.json"),
     # The scale suite sweeps to 1024 ranks (minutes of wall time); CI's
-    # perf-smoke pins --suite engine --suite experiments and the
-    # scale-smoke job runs bench_scale --smoke instead.
+    # perf-smoke pins --suite engine and the scale-smoke job runs
+    # bench_scale --smoke instead.
     "scale": (bench_scale, "BENCH_scale.json"),
 }
 

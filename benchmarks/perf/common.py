@@ -3,7 +3,7 @@
 Every artifact carries:
 
 * ``schema`` — format tag (bump on incompatible layout changes);
-* ``suite`` — ``"engine"`` or ``"experiments"``;
+* ``suite`` — ``"engine"``, ``"scale"`` or ``"serve"``;
 * ``units`` — the unit of every numeric result field, spelled out so a
   reader never has to guess;
 * ``meta`` — run provenance: git sha, python, platform, UTC timestamp,

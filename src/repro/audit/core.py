@@ -498,7 +498,8 @@ class Auditor:
 
     # ------------------------------------------------------------ report
     def report(self) -> dict:
-        """Summary counters for the CLI."""
+        """What the auditor tracked and checked, and the violations it
+        raised, for the CLI."""
         flows = sorted(self.firmware.senders)
         arrived = sum(getattr(r, "packets_arrived", 0)
                       for r, _ in self.firmware.receivers.values())

@@ -471,6 +471,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_observe(args) -> int:
     from repro.telemetry.observe import (
         render_drilldown,
+        render_report,
         render_summary,
         render_top,
         run_ping_pong,
@@ -530,9 +531,8 @@ def _cmd_observe(args) -> int:
         print()
         print(render_drilldown(session, mid))
     if args.report:
-        from repro.instrument.report import cluster_report
         print()
-        print(cluster_report(cluster).format())
+        print(render_report(session))
     if args.spans_out is not None:
         from repro.telemetry.spans import write_chrome_trace
         flows = (session.span_trees() if mid is None

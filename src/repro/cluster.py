@@ -170,6 +170,22 @@ class Cluster:
         return self.env.run(until)
 
     # ----------------------------------------------------------- telemetry
+    def register_metrics(self, registry) -> None:
+        """Register every component's tallies with ``registry`` (a
+        :class:`~repro.telemetry.metrics.MetricsRegistry`), which reads
+        them live: the one place a tally is named."""
+        for node in self.nodes:
+            for cpu in node.cpus:
+                cpu.register_metrics(registry)
+            node.pci.register_metrics(registry)
+            node.nic.register_metrics(registry)
+            node.kernel.register_metrics(registry)
+        for mcp in self.mcps:
+            mcp.register_metrics(registry)
+        self.network.register_metrics(registry)
+        for injector in self.fault_injectors:
+            injector.register_metrics(registry)
+
     @property
     def total_traps(self) -> int:
         return sum(n.kernel.counters.traps for n in self.nodes)

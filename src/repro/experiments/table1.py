@@ -3,8 +3,9 @@
 The paper's table compares kernel-level, user-level and semi-user-level
 messaging by the number of OS trappings and interrupt-handling episodes
 on the critical path, and by where the NIC is accessed from.  We
-*count* these events with the kernel/interrupt instrumentation while
-one steady-state message crosses each stack (setup traps — port or
+*count* these events with the kernel/interrupt instrumentation, read
+through the metrics registry, while one steady-state message crosses
+each stack (setup traps — port or
 socket creation — excluded, as the paper's "critical path" is the
 per-message path).  One crossing, through the BCL port calls of
 :func:`repro.baselines.library_for`, counts all three stacks.
@@ -18,11 +19,23 @@ from repro.config import CostModel
 from repro.experiments.common import ExperimentResult
 from repro.firmware.packet import ChannelKind
 from repro.sim import Store
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["count_architecture", "merge_counts"]
 
 #: message size used for the counted crossing
 MESSAGE_BYTES = 64
+
+#: counted quantity -> (registry series, labels), summed over nodes
+_SERIES = {
+    "traps": ("repro_traps_total", {}),
+    "traps_send": ("repro_traps_send_path_total", {}),
+    "traps_recv": ("repro_traps_recv_path_total", {}),
+    "interrupts": ("repro_interrupts_total", {}),
+    "copies": ("repro_data_copies_total", {}),
+    "nic_kernel": ("repro_nic_accesses_total", {"space": "kernel"}),
+    "nic_user": ("repro_nic_accesses_total", {"space": "user"}),
+}
 
 #: row order and the paper's qualitative claims for each architecture
 _ARCHITECTURES = (
@@ -40,14 +53,13 @@ def count_architecture(cfg: CostModel, architecture: str) -> dict:
     env = cluster.env
     lib_cls = library_for(architecture)
     sync: Store = Store(env)
+    registry = MetricsRegistry()
+    cluster.register_metrics(registry)
     out = {}
 
-    def snapshot():
-        return [node.kernel.counters.snapshot() for node in cluster.nodes]
-
-    def deltas(before):
-        return [node.kernel.counters.delta(b)
-                for node, b in zip(cluster.nodes, before)]
+    def read():
+        return {key: int(registry.total(name, **labels))
+                for key, (name, labels) in _SERIES.items()}
 
     def receiver():
         proc = cluster.spawn(1)
@@ -55,9 +67,9 @@ def count_architecture(cfg: CostModel, architecture: str) -> dict:
         buf = proc.alloc(MESSAGE_BYTES)
         yield from port.post_recv(0, buf, MESSAGE_BYTES)
         sync.try_put(port.address)
-        out["before"] = snapshot()
+        out["before"] = read()
         yield from port.wait_recv()
-        out["after"] = deltas(out["before"])
+        out["after"] = read()
 
     def sender():
         proc = cluster.spawn(0)
@@ -71,20 +83,9 @@ def count_architecture(cfg: CostModel, architecture: str) -> dict:
     done = env.process(receiver(), name="t1.recv")
     env.process(sender(), name="t1.send")
     env.run(until=done)
-    return _merge(out["after"])
-
-
-def _merge(deltas):
-    """Combine the two nodes' counter deltas into one path summary."""
-    merged = {
-        "traps": sum(d.traps for d in deltas),
-        "traps_send": sum(d.traps_send_path for d in deltas),
-        "traps_recv": sum(d.traps_recv_path for d in deltas),
-        "interrupts": sum(d.interrupts for d in deltas),
-        "copies": sum(d.data_copies for d in deltas),
-    }
-    kernel = sum(d.nic_accesses_from_kernel for d in deltas)
-    user = sum(d.nic_accesses_from_user for d in deltas)
+    merged = {key: out["after"][key] - out["before"][key] for key in _SERIES}
+    kernel = merged.pop("nic_kernel")
+    user = merged.pop("nic_user")
     if kernel and user:
         merged["nic_access"] = "kernel+user"
     elif kernel:

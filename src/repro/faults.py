@@ -57,11 +57,16 @@ __all__ = [
     "Brownout",
     "FaultEvent",
     "FaultInjector",
+    "FAULT_KINDS",
     "FaultPlan",
     "GilbertElliott",
     "derive_seed",
     "install_plan",
 ]
+
+#: the injector's tally of each kind of fault, by attribute name
+FAULT_KINDS = ("drops", "burst_drops", "brownout_drops", "scripted_drops",
+               "corruptions", "duplicates", "reorders")
 
 #: fault kinds that remove a DATA packet from the wire (open a loss
 #: episode for time-to-recover accounting)
@@ -252,7 +257,6 @@ class FaultInjector:
         #: flows for which a scripted drop_seqs entry already fired:
         #: {(src, dst, seq)} — only the first wire copy is dropped
         self._scripted_done: set = set()
-        self.inspected = 0
         self.drops = 0
         self.burst_drops = 0
         self.brownout_drops = 0
@@ -320,7 +324,6 @@ class FaultInjector:
         plan = self.plan
         if not self.eligible(packet):
             return [(0, packet)]
-        self.inspected += 1
 
         # 1. Timed brownouts (deterministic windows, seeded rate inside).
         for brownout in plan.brownouts:
@@ -386,13 +389,15 @@ class FaultInjector:
         return (self.drops + self.burst_drops + self.brownout_drops
                 + self.scripted_drops)
 
-    def counts(self) -> dict[str, int]:
-        return {"inspected": self.inspected, "drops": self.drops,
-                "burst_drops": self.burst_drops,
-                "brownout_drops": self.brownout_drops,
-                "scripted_drops": self.scripted_drops,
-                "corruptions": self.corruptions,
-                "duplicates": self.duplicates, "reorders": self.reorders}
+    def register_metrics(self, registry) -> None:
+        """Expose the faults injected on this link, one series per
+        kind; together they count :attr:`events`."""
+        for fault in FAULT_KINDS:
+            registry.register_callback(
+                "repro_faults_injected_total",
+                lambda f=fault: getattr(self, f),
+                "faults injected on the link, by kind", kind="counter",
+                link=self.scope, fault=fault)
 
 
 def install_plan(cluster: "Cluster", plan: FaultPlan) -> list[FaultInjector]:

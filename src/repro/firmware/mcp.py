@@ -36,7 +36,11 @@ from repro.firmware.packet import (
     fragment_offsets,
 )
 from repro.firmware.collectives import NicCollectives
-from repro.firmware.reliability import GoBackNReceiver, GoBackNSender
+from repro.firmware.reliability import (
+    GoBackNReceiver,
+    GoBackNSender,
+    retx_amplification,
+)
 from repro.firmware.tlb import NicTlb
 from repro.hw.nic import LandingZone, Nic, NicPortState
 from repro.sim import Environment, Resource, Store, Tracer
@@ -128,10 +132,11 @@ class Mcp:
 
     def register_metrics(self, registry) -> None:
         """Expose this NIC's firmware tallies to a telemetry registry:
-        message counts plus the go-back-N recovery counters (absorbed
-        via :meth:`ReliabilityCounters.register_mcp`)."""
-        from repro.instrument.counters import ReliabilityCounters
+        message counts plus the go-back-N recovery counters, each
+        summed over the NIC's sender or receiver flows when read."""
         nic = str(self.nic.node_id)
+        senders = self._senders.values
+        receivers = self._receivers.values
         for name, attr in (("repro_mcp_messages_sent_total",
                             "messages_sent"),
                            ("repro_mcp_messages_delivered_total",
@@ -140,7 +145,29 @@ class Mcp:
             registry.register_callback(
                 name, lambda a=attr: getattr(self, a),
                 kind="counter", nic=nic)
-        ReliabilityCounters.register_mcp(registry, self, nic=nic)
+        for name, attr in (("repro_wire_data_packets_total", "next_seq"),
+                           ("repro_retransmissions_total", "retransmissions"),
+                           ("repro_fast_retransmits_total",
+                            "fast_retransmits"),
+                           ("repro_retransmit_timeouts_total", "timeouts")):
+            registry.register_callback(
+                name, lambda a=attr: sum(getattr(s, a) for s in senders()),
+                kind="counter", nic=nic)
+        for reason, attr in (("duplicate", "duplicates"),
+                             ("out_of_order", "out_of_order_drops"),
+                             ("corrupt", "corrupt_drops")):
+            registry.register_callback(
+                "repro_recv_drops_total",
+                lambda a=attr: sum(getattr(r, a) for r in receivers()),
+                "receive-discipline discards by reason",
+                kind="counter", reason=reason, nic=nic)
+        registry.register_callback(
+            "repro_retx_amplification",
+            lambda: retx_amplification(
+                sum(s.next_seq for s in senders()),
+                sum(s.retransmissions for s in senders())),
+            "wire DATA packets per unique DATA packet (1.0 = loss-free)",
+            kind="gauge", nic=nic)
         self.coll.register_metrics(registry)
 
     def sender_flow(self, dst_nic: int) -> GoBackNSender:

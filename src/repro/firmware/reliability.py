@@ -22,7 +22,14 @@ from repro.config import CostModel
 from repro.firmware.packet import SEQUENCED_TYPES, Packet, PacketType
 from repro.sim import Environment, Event
 
-__all__ = ["GoBackNSender", "GoBackNReceiver"]
+__all__ = ["GoBackNSender", "GoBackNReceiver", "retx_amplification"]
+
+
+def retx_amplification(data_packets: int, retransmissions: int) -> float:
+    """Wire DATA packets per unique DATA packet (1.0 = loss-free)."""
+    if not data_packets:
+        return 1.0
+    return (data_packets + retransmissions) / data_packets
 
 
 class GoBackNSender:

@@ -30,6 +30,13 @@ class Cpu:
         self._resource = Resource(env, capacity=1)
         self.busy_ns = 0  # accumulated execution time, for utilisation stats
 
+    def register_metrics(self, registry) -> None:
+        """Expose this CPU's accumulated busy time."""
+        registry.register_callback(
+            "repro_cpu_busy_ns", lambda: self.busy_ns,
+            "simulated ns the CPU spent executing", kind="counter",
+            cpu=self.name)
+
     def execute(self, cost_us: float, *, category: str = "cpu",
                 stage: str = "work", message_id: Optional[int] = None,
                 scale: bool = True) -> Generator:

@@ -101,6 +101,12 @@ class Link:
             lambda: self.busy_ns[self.a] + self.busy_ns[self.b],
             "serialization-window occupancy, both directions",
             kind="counter", link=self.name)
+        for direction, end in (("a_to_b", self.a), ("b_to_a", self.b)):
+            registry.register_callback(
+                "repro_link_direction_busy_ns",
+                lambda end=end: self.busy_ns[end],
+                "serialization-window occupancy of one direction",
+                kind="counter", link=self.name, direction=direction)
         registry.register_callback(
             "repro_link_packets_total", lambda: self.packets_carried,
             kind="counter", link=self.name, outcome="carried")

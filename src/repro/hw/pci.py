@@ -38,6 +38,19 @@ class PciBus:
         self.pio_words_read = 0
         self.dma_bytes = 0
 
+    def register_metrics(self, registry) -> None:
+        """Expose this bus's PIO word and DMA byte tallies."""
+        for op, attr in (("write", "pio_words_written"),
+                         ("read", "pio_words_read")):
+            registry.register_callback(
+                "repro_pci_pio_words_total",
+                lambda a=attr: getattr(self, a),
+                "32-bit words moved by programmed I/O", kind="counter",
+                bus=self.name, op=op)
+        registry.register_callback(
+            "repro_pci_dma_bytes_total", lambda: self.dma_bytes,
+            "bytes moved by DMA", kind="counter", bus=self.name)
+
     # ------------------------------------------------------------- PIO
     def pio_write(self, cpu: Cpu, words: int, *, stage: str = "pio_write",
                   message_id: Optional[int] = None) -> Generator:

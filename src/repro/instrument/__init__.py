@@ -1,30 +1,14 @@
-"""Instrumentation: path counters, measurement harness, statistics."""
+"""Instrumentation that the simulation itself calls.
 
-from repro.instrument.counters import PathCounters, ReliabilityCounters
-from repro.instrument.recovery import (
-    LossEpisode,
-    RecoveryTracker,
-    recovery_summary,
-)
-from repro.instrument.report import ClusterReport, cluster_report
-from repro.instrument.stats import bandwidth_mb_s, summarize
-from repro.instrument.measure import (
-    LatencySample,
-    measure_intra_node,
-    measure_one_way,
-)
+* :mod:`repro.instrument.measure` — the one-way latency harness
+  (:func:`~repro.instrument.measure.measure_one_way`, ``LatencySample``);
+* :mod:`repro.instrument.stats` — MB/s and the exact nearest-rank
+  percentile;
+* :mod:`repro.instrument.counters` — ``PathCounters``, the kernel's
+  Table 1 tallies;
+* :mod:`repro.instrument.recovery` — ``RecoveryTracker`` and the
+  recovery summary of a fault campaign.
 
-__all__ = [
-    "ClusterReport",
-    "LatencySample",
-    "LossEpisode",
-    "PathCounters",
-    "RecoveryTracker",
-    "ReliabilityCounters",
-    "cluster_report",
-    "bandwidth_mb_s",
-    "measure_intra_node",
-    "measure_one_way",
-    "recovery_summary",
-    "summarize",
-]
+Every tally is read through the metrics registry
+(:mod:`repro.telemetry.metrics`); import from the submodules.
+"""

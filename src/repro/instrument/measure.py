@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.baselines import library_for
 from repro.firmware.packet import ChannelKind
-from repro.instrument.stats import Summary, bandwidth_mb_s, summarize
+from repro.instrument.stats import bandwidth_mb_s
 from repro.sim import Store
 from repro.sim.time import ns_to_us
 
@@ -35,12 +35,11 @@ class LatencySample:
     received_payloads_ok: bool = True
 
     @property
-    def summary(self) -> Summary:
-        return summarize(self.samples_us)
-
-    @property
     def latency_us(self) -> float:
-        return self.summary.mean
+        """Mean of the samples; ``ValueError`` when there are none."""
+        if not self.samples_us:
+            raise ValueError("no latency samples")
+        return sum(self.samples_us) / len(self.samples_us)
 
     @property
     def bandwidth_mb_s(self) -> float:

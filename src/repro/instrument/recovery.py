@@ -19,7 +19,8 @@ faults (see :mod:`repro.faults`):
 
 :class:`RecoveryTracker` attaches to a cluster *before* the workload
 runs; :func:`recovery_summary` flattens everything into scalars (ready
-for an experiment-cell payload).
+for an experiment-cell payload), summing the protocol and fault series
+of the metrics registry.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.faults import LOSS_KINDS, FaultEvent
-from repro.firmware.reliability import GoBackNSender
-from repro.instrument.counters import ReliabilityCounters
+from repro.faults import FAULT_KINDS, LOSS_KINDS, FaultEvent
+from repro.firmware.reliability import GoBackNSender, retx_amplification
 from repro.sim.time import ns_to_us
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -134,38 +134,36 @@ def recovery_summary(cluster: "Cluster",
     All values are JSON-safe (int/float/bool/None), so the dict can
     serve directly as a runner-cell payload.
     """
-    protocol = ReliabilityCounters()
-    for mcp in cluster.mcps:
-        per_nic = ReliabilityCounters.from_mcp(mcp)
-        protocol.data_packets += per_nic.data_packets
-        protocol.retransmissions += per_nic.retransmissions
-        protocol.fast_retransmits += per_nic.fast_retransmits
-        protocol.retransmit_timeouts += per_nic.retransmit_timeouts
-        protocol.duplicate_drops += per_nic.duplicate_drops
-        protocol.out_of_order_drops += per_nic.out_of_order_drops
-        protocol.corrupt_drops += per_nic.corrupt_drops
+    # Imported here: a module-level import would load the whole
+    # telemetry package with ``import repro``.
+    from repro.telemetry.metrics import MetricsRegistry
+
+    registry = MetricsRegistry()
+    cluster.register_metrics(registry)
+
+    def total(name: str, **labels) -> int:
+        return int(registry.total(name, **labels))
+
+    data_packets = total("repro_wire_data_packets_total")
+    retransmissions = total("repro_retransmissions_total")
     summary: dict[str, object] = {
-        "data_packets": protocol.data_packets,
-        "retransmissions": protocol.retransmissions,
-        "retx_amplification": protocol.retx_amplification,
-        "fast_retransmits": protocol.fast_retransmits,
-        "retransmit_timeouts": protocol.retransmit_timeouts,
-        "duplicate_drops": protocol.duplicate_drops,
-        "out_of_order_drops": protocol.out_of_order_drops,
-        "corrupt_drops": protocol.corrupt_drops,
+        "data_packets": data_packets,
+        "retransmissions": retransmissions,
+        "retx_amplification": retx_amplification(data_packets,
+                                                  retransmissions),
+        "fast_retransmits": total("repro_fast_retransmits_total"),
+        "retransmit_timeouts": total("repro_retransmit_timeouts_total"),
     }
-    totals = {"drops": 0, "burst_drops": 0, "brownout_drops": 0,
-              "scripted_drops": 0, "corruptions": 0, "duplicates": 0,
-              "reorders": 0}
-    for injector in cluster.fault_injectors:
-        counts = injector.counts()
-        for key in totals:
-            totals[key] += counts[key]
-    summary["injected_losses"] = (totals["drops"] + totals["burst_drops"]
-                                  + totals["brownout_drops"]
-                                  + totals["scripted_drops"])
-    for key, value in totals.items():
-        summary[f"injected_{key}"] = value
+    for reason in ("duplicate", "out_of_order", "corrupt"):
+        summary[f"{reason}_drops"] = total("repro_recv_drops_total",
+                                           reason=reason)
+    injected = {fault: total("repro_faults_injected_total", fault=fault)
+                for fault in FAULT_KINDS}
+    summary["injected_losses"] = (injected["drops"] + injected["burst_drops"]
+                                  + injected["brownout_drops"]
+                                  + injected["scripted_drops"])
+    for fault, count in injected.items():
+        summary[f"injected_{fault}"] = count
     if tracker is not None:
         times = tracker.times_to_recover_us()
         summary["loss_episodes"] = len(tracker.episodes) \

@@ -5,32 +5,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-__all__ = ["bandwidth_mb_s", "nearest_rank", "summarize", "Summary"]
-
-
-class Summary:
-    """Mean/min/max/stdev of a sample set (microseconds, typically)."""
-
-    def __init__(self, values: Sequence[float]):
-        if not values:
-            raise ValueError("cannot summarize an empty sample set")
-        self.n = len(values)
-        self.mean = sum(values) / self.n
-        self.min = min(values)
-        self.max = max(values)
-        if self.n > 1:
-            var = sum((v - self.mean) ** 2 for v in values) / (self.n - 1)
-            self.stdev = math.sqrt(var)
-        else:
-            self.stdev = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"Summary(n={self.n}, mean={self.mean:.3f}, "
-                f"min={self.min:.3f}, max={self.max:.3f})")
-
-
-def summarize(values: Sequence[float]) -> Summary:
-    return Summary(values)
+__all__ = ["bandwidth_mb_s", "nearest_rank"]
 
 
 def bandwidth_mb_s(nbytes: int, elapsed_us: float) -> float:

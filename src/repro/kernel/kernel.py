@@ -49,7 +49,22 @@ class Kernel:
         """Expose this kernel's Table-1 path counters and pin-down
         table state to a telemetry registry (observation only)."""
         node = str(self.node.node_id)
-        self.counters.register_into(registry, node=node)
+        counters = self.counters
+        for name, attr in (("repro_traps_total", "traps"),
+                           ("repro_traps_send_path_total", "traps_send_path"),
+                           ("repro_traps_recv_path_total", "traps_recv_path"),
+                           ("repro_interrupts_total", "interrupts"),
+                           ("repro_data_copies_total", "data_copies"),
+                           ("repro_pio_words_total", "pio_words")):
+            registry.register_callback(
+                name, lambda a=attr: getattr(counters, a),
+                kind="counter", node=node)
+        for space in ("user", "kernel"):
+            registry.register_callback(
+                "repro_nic_accesses_total",
+                lambda a=f"nic_accesses_from_{space}": getattr(counters, a),
+                "NIC register/queue accesses on the critical path",
+                kind="counter", space=space, node=node)
         registry.register_callback(
             "repro_pindown_entries",
             lambda: len(self.pindown),

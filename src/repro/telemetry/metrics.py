@@ -1,11 +1,14 @@
 """Metrics registry: counters, gauges and log-scaled histograms.
 
-Every layer of the simulated stack registers its instruments here —
-the kernel's :class:`~repro.instrument.counters.PathCounters`, the
-firmware's reliability tallies, NIC/link occupancy, and the upper
-layers' credit accounting — so one collection pass can answer "what
-did this run do" without each experiment hand-rolling its own
-aggregation.  Two export formats:
+Every layer of the simulated stack registers its instruments here,
+through :meth:`repro.cluster.Cluster.register_metrics` — CPU busy time,
+PCI traffic, the kernel's Table 1 path counters, the firmware's
+reliability tallies, NIC/link occupancy, injected faults — and the
+upper layers add their credit accounting.  A tally is named once, in
+its component's ``register_metrics``, and read here: ``repro observe
+--report``, the recovery summary and Table 1 all read the registry
+(:meth:`MetricsRegistry.total`), not the components.  Two export
+formats:
 
 * Prometheus-style text exposition (:meth:`MetricsRegistry.render_prometheus`),
   with cumulative ``_bucket`` lines for histograms plus exact
@@ -15,10 +18,9 @@ aggregation.  Two export formats:
 
 Instruments are either *owned* (mutated through ``inc``/``set``/
 ``observe``) or *callback-backed* (the registry reads a live source —
-an existing counters object — at collection time).  Callback backing
-is how the ad-hoc ``PathCounters``/``ReliabilityCounters`` are
-absorbed without changing their public API: they keep their fields,
-and the registry samples them.
+a component's plain integer field — at collection time).  Components
+keep counting in their own fields on the hot path; only a read pays
+for the registry.
 
 Everything here is a pure observer: no instrument schedules simulation
 events or consumes randomness, so registering metrics never perturbs a
@@ -315,6 +317,16 @@ class MetricsRegistry:
     def get(self, name: str, **labels: Any) -> Optional[Instrument]:
         self._collect()
         return self._instruments.get((name, _label_items(labels)))
+
+    def total(self, name: str, **labels: Any) -> float:
+        """Sum of every ``name`` series whose labels include ``labels``
+        (0 when none does): ``total("repro_traps_total")`` is the
+        cluster's traps, ``total(..., node="0")`` one node's."""
+        self._collect()
+        want = set(_label_items(labels))
+        return sum(instrument.value() for (series, items), instrument
+                   in self._instruments.items()
+                   if series == name and want <= set(items))
 
     # ------------------------------------------------------------ export
     def render_prometheus(self) -> str:

@@ -5,7 +5,9 @@ architecture (optionally under a seeded fault plan) and renders the
 operator's view of it: a latency summary (exact p50/p95/p99 from the
 metrics registry), the aggregate per-stage critical-path breakdown
 (the per-message Figure 7), the top-K slowest messages with their
-bounding stage and anomaly flags, and per-message drill-downs.
+bounding stage and anomaly flags, per-message drill-downs, and the
+cluster utilisation report (every component's tallies, read from the
+session's metrics registry).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.instrument.measure import LatencySample
 
 __all__ = ["PingPong", "run_ping_pong", "render_summary", "render_top",
-           "render_drilldown"]
+           "render_drilldown", "render_report"]
 
 
 class PingPong(NamedTuple):
@@ -173,4 +175,71 @@ def render_drilldown(session: TelemetrySession, message_id: int) -> str:
             f"  {'  ' * depth}[{ns_to_us(span.start_ns - origin):8.3f} -> "
             f"{ns_to_us(span.end_ns - origin):8.3f} us] {label}"
             + (f"  ({span.layer})" if span.layer else ""))
+    return "\n".join(lines)
+
+
+def render_report(session: TelemetrySession) -> str:
+    """Where the microseconds went, per component: CPU busy time, PCI
+    traffic, traps and interrupts, pin-down and NIC tallies per node,
+    then the busiest link.  Every count is read from the registry."""
+    cluster = session.cluster
+    registry = session.registry
+
+    def n(name: str, **labels) -> int:
+        return int(registry.total(name, **labels))
+
+    elapsed_us = ns_to_us(cluster.env.now)
+    lines = [f"cluster report @ t={elapsed_us:,.1f} us"]
+    for node in cluster.nodes:
+        host = {"node": str(node.node_id)}
+        nic = {"nic": str(node.node_id)}
+        bus = {"bus": node.pci.name}
+        cpus = ", ".join(
+            f"{ns_to_us(n('repro_cpu_busy_ns', cpu=cpu.name)):,.1f}"
+            for cpu in node.cpus)
+        retx = n("repro_retransmissions_total", **nic)
+        dup, ooo, crc = (n("repro_recv_drops_total", reason=reason, **nic)
+                         for reason in ("duplicate", "out_of_order",
+                                        "corrupt"))
+        lines.append(
+            f"  node{node.node_id}: cpu busy us [{cpus}] | pio w/r "
+            f"{n('repro_pci_pio_words_total', op='write', **bus)}/"
+            f"{n('repro_pci_pio_words_total', op='read', **bus)} | "
+            f"dma {n('repro_pci_dma_bytes_total', **bus)} B | "
+            f"traps {n('repro_traps_total', **host)} "
+            f"(s{n('repro_traps_send_path_total', **host)}/"
+            f"r{n('repro_traps_recv_path_total', **host)}) | "
+            f"irq {n('repro_interrupts_total', **host)}")
+        lines.append(
+            f"         pindown h/m/e {n('repro_pindown_hits_total', **host)}/"
+            f"{n('repro_pindown_misses_total', **host)}/"
+            f"{n('repro_pindown_evictions_total', **host)} | "
+            f"nic sent/recv {n('repro_mcp_messages_sent_total', **nic)}/"
+            f"{n('repro_mcp_messages_delivered_total', **nic)} | "
+            f"retx {retx} | drops sys "
+            f"{n('repro_nic_system_pool_drops_total', **nic)} unready "
+            f"{n('repro_nic_unready_drops_total', **nic)}")
+        if retx or dup or ooo or crc:
+            lines.append(
+                f"         recovery: fast-retx "
+                f"{n('repro_fast_retransmits_total', **nic)} | timeouts "
+                f"{n('repro_retransmit_timeouts_total', **nic)} | rx drops "
+                f"dup {dup} ooo {ooo} crc {crc}")
+    links = [link.name for link in cluster.network.links]
+    if links:
+        busiest = max(links, key=lambda link: n("repro_link_busy_ns",
+                                                link=link))
+        busy_us = max(ns_to_us(n("repro_link_direction_busy_ns",
+                                 link=busiest, direction=direction))
+                      for direction in ("a_to_b", "b_to_a"))
+        faults = n("repro_faults_injected_total", link=busiest)
+        faulted = f", {faults} faults injected" if faults else ""
+        lines.append(
+            f"  busiest link: {busiest} "
+            f"({busy_us / elapsed_us if elapsed_us > 0 else 0.0:.1%} "
+            f"utilised, "
+            f"{n('repro_link_packets_total', link=busiest, outcome='carried')}"
+            f" packets, "
+            f"{n('repro_link_packets_total', link=busiest, outcome='dropped')}"
+            f" dropped{faulted})")
     return "\n".join(lines)

@@ -9,8 +9,9 @@ layer together:
   a :class:`~repro.telemetry.critical_path.StageFold` (busy ns per
   stage, read as ``repro_stage_ns_total``) and to the wire instruments
   in a :class:`~repro.telemetry.metrics.MetricsRegistry`;
-* asks each layer to register its instruments — kernel path counters,
-  MCP reliability counters, NIC tables, link occupancy — and exposes
+* asks the cluster to register every component's instruments (CPU
+  busy time, PCI traffic, kernel path counters, MCP reliability
+  counters, NIC tables, link occupancy, injected faults) and exposes
   itself on the environment (``env._telemetry``) so runtime-created
   upper-layer endpoints (EADI) self-register the same way auditor
   checkers do;
@@ -64,15 +65,7 @@ class TelemetrySession:
         # Runtime-created endpoints (EADI) find the session here, the
         # same way protocol objects find the auditor via env._audit.
         cluster.env._telemetry = self
-
-        for node in cluster.nodes:
-            if node.kernel is not None:
-                node.kernel.register_metrics(self.registry)
-            if node.nic is not None:
-                node.nic.register_metrics(self.registry)
-        for mcp in cluster.mcps:
-            mcp.register_metrics(self.registry)
-        cluster.network.register_metrics(self.registry)
+        cluster.register_metrics(self.registry)
 
     # ------------------------------------------------------------ intake
     def _on_record(self, record: TraceRecord) -> None:

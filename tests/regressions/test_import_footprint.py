@@ -112,16 +112,39 @@ print(json.dumps(out))
 ''' % (HEAVY,)
 
 
-@pytest.fixture(scope="module")
-def probe() -> dict:
+#: ``import repro`` and a bare 0 B one-way message, nothing else: the
+#: telemetry package (session, spans, ledger, recorder, diff) stays
+#: unloaded, since ``repro.instrument.recovery`` imports the metrics
+#: registry inside ``recovery_summary``
+BARE_PROBE = r'''
+import json, sys
+
+import repro
+
+repro.measure_one_way(repro.Cluster(n_nodes=2), 0)
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.startswith("repro.telemetry"))))
+'''
+
+
+def _run_probe(source: str) -> object:
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", source], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def probe() -> dict:
+    return _run_probe(PROBE)
+
+
+def test_bare_message_loads_no_telemetry_module():
+    assert _run_probe(BARE_PROBE) == []
 
 
 def _bench_scale_latency(name: str) -> float:

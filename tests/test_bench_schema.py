@@ -97,8 +97,7 @@ def test_committed_baselines_conform():
     baseline_dir = ROOT / "benchmarks" / "perf" / "baseline"
     paths = sorted(baseline_dir.glob("BENCH_*.json"))
     assert [p.name for p in paths] == \
-        ["BENCH_engine.json", "BENCH_experiments.json", "BENCH_scale.json",
-         "BENCH_serve.json"]
+        ["BENCH_engine.json", "BENCH_scale.json", "BENCH_serve.json"]
     for path in paths:
         _check_schema(json.loads(path.read_text()))
 

@@ -8,7 +8,8 @@ from repro.bcl.address import BclAddress
 from repro.config import DAWNING_3000, CostModel, dawning_3000
 from repro.firmware.descriptors import BclEvent, EventKind, SendRequest
 from repro.firmware.packet import ChannelKind
-from repro.instrument.stats import Summary, bandwidth_mb_s, summarize
+from repro.instrument.measure import LatencySample
+from repro.instrument.stats import bandwidth_mb_s
 from repro.sim.time import (
     bytes_per_second_to_ns_per_byte,
     ns_to_us,
@@ -107,16 +108,13 @@ def test_address_ordering_and_hashing():
 
 
 # ------------------------------------------------------------------- stats
-def test_summary_statistics():
-    s = summarize([1.0, 2.0, 3.0, 4.0])
-    assert s.mean == 2.5 and s.min == 1.0 and s.max == 4.0
-    assert s.stdev == pytest.approx(1.29099, rel=1e-4)
-    assert Summary([5.0]).stdev == 0.0
+def test_latency_sample_mean():
+    assert LatencySample(0, [1.0, 2.0, 3.0, 4.0]).latency_us == 2.5
 
 
-def test_summary_empty_rejected():
+def test_latency_sample_empty_rejected():
     with pytest.raises(ValueError):
-        summarize([])
+        LatencySample(0).latency_us
 
 
 def test_bandwidth_units_match_paper_convention():

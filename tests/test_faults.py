@@ -20,6 +20,7 @@ from repro.instrument.measure import measure_one_way
 from repro.instrument.recovery import RecoveryTracker, recovery_summary
 from repro.sim import Environment, us
 from repro.sim.time import transfer_time_ns
+from repro.telemetry.metrics import MetricsRegistry
 
 from tests.conftest import run_procs
 from tests.test_bcl_channels import setup_pair
@@ -306,6 +307,22 @@ def test_null_plan_byte_identical_to_no_injector():
     assert plain.env.now == nulled.env.now
     assert nulled.total_injected_faults == 0
     assert recovery_summary(plain) == recovery_summary(nulled)
+
+
+def test_injected_fault_series_count_every_fault_event():
+    """A link's seven per-kind series sum to the events it injected."""
+    plan = FaultPlan(seed=5, drop_rate=0.05, corrupt_rate=0.05,
+                     duplicate_rate=0.05, reorder_rate=0.05)
+    cluster = Cluster(n_nodes=2, cfg=LOSSY, fault_plan=plan)
+    assert measure_one_way(cluster, 20000, repeats=3,
+                           warmup=1).received_payloads_ok
+    registry = MetricsRegistry()
+    cluster.register_metrics(registry)
+    kinds = {e.kind for i in cluster.fault_injectors for e in i.events}
+    assert {"drop", "corrupt", "duplicate", "reorder"} <= kinds
+    for injector in cluster.fault_injectors:
+        assert registry.total("repro_faults_injected_total",
+                              link=injector.scope) == len(injector.events)
 
 
 # ----------------------------------------------- trace + experiment wiring
