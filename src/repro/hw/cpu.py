@@ -21,6 +21,8 @@ __all__ = ["Cpu"]
 class Cpu:
     """One processor of an SMP node."""
 
+    __slots__ = ("env", "cfg", "name", "tracer", "_resource", "busy_ns")
+
     def __init__(self, env: Environment, cfg: CostModel, name: str,
                  tracer: Optional[Tracer] = None):
         self.env = env
