@@ -45,8 +45,7 @@ class Switch:
         if self._endpoints[port] is not None:
             raise RuntimeError(f"{self.name} port {port} already connected")
         self._endpoints[port] = endpoint
-        inbox = self._inboxes[port]
-        endpoint.attach(lambda _ep, pkt, _inbox=inbox: _inbox.try_put(pkt))
+        endpoint.attach(self._inboxes[port].try_put)
 
     def _forwarder(self, port: int) -> Generator:
         inbox = self._inboxes[port]

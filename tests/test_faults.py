@@ -159,7 +159,7 @@ def test_dropped_packets_still_charge_link_occupancy():
     link = Link(env, DAWNING_3000, "L")
     link.injector = FaultInjector(env, FaultPlan(drop_rate=1.0), link.name)
     delivered = []
-    link.b.attach(lambda endpoint, packet: delivered.append(packet))
+    link.b.attach(delivered.append)
     packet = data_packet(4096)
 
     def sender():
@@ -188,7 +188,7 @@ def test_duplicate_copies_charge_one_window():
     link = Link(env, DAWNING_3000, "L")
     link.injector = FaultInjector(env, cluster_plan, link.name)
     delivered = []
-    link.b.attach(lambda endpoint, packet: delivered.append(packet))
+    link.b.attach(delivered.append)
     packet = data_packet(4096)
 
     def sender():

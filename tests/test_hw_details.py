@@ -28,7 +28,7 @@ def test_switch_disjoint_flows_are_parallel(env, cfg):
     arrivals = {}
     for i, link in enumerate(links):
         sw.connect(i, link.b)
-        link.a.attach(lambda _ep, pkt, i=i: arrivals.setdefault(i, env.now))
+        link.a.attach(lambda pkt, i=i: arrivals.setdefault(i, env.now))
 
     def inject(port, out_port):
         yield links[port].a.send(data_packet(route=(out_port,),
@@ -49,7 +49,7 @@ def test_switch_same_output_serialises(env, cfg):
     arrivals = []
     for i, link in enumerate(links):
         sw.connect(i, link.b)
-        link.a.attach(lambda _ep, pkt: arrivals.append(env.now))
+        link.a.attach(lambda pkt: arrivals.append(env.now))
 
     payload = b"y" * 4096
 
@@ -67,8 +67,8 @@ def test_switch_same_output_serialises(env, cfg):
 
 def test_link_busy_accounting(env, cfg):
     link = Link(env, cfg, "l")
-    link.b.attach(lambda _ep, pkt: None)
-    link.a.attach(lambda _ep, pkt: None)
+    link.b.attach(lambda pkt: None)
+    link.a.attach(lambda pkt: None)
 
     def sender():
         yield link.a.send(data_packet(route=(), payload=b"z" * 1000))

@@ -22,8 +22,8 @@ def data_packet(route, src=0, dst=1, payload=b""):
 def test_link_delivers_after_propagation(env, cfg):
     link = Link(env, cfg, "l")
     arrived = []
-    link.b.attach(lambda _ep, pkt: arrived.append((env.now, pkt)))
-    link.a.attach(lambda _ep, pkt: None)
+    link.b.attach(lambda pkt: arrived.append((env.now, pkt)))
+    link.a.attach(lambda pkt: None)
 
     def sender():
         yield link.a.send(data_packet(route=()))
@@ -38,8 +38,8 @@ def test_link_serialization_limits_throughput(env, cfg):
     """Back-to-back packets are spaced by the serialization window."""
     link = Link(env, cfg, "l")
     times = []
-    link.b.attach(lambda _ep, pkt: times.append(env.now))
-    link.a.attach(lambda _ep, pkt: None)
+    link.b.attach(lambda pkt: times.append(env.now))
+    link.a.attach(lambda pkt: None)
     payload = b"x" * 4096
 
     def sender():
@@ -61,8 +61,8 @@ def test_link_fault_injector_drop(env, cfg):
     link.injector = FaultInjector(
         env, FaultPlan(drop_rate=1.0, first_hop_only=False), link.name)
     arrived = []
-    link.b.attach(lambda _ep, pkt: arrived.append(pkt))
-    link.a.attach(lambda _ep, pkt: None)
+    link.b.attach(arrived.append)
+    link.a.attach(lambda pkt: None)
 
     def sender():
         yield link.a.send(data_packet(route=()))
@@ -80,7 +80,7 @@ def test_switch_routes_by_source_route(env, cfg):
     arrived = {}
     for i, link in enumerate(links):
         sw.connect(i, link.b)
-        link.a.attach(lambda _ep, pkt, i=i: arrived.setdefault(i, []).append(pkt))
+        link.a.attach(lambda pkt, i=i: arrived.setdefault(i, []).append(pkt))
 
     def sender():
         yield links[0].a.send(data_packet(route=(2,)))
@@ -96,7 +96,7 @@ def test_switch_dead_port_counts_route_error(env, cfg):
     sw = Switch(env, cfg, "sw", n_ports=4)
     link = Link(env, cfg, "l0")
     sw.connect(0, link.b)
-    link.a.attach(lambda _ep, pkt: None)
+    link.a.attach(lambda pkt: None)
 
     def sender():
         yield link.a.send(data_packet(route=(3,)))   # port 3 unconnected
@@ -166,7 +166,7 @@ def test_packets_traverse_mesh_end_to_end(env, cfg):
     net = build_network(env, cfg, 9, "mesh2d")
     arrived = []
     for node, ep in net.nic_endpoints.items():
-        ep.attach(lambda _ep, pkt, node=node: arrived.append((node, pkt)))
+        ep.attach(lambda pkt, node=node: arrived.append((node, pkt)))
 
     def sender():
         yield net.nic_endpoints[0].send(
