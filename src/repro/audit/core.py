@@ -28,10 +28,8 @@ a ``quiesce(auditor) -> list[Violation]`` method participates.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
-
-from repro.firmware.packet import SEQUENCED_TYPES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.cluster import Cluster

@@ -27,7 +27,6 @@ from typing import Generator, Optional
 from repro.bcl.api import BclLibrary, BclPort
 from repro.bcl.address import BclAddress
 from repro.firmware.descriptors import SendRequest, RecvDescriptor, next_message_id
-from repro.firmware.packet import ChannelKind
 from repro.hw.node import UserProcess
 from repro.kernel.errors import BclError, ChannelBusyError
 

@@ -38,7 +38,7 @@ decimal MB/s (the unit the paper uses: 131072 B / 898 us = 146 MB/s).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
 

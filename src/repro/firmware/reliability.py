@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional
 
 from repro.config import CostModel
-from repro.firmware.packet import SEQUENCED_TYPES, Packet, PacketType
+from repro.firmware.packet import SEQUENCED_TYPES, Packet
 from repro.sim import Environment, Event
 
 __all__ = ["GoBackNSender", "GoBackNReceiver", "retx_amplification"]

@@ -32,7 +32,6 @@ from repro.kernel.errors import (
     BclSecurityError,
     ChannelBusyError,
     PortInUseError,
-    ResourceExhaustedError,
 )
 from repro.sim import Tracer
 

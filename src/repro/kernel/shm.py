@@ -17,7 +17,7 @@ transfers run entirely in user space.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import CostModel
