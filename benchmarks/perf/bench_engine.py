@@ -63,7 +63,7 @@ def _fill_churn(env: Environment) -> None:
 def _fill_lockstep(env: Environment) -> None:
     def proc():
         for _ in range(LOCKSTEP_ROUNDS):
-            yield env.sleep(100)
+            yield env.timeout(100)
     for _ in range(LOCKSTEP_PROCS):
         env.process(proc())
 

@@ -361,7 +361,7 @@ def _audit_selftest() -> int:
             ep.eadi._credits[1 - ep.rank] = \
                 ep.eadi._credits_initial + 5
             ep.eadi._release_credits(1 - ep.rank, 1)
-            yield cluster.env.sleep(0)
+            yield cluster.env.timeout(0)
 
         run_spmd(cluster, 2, tamper)
 
@@ -372,7 +372,7 @@ def _audit_selftest() -> int:
         def leak(ep):
             ep.close()
             ep.eadi._credit_waiters[1 - ep.rank] = [Event(cluster.env)]
-            yield cluster.env.sleep(0)
+            yield cluster.env.timeout(0)
             return ep
 
         endpoints = run_spmd(cluster, 2, leak)   # keep endpoints alive

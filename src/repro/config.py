@@ -98,7 +98,6 @@ class CostModel:
     descriptor_words_per_page: int = 2
 
     # ------------------------------------------------------ NIC / firmware
-    nic_sram_bytes: int = 1 << 20     # LANai local memory (1 MB class)
     send_ring_entries: int = 64
     staging_buffers: int = 2          # double buffering host-DMA vs wire
     mcp_fetch_request_us: float = 0.82  # MCP reads a request from the ring
@@ -159,10 +158,6 @@ class CostModel:
     #: seed mixed into the deterministic ECMP hash that picks among
     #: equal-cost fat-tree uplinks; same seed => same routes, always
     ecmp_seed: int = 1
-    #: validate every source-route piece against switch radix and
-    #: physical connectivity at build_network time (fail fast instead of
-    #: silently dropping packets at forwarding time)
-    strict_routes: bool = True
 
     # ------------------------------------------- NIC-offloaded collectives
     #: fan-in/fan-out arity of the NIC collective tree over nodes

@@ -59,7 +59,7 @@ def _concurrent_intra_pairs(cfg: CostModel, n_pairs: int,
             for i in range(messages):
                 while cluster.node(0).nic.port_state(
                         recv_port.port_id).normal[0] is None:
-                    yield env.sleep(1000)
+                    yield env.timeout(1000)
                 yield from send_port.send(dest, sbuf, nbytes)
                 yield from send_port.wait_send()
 
@@ -228,9 +228,7 @@ def run_collective_scaling(cfg: CostModel = DAWNING_3000
               "message steps.")
     for n_ranks in (2, 4, 8, 16):
         n_nodes = min(n_ranks, 8)
-        cluster = Cluster(n_nodes=n_nodes, cfg=cfg,
-                          topology="switch_tree" if n_nodes > 8
-                          else "single_switch")
+        cluster = Cluster(n_nodes=n_nodes, cfg=cfg)
         t_box = {}
 
         def fn(ep, _t=t_box):

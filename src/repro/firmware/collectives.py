@@ -138,7 +138,7 @@ class NicCollectives:
     def _proc(self, seq: int) -> Generator:
         env = self.env
         start = env.now
-        yield env.sleep(self.cfg.ns.mcp_coll_proc)
+        yield env.timeout(self.cfg.ns.mcp_coll_proc)
         tracer = self.mcp.tracer
         if tracer is not None and tracer.enabled:
             tracer.record(start, env.now, "mcp", "mcp_coll_processing",

@@ -124,7 +124,7 @@ class Mcp:
         ``cost_ns`` is a ``cfg.ns`` value."""
         env = self.env
         start = env.now
-        yield env.sleep(cost_ns)
+        yield env.timeout(cost_ns)
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             tracer.record(start, env.now, "mcp", stage, self.name,
@@ -343,7 +343,7 @@ class Mcp:
             packet, callbacks = yield self.tx_wire.get()
             start = env.now
             serialization = round(packet.wire_bytes(header) * per_byte)
-            yield env.sleep(inject + serialization)
+            yield env.timeout(inject + serialization)
             tracer = self.tracer
             if tracer is not None and tracer.enabled:
                 tracer.record(start, env.now, "wire", "wire_inject",
@@ -352,7 +352,7 @@ class Mcp:
             yield self.nic.endpoint.send(packet)
             for callback in callbacks:
                 callback()
-            yield self.env.sleep(gap)
+            yield self.env.timeout(gap)
 
     # -------------------------------------------------------- recv engine
     def _recv_engine(self) -> Generator:

@@ -147,7 +147,7 @@ class GoBackNSender:
         while self._unacked:
             deadline = self._base_sent_at + timeout_ns
             if self.env.now < deadline:
-                yield self.env.sleep(deadline - self.env.now)
+                yield self.env.timeout(deadline - self.env.now)
                 continue
             # Base packet unacked past the deadline: go-back-N resend of
             # the entire outstanding window, in sequence order.
@@ -157,7 +157,7 @@ class GoBackNSender:
                 self.retransmissions += 1
                 self.bytes_retransmitted += len(self._unacked[seq].payload)
                 self._retransmit(self._unacked[seq])
-            yield self.env.sleep(timeout_ns)
+            yield self.env.timeout(timeout_ns)
         self._timer = None
 
 

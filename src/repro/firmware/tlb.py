@@ -55,12 +55,12 @@ class NicTlb:
         if key in self._entries:
             self.hits += 1
             self._entries.move_to_end(key)
-            yield self.env.sleep(self.cfg.ns.nic_tlb_hit)
+            yield self.env.timeout(self.cfg.ns.nic_tlb_hit)
             frame = self._entries[key]
             outcome = "nic_tlb_hit"
         else:
             self.misses += 1
-            yield self.env.sleep(self.cfg.ns.nic_tlb_miss)
+            yield self.env.timeout(self.cfg.ns.nic_tlb_miss)
             frame = fetch_translation(pid, vpage)
             self._insert(key, frame)
             outcome = "nic_tlb_miss"

@@ -397,7 +397,7 @@ def _run_bcl_program(spec: WorkloadSpec, cluster: Cluster) -> dict:
                            _payload(spec.seed, index, op.nbytes))
         setup_done[rank] = True
         while len(setup_done) < spec.n_ranks:
-            yield env.sleep(1000)
+            yield env.timeout(1000)
         stash: list = []
         for index, op in enumerate(spec.ops):
             payload = _payload(spec.seed, index, op.nbytes)

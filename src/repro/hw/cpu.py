@@ -59,7 +59,7 @@ class Cpu:
             yield req
             env = self.env
             start = env.now
-            yield env.sleep(duration)
+            yield env.timeout(duration)
             self.busy_ns += duration
             tracer = self.tracer
             if tracer is not None and tracer.enabled:

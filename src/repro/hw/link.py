@@ -40,15 +40,23 @@ INBOX_CAPACITY = 4
 
 
 class LinkEndpoint:
-    """One end of a link.  Owners attach a receive callback."""
+    """One end of a link, and the direction that leaves it.
 
-    __slots__ = ("link", "label", "_on_receive", "peer")
+    Owners attach a receive callback.  The endpoint owns its outgoing
+    direction's bounded inbox and serialization-window occupancy.
+    """
+
+    __slots__ = ("link", "label", "_on_receive", "peer", "inbox", "busy_ns")
 
     def __init__(self, link: "Link", label: str):
         self.link = link
         self.label = label
         self._on_receive: Optional[Callable[[Packet], None]] = None
         self.peer: Optional["LinkEndpoint"] = None
+        #: packets waiting to leave through this end
+        self.inbox = Store(link.env, capacity=INBOX_CAPACITY)
+        #: occupancy of the direction leaving this end
+        self.busy_ns = 0
 
     def attach(self, on_receive: Callable[[Packet], None]) -> None:
         """Register the packet-arrival callback (NIC or switch port).
@@ -65,7 +73,7 @@ class LinkEndpoint:
 
         Returns the store-put event; yield it to respect flow control.
         """
-        return self.link._enqueue(self, packet)
+        return self.inbox.put(packet)
 
     def _deliver(self, packet: Packet) -> None:
         if self._on_receive is None:
@@ -77,8 +85,8 @@ class LinkEndpoint:
 class Link:
     """A bidirectional link: two independent directed channels."""
 
-    __slots__ = ("env", "cfg", "name", "injector", "a", "b", "_inboxes",
-                 "busy_ns", "packets_carried", "packets_dropped")
+    __slots__ = ("env", "cfg", "name", "injector", "a", "b",
+                 "packets_carried", "packets_dropped")
 
     def __init__(self, env: Environment, cfg: CostModel, name: str):
         self.env = env
@@ -90,30 +98,22 @@ class Link:
         self.a = LinkEndpoint(self, f"{name}.a")
         self.b = LinkEndpoint(self, f"{name}.b")
         self.a.peer, self.b.peer = self.b, self.a
-        self._inboxes = {self.a: Store(env, capacity=INBOX_CAPACITY),
-                         self.b: Store(env, capacity=INBOX_CAPACITY)}
-        self.busy_ns = {self.a: 0, self.b: 0}  # per-direction occupancy
         self.packets_carried = 0
         self.packets_dropped = 0
         env.process(self._pump(self.a), name=f"{name}.pump.a_to_b")
         env.process(self._pump(self.b), name=f"{name}.pump.b_to_a")
 
-    def _enqueue(self, src: LinkEndpoint, packet: Packet):
-        if src not in self._inboxes:
-            raise ValueError(f"{src.label} is not an endpoint of {self.name}")
-        return self._inboxes[src].put(packet)
-
     def register_metrics(self, registry) -> None:
         """Expose this link's occupancy and carry/drop tallies."""
         registry.register_callback(
             "repro_link_busy_ns",
-            lambda: self.busy_ns[self.a] + self.busy_ns[self.b],
+            lambda: self.a.busy_ns + self.b.busy_ns,
             "serialization-window occupancy, both directions",
             kind="counter", link=self.name)
         for direction, end in (("a_to_b", self.a), ("b_to_a", self.b)):
             registry.register_callback(
                 "repro_link_direction_busy_ns",
-                lambda end=end: self.busy_ns[end],
+                lambda end=end: end.busy_ns,
                 "serialization-window occupancy of one direction",
                 kind="counter", link=self.name, direction=direction)
         registry.register_callback(
@@ -126,7 +126,7 @@ class Link:
     def _pump(self, src: LinkEndpoint) -> Generator:
         """Drain one direction: deliver after propagation, hold for
         the serialization window."""
-        inbox = self._inboxes[src]
+        inbox = src.inbox
         dst = src.peer
         cfg = self.cfg
         prop = cfg.ns.link_propagation
@@ -147,19 +147,19 @@ class Link:
             # adjudicated into two deliveries: it holds exactly one
             # window (multiplying by the outcome count double-charged
             # busy_ns versus actual wire time).
-            self.busy_ns[src] += serialization
+            src.busy_ns += serialization
             if not outcomes:
                 self.packets_dropped += 1
-                yield self.env.sleep(serialization)
+                yield self.env.timeout(serialization)
                 continue
             self.packets_carried += 1
             for extra_delay, out_packet in outcomes:
                 self.env.process(
                     self._deliver_after(dst, out_packet, prop + extra_delay),
                     name=f"{self.name}.deliver")
-            yield self.env.sleep(serialization)
+            yield self.env.timeout(serialization)
 
     def _deliver_after(self, dst: LinkEndpoint, packet: Packet,
                        delay: int) -> Generator:
-        yield self.env.sleep(delay)
+        yield self.env.timeout(delay)
         dst._deliver(packet)

@@ -34,7 +34,7 @@ Topologies:
   clusters at 16-port radix.
 
 Every piece is validated against switch radix and physical
-connectivity at build time (``cfg.strict_routes``), together with the
+connectivity at build time, together with the
 coverage of every tier, which proves every composed route valid for any
 ECMP seed.  A topology builder emitting an out-of-radix or dead port
 fails fast instead of silently dropping packets at forwarding time.
@@ -294,8 +294,7 @@ def build_network(env: Environment, cfg: CostModel, n_nodes: int,
         _build_fat_tree(net)
     else:
         raise ValueError(f"unknown topology {topology!r}")
-    if cfg.strict_routes:
-        net.validate_routes()
+    net.validate_routes()
     return net
 
 

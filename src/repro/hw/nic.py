@@ -16,7 +16,6 @@ setting — all three architectures ran on the same Myrinet.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
@@ -37,9 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.vm import AddressSpace
 
 __all__ = ["Nic", "NicPortState", "LandingZone", "PoolFreeList"]
-
-_landing_tokens = itertools.count(1)
-
 
 @dataclass
 class LandingZone:

@@ -80,7 +80,7 @@ class PciBus:
             with self._bus.request() as bus_req:
                 yield bus_req
                 start = env.now
-                yield env.sleep(duration)
+                yield env.timeout(duration)
                 cpu.busy_ns += duration
                 tracer = self.tracer
                 if tracer is not None and tracer.enabled:
@@ -103,14 +103,14 @@ class PciBus:
         cfg = self.cfg
         start = env.now
         if setup:
-            yield env.sleep(cfg.ns.dma_setup)
+            yield env.timeout(cfg.ns.dma_setup)
         per_byte = cfg.dma_ns_per_byte
         remaining = nbytes
         while remaining > 0:
             burst = min(remaining, DMA_BURST_BYTES)
             with self._bus.request() as req:
                 yield req
-                yield env.sleep(round(burst * per_byte))
+                yield env.timeout(round(burst * per_byte))
             remaining -= burst
         self.dma_bytes += nbytes
         tracer = self.tracer

@@ -55,7 +55,7 @@ class Switch:
             # must not keep it alive until the next one arrives.
             packet = forwarded = None
             packet: Packet = yield inbox.get()
-            yield self.env.sleep(latency)
+            yield self.env.timeout(latency)
             try:
                 out_port, forwarded = packet.hop()
             except ValueError:

@@ -16,7 +16,6 @@ transfers run entirely in user space.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,9 +25,6 @@ from repro.hw.memory import FrameAllocator
 from repro.sim import Environment, Store
 
 __all__ = ["SharedMemoryManager", "SharedRing", "ShmEntry"]
-
-_shm_message_ids = itertools.count(1)
-
 
 @dataclass
 class ShmEntry:
@@ -85,9 +81,6 @@ class SharedRing:
         self._recv_seq = 0
         self.messages = 0
         self.allocator = allocator
-
-    def next_message_id(self) -> int:
-        return next(_shm_message_ids)
 
     # --------------------------------------------------------- sender side
     def next_seq(self) -> int:

@@ -195,9 +195,9 @@ def run_serve(scfg: ServeConfig, rho: float,
 
         def service(item: _Request, _worker_index: int) -> Generator:
             if cost.serve_worker_overhead_us > 0:
-                yield env.sleep(
+                yield env.timeout(
                     max(1, round(cost.serve_worker_overhead_us * 1000)))
-            yield env.sleep(item.service_ns)
+            yield env.timeout(item.service_ns)
             yield from ep.send(item.src_rank, ok_vaddr, item.reply_bytes,
                                tag=item.tag)
             my.served += 1
@@ -301,7 +301,7 @@ def run_serve(scfg: ServeConfig, rho: float,
         for arr in plan:
             deadline = t0 + arr.t_ns
             if deadline > env.now:
-                yield env.sleep(deadline - env.now)
+                yield env.timeout(deadline - env.now)
             gate = window.admit()
             if gate is False:
                 continue          # open-loop shed (window.shed counted)

@@ -27,7 +27,7 @@ from repro.sim.core import (
     wakeup_event,
 )
 from repro.sim.resources import Resource, Store
-from repro.sim.time import MICROSECOND, MILLISECOND, SECOND, ns_to_us, us, us_to_ns
+from repro.sim.time import MICROSECOND, ns_to_us, us
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
@@ -47,9 +47,6 @@ __all__ = [
     "wakeup",
     "wakeup_event",
     "MICROSECOND",
-    "MILLISECOND",
-    "SECOND",
     "ns_to_us",
     "us",
-    "us_to_ns",
 ]

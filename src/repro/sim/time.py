@@ -23,8 +23,6 @@ before, so every duration is bit-identical to the per-call conversion:
 from __future__ import annotations
 
 MICROSECOND: int = 1_000
-MILLISECOND: int = 1_000_000
-SECOND: int = 1_000_000_000
 
 
 def us(value: float) -> int:
@@ -34,10 +32,6 @@ def us(value: float) -> int:
     calibration constants is irrelevant at the fidelity of the model.
     """
     return round(value * MICROSECOND)
-
-
-# Alias kept because ``us`` reads poorly at some call sites.
-us_to_ns = us
 
 
 def ns_to_us(value: int) -> float:

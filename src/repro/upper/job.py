@@ -128,7 +128,7 @@ def run_spmd(cluster: Cluster, n_ranks: int,
         endpoint = yield from job.start_rank(rank)
         # Everybody must have a port before anyone sends.
         while len(job.endpoints) < n_ranks:
-            yield env.sleep(1000)
+            yield env.timeout(1000)
         try:
             result = yield from fn(endpoint)
         finally:

@@ -51,11 +51,16 @@ BUDGET_PYTHON = (3, 11)
 #: directly, an event's second waiter stopped costing a list ``append``
 #: and the page table dropped its ``dict.get`` per page and its
 #: ``is_mapped`` generator, they counted (14192, 6541, 2496),
-#: (192961, 77355, 36438) and (458531, 244339, 82179).
+#: (192961, 77355, 36438) and (458531, 244339, 82179).  Before the
+#: engine's pooled ``sleep()`` was folded into ``timeout()`` (the run
+#: loop no longer tests and appends every fired timer to a free pool)
+#: and a link endpoint's ``send`` put into its own inbox (no
+#: ``Link._enqueue`` call), they counted (13906, 6391, 2496),
+#: (189778, 75330, 36438) and (452860, 241523, 82179).
 BUDGETS = {
-    "bcl_one_way_0B": (13906, 6391, 2496),
-    "bcl_one_way_128KiB": (189778, 75330, 36438),
-    "host_barrier_16": (452860, 241523, 82179),
+    "bcl_one_way_0B": (13252, 6354, 2486),
+    "bcl_one_way_128KiB": (178614, 74414, 36418),
+    "host_barrier_16": (431769, 240153, 81801),
 }
 
 

@@ -30,11 +30,15 @@ HEAVY = ("numpy", "_hashlib", "subprocess", "platform", "multiprocessing")
 
 REPO = Path(__file__).resolve().parents[2]
 
-#: recorded at the commit before the imports moved
-CONFIG_DIGEST = "92750d5d6fae0549"
+#: ``config_digest(DAWNING_3000)``, recorded when the unused
+#: ``strict_routes`` and ``nic_sram_bytes`` fields left ``CostModel``
+#: (``92750d5d6fae0549`` before, from the commit before the imports
+#: moved)
+CONFIG_DIGEST = "3ec3074a36f32c9f"
 #: ``RunCache.key`` of one NIC allreduce cell with the source
-#: fingerprint fixed at ``"f" * 64`` (the real one changes with the code)
-CACHE_KEY = "8f1bdf41da28919f8a92390ee2f5de86843f3c545bb88b4cf66f4408159322d7"
+#: fingerprint fixed at ``"f" * 64`` (the real one changes with the
+#: code); ``8f1bdf41...`` with the two deleted fields
+CACHE_KEY = "9b4707df50146a1e1e664480f08af24d45ee2b9d8d947636e2827050331d0b25"
 
 PROBE = r'''
 import contextlib, io, json, sys

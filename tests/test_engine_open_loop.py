@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.sim import Environment, SimulationError
+from repro.sim import Environment
 from repro.sim.core import _COMPACT
 
 
@@ -52,7 +52,7 @@ def test_calendar_matches_heap_on_open_loop_arrivals():
 
 
 def test_current_bucket_compaction_is_amortized():
-    """Stepping through a bucket much larger than the compaction stride
+    """Running through a bucket much larger than the compaction stride
     keeps the consumed prefix bounded: once the read position passes
     both the stride and half the bucket, the prefix is reclaimed."""
     env = Environment()
@@ -63,17 +63,16 @@ def test_current_bucket_compaction_is_amortized():
         yield env.timeout(100)
         done.append(i)
 
-    for i in range(n):
-        env.process(wake(i))
-    while True:
-        try:
-            env.step()
-        except SimulationError:
-            break
+    wakers = [env.process(wake(i)) for i in range(n)]
+    # Stop inside the one same-instant bucket (every timeout, then every
+    # waker's exit) at every 97th waker.
+    for waker in wakers[::97]:
+        env.run(until=waker)
         # The invariant the amortized compaction maintains: never both
         # past the stride *and* past half the (remaining) bucket.
         assert not (env._pos >= _COMPACT
                     and env._pos * 2 >= len(env._bucket))
+    env.run()
     assert len(done) == n
 
 

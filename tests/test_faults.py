@@ -173,7 +173,7 @@ def test_dropped_packets_still_charge_link_occupancy():
     expected = transfer_time_ns(
         packet.wire_bytes(DAWNING_3000.wire_header_bytes),
         DAWNING_3000.wire_mb_s)
-    assert link.busy_ns[link.a] == expected
+    assert link.a.busy_ns == expected
 
 
 def test_duplicate_copies_charge_one_window():
@@ -200,7 +200,7 @@ def test_duplicate_copies_charge_one_window():
     one_window = transfer_time_ns(
         packet.wire_bytes(DAWNING_3000.wire_header_bytes),
         DAWNING_3000.wire_mb_s)
-    assert link.busy_ns[link.a] == one_window
+    assert link.a.busy_ns == one_window
 
 
 # ------------------------------------------------- end-to-end recovery

@@ -76,8 +76,8 @@ def test_link_busy_accounting(env, cfg):
     run_procs(env, sender())
     env.run()
     expected = round((cfg.wire_header_bytes + 1000) * 1e3 / cfg.wire_mb_s)
-    assert link.busy_ns[link.a] == expected
-    assert link.busy_ns[link.b] == 0
+    assert link.a.busy_ns == expected
+    assert link.b.busy_ns == 0
     assert link.packets_carried == 1
 
 

@@ -94,7 +94,7 @@ def test_nic_barrier_separates_phases():
     arrived, left = [], []
 
     def prog(ep):
-        yield env.sleep(1000 * (ep.rank + 1))      # staggered arrival
+        yield env.timeout(1000 * (ep.rank + 1))      # staggered arrival
         arrived.append(env.now)
         yield from ep.barrier()
         left.append(env.now)

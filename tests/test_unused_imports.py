@@ -1,18 +1,23 @@
-"""No module under ``src/repro`` keeps a module-level import it never uses.
+"""No module under ``src/repro`` keeps a module-level import it never
+uses, or a private module-level name it never reads.
 
-A fold that deletes the last use of a name tends to leave its import
-behind, and the import then costs load time and misleads the reader
-about what a module depends on.  The check is a stdlib ``ast`` walk, so
-it needs no linter installed:
+A fold that deletes the last use of a name tends to leave its import,
+or the private counter, alias or helper it read, behind; either then
+costs load time and misleads the reader about what a module depends on
+or keeps.  The check is a stdlib ``ast`` walk, so it needs no linter
+installed:
 
 * a module-level import binds a name (``import a.b`` binds ``a``,
-  ``from m import x as y`` binds ``y``);
-* the name is used when it appears as a ``Name`` anywhere in the
+  ``from m import x as y`` binds ``y``); so do a module-level
+  assignment, function and class, and such a name is private when it
+  starts with one underscore;
+* the name is used when it is read as a ``Name`` anywhere in the
   module, inside a string annotation (``Optional["Cpu"]``), or in the
-  module's ``__all__``;
-* package ``__init__`` modules (whose imports are the re-exports),
-  ``from __future__`` imports and imports under ``if TYPE_CHECKING:``
-  are exempt.
+  module's ``__all__``; a private name other modules read instead is
+  listed in ``READ_ELSEWHERE``;
+* for imports, package ``__init__`` modules (whose imports are the
+  re-exports), ``from __future__`` imports and imports under
+  ``if TYPE_CHECKING:`` are exempt.
 """
 
 from __future__ import annotations
@@ -23,6 +28,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 MODULES = sorted(path for path in SRC.rglob("*.py")
                  if path.name != "__init__.py")
+
+#: private module-level names that only other modules read
+READ_ELSEWHERE = {
+    # imported by perfbench's serve workload
+    ("experiments/scale.py", "_StageAggregator"),
+}
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -72,7 +83,7 @@ def _annotation_names(annotation: ast.expr) -> set[str]:
 def _used_names(tree: ast.Module) -> set[str]:
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.arg) and node.annotation is not None:
             used |= _annotation_names(node.annotation)
@@ -97,6 +108,27 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
                   if name not in used)
 
 
+def unread_private_names(path: Path) -> list[tuple[int, str]]:
+    """``(line, name)`` of every private module-level assignment,
+    function or class in ``path`` that the module never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    bound[target.id] = node.lineno
+    used = _used_names(tree)
+    return sorted((line, name) for name, line in bound.items()
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in used)
+
+
 def test_no_unused_module_level_import():
     found = {str(path.relative_to(SRC)): unused for path in MODULES
              if (unused := unused_imports(path))}
@@ -117,3 +149,36 @@ def test_check_flags_an_unused_import(tmp_path):
         "    return os.sep\n")
     assert unused_imports(module) == [(3, "json"), (5, "dataclass"),
                                       (5, "field")]
+
+
+def test_no_unread_private_module_level_name():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        unread = [(line, name) for line, name in unread_private_names(path)
+                  if (module, name) not in READ_ELSEWHERE]
+        if unread:
+            found[module] = unread
+    assert found == {}
+
+
+def test_check_flags_an_unread_private_name(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import itertools\n"
+        "_ids = itertools.count(1)\n"
+        "_LIMIT: int = 4\n"
+        "_alias = _LIMIT\n"
+        "_cache = None\n"
+        "__all__ = ['_Exported']\n"
+        "class _Exported:\n"
+        "    pass\n"
+        "def _helper():\n"
+        "    global _cache\n"
+        "    _cache = 1\n"
+        "def run(x: '_Hint') -> None:\n"
+        "    pass\n"
+        "class _Hint:\n"
+        "    pass\n")
+    assert unread_private_names(module) == [(2, "_ids"), (4, "_alias"),
+                                            (5, "_cache"), (9, "_helper")]
