@@ -97,7 +97,8 @@ def run(out_path="BENCH_scale.json", smoke: bool = False) -> dict:
     results = [_time_point(*point) for point in _points(smoke)]
     return write_bench(
         out_path, "scale",
-        units={"latency_us": "simulated us", "wall_s": "seconds",
+        units={"n_ranks": "ranks",
+               "latency_us": "simulated us", "wall_s": "seconds",
                "build_s": "seconds", "gc_s": "seconds",
                "events": "count", "retained_objects": "count",
                "retained_kib": "KiB", "page_kib": "KiB",

@@ -83,10 +83,13 @@ def run(out_path="BENCH_serve.json", smoke: bool = False) -> dict:
     results = [_time_point(*point) for point in _points(smoke)]
     return write_bench(
         out_path, "serve",
-        units={"offered_rps": "requests/second (simulated)",
+        units={"rho": "ratio (offered load / capacity)",
+               "offered_rps": "requests/second (simulated)",
                "goodput_rps": "requests/second (simulated)",
                "p50_us": "simulated us", "p99_us": "simulated us",
-               "p999_us": "simulated us", "events": "count",
+               "p999_us": "simulated us", "completed_ok": "requests",
+               "shed": "requests", "admission_parks": "count",
+               "peak_queue": "requests", "events": "count",
                "wall_s": "seconds", "gc_s": "seconds",
                "retained_objects": "count", "retained_kib": "KiB",
                "page_kib": "KiB"},

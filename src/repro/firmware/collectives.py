@@ -130,8 +130,7 @@ class NicCollectives:
         """
         done = Event(self.env)
         self.env.process(self._on_local_post(group_id, seq, op, payload,
-                                             done),
-                         name=f"{self.mcp.name}.coll_post")
+                                             done))
         return done
 
     # ------------------------------------------------------ firmware side

@@ -113,9 +113,9 @@ class Mcp:
         #: a fan-in/fan-out tree group on it)
         self.coll = NicCollectives(self)
         nic.attach_mcp(self)
-        env.process(self._send_engine(), name=f"{self.name}.send")
-        env.process(self._inject_engine(), name=f"{self.name}.inject")
-        env.process(self._recv_engine(), name=f"{self.name}.recv")
+        env.process(self._send_engine())
+        env.process(self._inject_engine())
+        env.process(self._recv_engine())
 
     # ------------------------------------------------------------ helpers
     def _proc(self, cost_ns: int, stage: str,
@@ -325,8 +325,7 @@ class Mcp:
                          channel_kind=request.channel_kind,
                          channel_index=request.channel_index,
                          status=status, timestamp_ns=self.env.now)
-        self.env.process(self._deliver_event(port, port.send_queue, event),
-                         name=f"{self.name}.send_event")
+        self.env.process(self._deliver_event(port, port.send_queue, event))
 
     # ------------------------------------------------------ inject engine
     def _inject_engine(self) -> Generator:
@@ -609,8 +608,7 @@ class Mcp:
         if tail > 0:
             self.env.process(
                 self.nic.pci.dma(tail, stage="dma_host_to_nic_tail",
-                                 message_id=message_id, setup=False),
-                name=f"{self.name}.dma_tail")
+                                 message_id=message_id, setup=False))
 
     def _scatter_payload(self, segments: list[tuple[int, int]],
                          packet: Packet) -> Generator:

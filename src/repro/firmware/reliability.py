@@ -139,8 +139,7 @@ class GoBackNSender:
 
     def _arm_timer(self) -> None:
         if self._timer is None:
-            self._timer = self.env.process(self._watchdog(),
-                                           name=f"{self.name}.watchdog")
+            self._timer = self.env.process(self._watchdog())
 
     def _watchdog(self) -> Generator:
         timeout_ns = self.cfg.ns.retransmit_timeout

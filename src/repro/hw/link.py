@@ -100,8 +100,8 @@ class Link:
         self.a.peer, self.b.peer = self.b, self.a
         self.packets_carried = 0
         self.packets_dropped = 0
-        env.process(self._pump(self.a), name=f"{name}.pump.a_to_b")
-        env.process(self._pump(self.b), name=f"{name}.pump.b_to_a")
+        env.process(self._pump(self.a))
+        env.process(self._pump(self.b))
 
     def register_metrics(self, registry) -> None:
         """Expose this link's occupancy and carry/drop tallies."""
@@ -155,8 +155,7 @@ class Link:
             self.packets_carried += 1
             for extra_delay, out_packet in outcomes:
                 self.env.process(
-                    self._deliver_after(dst, out_packet, prop + extra_delay),
-                    name=f"{self.name}.deliver")
+                    self._deliver_after(dst, out_packet, prop + extra_delay))
             yield self.env.timeout(serialization)
 
     def _deliver_after(self, dst: LinkEndpoint, packet: Packet,

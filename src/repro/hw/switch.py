@@ -36,7 +36,7 @@ class Switch:
         self.packets_forwarded = 0
         self.route_errors = 0
         for port in range(n_ports):
-            env.process(self._forwarder(port), name=f"{name}.port{port}")
+            env.process(self._forwarder(port))
 
     def connect(self, port: int, endpoint: LinkEndpoint) -> None:
         """Attach a link endpoint to ``port``."""

@@ -46,8 +46,7 @@ class InterruptController:
         self.counters.record_interrupt()
         target = cpu if cpu is not None else self.cpus[self._next_cpu]
         self._next_cpu = (self._next_cpu + 1) % len(self.cpus)
-        self.env.process(self._service(target, handler, payload),
-                         name=f"{self.name}.irq")
+        self.env.process(self._service(target, handler, payload))
 
     def _service(self, cpu: Cpu, handler: Callable[[Any], None],
                  payload: Any) -> Generator:

@@ -64,7 +64,6 @@ class _Request(Event):
         self._value = _PENDING
         self._ok = True
         self._defused = False
-        self._scheduled = False
         self.resource = resource
         self._withdrawn = False
 
@@ -162,7 +161,6 @@ class _StoreGet(Event):
         self._value = _PENDING
         self._ok = True
         self._defused = False
-        self._scheduled = False
         self.store = store
 
     def _on_orphaned(self) -> None:
@@ -183,7 +181,6 @@ class _StorePut(Event):
         self._value = _PENDING
         self._ok = True
         self._defused = False
-        self._scheduled = False
         self.store = store
         self.item = item
 

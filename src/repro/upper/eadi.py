@@ -157,6 +157,18 @@ class _CreditGate(Event):
 class EadiEndpoint:
     """One rank's EADI instance, layered on a BCL (or user-level) port."""
 
+    # ``__weakref__``: the auditor tracks endpoints through weak refs.
+    __slots__ = ("rank", "port", "lib", "env", "cfg", "addresses",
+                 "per_op_send_us", "per_op_recv_us", "per_op_match_us",
+                 "inter_node_extra_us", "per_segment_us", "_send_seq",
+                 "_posted", "_unexpected", "_send_ops", "_rndv_by_channel",
+                 "_staging", "_staging_lock", "_free_channels",
+                 "_channel_waiters", "_credits_initial", "_credit_batch",
+                 "_credits", "_credit_waiters", "_owed", "credit_stalls",
+                 "_stall_hist", "eager_sends", "rendezvous_sends",
+                 "unexpected_count", "withdrawn_waiters", "closed",
+                 "_audit", "__weakref__")
+
     def __init__(self, rank: int, port: BclPort,
                  rank_addresses: dict[int, BclAddress],
                  per_op_send_us: float = 0.0,
@@ -565,8 +577,7 @@ class EadiEndpoint:
         self._free_channels.append(channel)
         if self._channel_waiters:
             gate, rndv = self._channel_waiters.pop(0)
-            self.env.process(self._grant_next_segment(rndv),
-                             name=f"eadi{self.rank}.deferred_grant")
+            self.env.process(self._grant_next_segment(rndv))
             gate.succeed()
 
     def _cts_received(self, op_id: int, channel: int,

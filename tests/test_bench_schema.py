@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from benchmarks.perf import bench_engine  # noqa: E402
+from benchmarks.perf import bench_engine, bench_scale, bench_serve  # noqa: E402
 from benchmarks.perf.common import (  # noqa: E402
     REQUIRED_KEYS, REQUIRED_META_KEYS, SCHEMA, write_bench)
 
@@ -52,21 +52,53 @@ def _check_schema(doc: dict) -> None:
     assert isinstance(doc["units"], dict)
 
 
+def _check_units(doc: dict) -> None:
+    """Every numeric result field has a declared unit."""
+    numeric = {k for r in doc["results"] for k, v in r.items()
+               if isinstance(v, (int, float))}
+    assert numeric <= set(doc["units"]), \
+        f"undeclared units for {numeric - set(doc['units'])}"
+
+
 def test_engine_schema_and_units(small_engine, tmp_path):
     out = tmp_path / "BENCH_engine.json"
     doc = small_engine.run(out_path=out)
     _check_schema(doc)
     assert doc["suite"] == "engine"
-    # every numeric result field has a declared unit
-    numeric = {k for r in doc["results"] for k, v in r.items()
-               if isinstance(v, (int, float))}
-    assert numeric <= set(doc["units"]), \
-        f"undeclared units for {numeric - set(doc['units'])}"
+    _check_units(doc)
     assert set(doc["calendar_vs_reference"]) == {s for s, _ in
                                                  small_engine.SCENARIOS}
     assert all(ratio > 0 for ratio in doc["calendar_vs_reference"].values())
     # the file on disk round-trips to the same document
     assert json.loads(out.read_text()) == doc
+
+
+def test_scale_schema_and_units(monkeypatch, tmp_path):
+    # One small cell stands for the sweep: every row has the same keys.
+    monkeypatch.setattr(bench_scale, "_points", lambda smoke: [
+        ("barrier", "single_switch", 16, "host")])
+    doc = bench_scale.run(out_path=tmp_path / "BENCH_scale.json")
+    _check_schema(doc)
+    assert doc["suite"] == "scale"
+    _check_units(doc)
+
+
+def test_serve_schema_and_units(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_SERVE_REQUESTS", "40")
+    monkeypatch.setattr(bench_serve, "_points",
+                        lambda smoke: [("poisson", 0.8)])
+    doc = bench_serve.run(out_path=tmp_path / "BENCH_serve.json")
+    _check_schema(doc)
+    assert doc["suite"] == "serve"
+    _check_units(doc)
+
+
+def test_committed_artifacts_declare_every_unit():
+    for suite in ("engine", "scale", "serve"):
+        for path in (ROOT / f"BENCH_{suite}.json",
+                     ROOT / "benchmarks" / "perf" / "baseline"
+                     / f"BENCH_{suite}.json"):
+            _check_units(json.loads(path.read_text()))
 
 
 def test_two_same_seed_runs_identical_event_counts(small_engine, tmp_path):

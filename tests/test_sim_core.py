@@ -212,6 +212,21 @@ def test_yield_non_event_is_error(env):
         env.run(until=p)
 
 
+def test_unnamed_process_error_names_its_generator(env):
+    """An unnamed process stores no name; its error message reads the
+    generator's qualified name instead."""
+    def bad():
+        yield 42
+
+    p = env.process(bad())
+    with pytest.raises(SimulationError) as exc:
+        env.run(until=p)
+    qualname = "test_unnamed_process_error_names_its_generator.<locals>.bad"
+    assert p.name == qualname
+    assert f"process {qualname!r} yielded 42" in str(exc.value)
+    assert env.process(bad(), name="rank3").name == "rank3"
+
+
 def test_all_of_collects_values(env):
     t1 = env.timeout(10, value="a")
     t2 = env.timeout(20, value="b")
@@ -332,6 +347,51 @@ def test_interrupt_delivers_cause(env):
     env.run()
     assert causes == ["wake up"]
     assert env.now == 1000  # the abandoned timeout still drains the heap
+
+
+def test_interrupt_leaves_the_other_waiter_on_a_shared_event(env):
+    """Interrupting one of two processes parked on an event detaches
+    only that process; the other still fires, and the event, which
+    keeps a waiter, is not orphaned."""
+
+    class Watched(Event):
+        __slots__ = ("orphaned",)
+
+        def _on_orphaned(self):
+            self.orphaned = True
+
+    target = Watched(env)
+    target.orphaned = False
+    seen = []
+
+    def waiter(tag):
+        try:
+            value = yield target
+        except Interrupt:
+            value = "interrupted"
+        seen.append((tag, env.now, value))
+
+    first = env.process(waiter("first"))
+    second = env.process(waiter("second"))
+    env.run()
+    assert target._callbacks == [first, second]
+    first.interrupt()
+    assert target._callbacks == [second]
+    env.run()
+    assert seen == [("first", 0, "interrupted")]
+    target.succeed("v")
+    env.run()
+    assert seen == [("first", 0, "interrupted"), ("second", 0, "v")]
+    assert not target.orphaned
+
+
+def test_schedule_at_rejects_a_processed_event(env):
+    ev = env.event()
+    ev.succeed()
+    env.run()
+    with pytest.raises(SimulationError, match="already processed"):
+        env._schedule_at(ev, env.now)
+    assert env.peek() is None
 
 
 def test_interrupt_dead_process_rejected(env):
