@@ -5,7 +5,8 @@ completes a sending operation by reading send request in the card's
 local memory, sending/receiving message with DMA engines and informing
 user process the completion."  (paper section 4.1)
 
-Three engines per NIC, each a simulation process:
+Three engines per NIC; the send and receive engines are simulation
+processes, the inject engine a callback stage:
 
 * **send engine** — drains the send-request ring; per fragment it
   charges the reliable-protocol send processing, resolves the buffer
@@ -44,6 +45,7 @@ from repro.firmware.reliability import (
 from repro.firmware.tlb import NicTlb
 from repro.hw.nic import LandingZone, Nic, NicPortState
 from repro.sim import Environment, Resource, Store, Tracer
+from repro.sim.core import Event, _ready
 
 __all__ = ["Mcp", "slice_segments"]
 
@@ -114,7 +116,7 @@ class Mcp:
         self.coll = NicCollectives(self)
         nic.attach_mcp(self)
         env.process(self._send_engine())
-        env.process(self._inject_engine())
+        _Injector(self)
         env.process(self._recv_engine())
 
     # ------------------------------------------------------------ helpers
@@ -326,32 +328,6 @@ class Mcp:
                          channel_index=request.channel_index,
                          status=status, timestamp_ns=self.env.now)
         self.env.process(self._deliver_event(port, port.send_queue, event))
-
-    # ------------------------------------------------------ inject engine
-    def _inject_engine(self) -> Generator:
-        env = self.env
-        cfg = self.cfg
-        gap = cfg.ns.wire_gap
-        inject = cfg.ns.wire_inject
-        header = cfg.wire_header_bytes
-        per_byte = cfg.wire_ns_per_byte
-        while True:
-            # An idle engine holds no packet (nor its callbacks) while
-            # it waits for the next one.
-            packet = callbacks = None
-            packet, callbacks = yield self.tx_wire.get()
-            start = env.now
-            serialization = round(packet.wire_bytes(header) * per_byte)
-            yield env.timeout(inject + serialization)
-            tracer = self.tracer
-            if tracer is not None and tracer.enabled:
-                tracer.record(start, env.now, "wire", "wire_inject",
-                              self.name, packet.message_id,
-                              nbytes=len(packet.payload))
-            yield self.nic.endpoint.send(packet)
-            for callback in callbacks:
-                callback()
-            yield self.env.timeout(gap)
 
     # -------------------------------------------------------- recv engine
     def _recv_engine(self) -> Generator:
@@ -657,3 +633,65 @@ class Mcp:
                                     stage="dma_completion_event",
                                     message_id=event.message_id)
         queue.push(event)
+
+
+#: what the inject engine waits on next (:attr:`_Injector.step`)
+_GET, _INJECT, _SEND, _GAP = range(4)
+
+
+class _Injector:
+    """The inject engine: puts one packet at a time onto the wire.
+
+    The engine is its own callback on each event it waits on, in a
+    fixed cycle: the ``tx_wire`` get, the inject timer (engine start
+    plus wire serialization), the NIC endpoint's ``send`` and the
+    inter-packet gap timer.  It runs a packet's completion callbacks
+    (staging release, send-completion event) once the wire has taken
+    it, and starts as if a gap had just ended.  An idle engine holds no
+    packet nor its callbacks while it waits for the next one.
+    """
+
+    __slots__ = ("mcp", "step", "packet", "callbacks", "start")
+
+    def __init__(self, mcp: Mcp):
+        self.mcp = mcp
+        #: the event waited on: one of _GET, _INJECT, _SEND, _GAP
+        self.step = _GAP
+        self.packet: Optional[Packet] = None
+        self.callbacks: Optional[list[Callable[[], None]]] = None
+        #: when the current packet's injection began
+        self.start = 0
+        _ready(Event, mcp.env)._callbacks = self
+
+    def __call__(self, event: Event) -> None:
+        mcp = self.mcp
+        env = mcp.env
+        step = self.step
+        if step == _GAP:
+            self.step = _GET
+            mcp.tx_wire.get()._callbacks = self
+        elif step == _GET:
+            packet, self.callbacks = event._value
+            self.packet = packet
+            self.start = env.now
+            cfg = mcp.cfg
+            serialization = round(packet.wire_bytes(cfg.wire_header_bytes)
+                                  * cfg.wire_ns_per_byte)
+            self.step = _INJECT
+            env.timeout(cfg.ns.wire_inject + serialization)._callbacks = self
+        elif step == _INJECT:
+            packet = self.packet
+            tracer = mcp.tracer
+            if tracer is not None and tracer.enabled:
+                tracer.record(self.start, env.now, "wire", "wire_inject",
+                              mcp.name, packet.message_id,
+                              nbytes=len(packet.payload))
+            self.step = _SEND
+            mcp.nic.endpoint.send(packet)._callbacks = self
+        else:
+            callbacks = self.callbacks
+            self.packet = self.callbacks = None
+            for callback in callbacks:
+                callback()
+            self.step = _GAP
+            env.timeout(mcp.cfg.ns.wire_gap)._callbacks = self

@@ -4,10 +4,18 @@ Latency model (faithful to wormhole/cut-through routing): a packet
 crossing a link experiences only the propagation delay — serialization
 is paid once, at the source NIC's wire-injection engine.  Occupancy
 model: each link direction can still only carry one packet's worth of
-bytes per serialization window, so the pump process holds the direction
-for ``wire_bytes / wire_rate`` before accepting the next packet.  That
+bytes per serialization window, so the direction's pump holds it for
+``wire_bytes / wire_rate`` before accepting the next packet.  That
 makes shared links a throughput bottleneck under congestion without
 re-charging serialization latency at every hop.
+
+Pump and deliveries are callback stages, not processes: each endpoint
+is its own direction's pump, the callback on its inbox ``get`` and on
+its window timer, and each delivery is an event that is the callback on
+its own start event and propagation timer.  They keep their state in
+slots, so an idle direction keeps no suspended generator frame.  Each
+waits on the events, in the order, that a process running the same
+loop would.
 
 Backpressure: each direction has a small bounded inbox; when a
 downstream link is saturated the upstream sender's ``send`` blocks,
@@ -27,11 +35,12 @@ delivery count.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from repro.config import CostModel
 from repro.firmware.packet import Packet
 from repro.sim import Environment, Store
+from repro.sim.core import _PENDING, Event, _ready
 
 __all__ = ["Link", "LinkEndpoint"]
 
@@ -43,7 +52,8 @@ class LinkEndpoint:
     """One end of a link, and the direction that leaves it.
 
     Owners attach a receive callback.  The endpoint owns its outgoing
-    direction's bounded inbox and serialization-window occupancy.
+    direction's bounded inbox and serialization-window occupancy, and
+    is that direction's pump (see :meth:`__call__`).
     """
 
     __slots__ = ("link", "label", "_on_receive", "peer", "inbox", "busy_ns")
@@ -57,6 +67,8 @@ class LinkEndpoint:
         self.inbox = Store(link.env, capacity=INBOX_CAPACITY)
         #: occupancy of the direction leaving this end
         self.busy_ns = 0
+        # Start pumping at the current instant.
+        _ready(Event, link.env)._callbacks = self
 
     def attach(self, on_receive: Callable[[Packet], None]) -> None:
         """Register the packet-arrival callback (NIC or switch port).
@@ -81,6 +93,81 @@ class LinkEndpoint:
                 f"packet arrived at unattached endpoint {self.label}")
         self._on_receive(packet)
 
+    def __call__(self, event: Event) -> None:
+        """Pump the direction leaving this end one step.
+
+        Woken with ``None`` (its start event, or the timer that ends a
+        serialization window) it waits for the next packet; an idle
+        direction holds no packet while it waits.  Woken with a packet
+        (the inbox ``get``) it starts the packet's deliveries after
+        propagation and holds the direction for its serialization
+        window.
+        """
+        packet = event._value
+        if packet is None:
+            self.inbox.get()._callbacks = self
+            return
+        link = self.link
+        env = link.env
+        cfg = link.cfg
+        serialization = round(packet.wire_bytes(cfg.wire_header_bytes)
+                              * cfg.wire_ns_per_byte)
+        injector = link.injector
+        if injector is None:
+            outcomes = ((0, packet),)
+        else:
+            outcomes = injector.adjudicate(packet)
+        # A dropped or corrupted packet crossed the wire before it was
+        # lost, so it occupies the serialization window like any other.
+        # A duplicate is a single physical crossing adjudicated into two
+        # deliveries: it holds exactly one window.
+        self.busy_ns += serialization
+        if outcomes:
+            link.packets_carried += 1
+            dst = self.peer
+            prop = cfg.ns.link_propagation
+            for extra_delay, out_packet in outcomes:
+                _Delivery(env, dst, out_packet, prop + extra_delay)
+        else:
+            link.packets_dropped += 1
+        env.timeout(serialization)._callbacks = self
+
+
+class _Delivery(Event):
+    """One packet crossing a link: delivered to ``dst`` after ``delay``.
+
+    The delivery is its own callback, first on a start event queued at
+    construction and then on the propagation timer, which carries the
+    packet; it succeeds itself once the packet is delivered.  The start
+    and completion events do no work.  They stay only because perfbench
+    pins event counts exactly: ROADMAP item 3(a) drops both, and makes
+    the delivery one timer, with a schedule re-pin.
+    """
+
+    __slots__ = ("dst", "packet", "delay")
+
+    def __init__(self, env: Environment, dst: LinkEndpoint, packet: Packet,
+                 delay: int):
+        self.env = env
+        self._callbacks = None
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self.dst = dst
+        self.packet = packet
+        self.delay = delay
+        _ready(Event, env)._callbacks = self
+
+    def __call__(self, event: Event) -> None:
+        packet = event._value
+        if packet is None:
+            # Started: the packet rides the propagation timer.
+            packet, self.packet = self.packet, None
+            self.env.timeout(self.delay, packet)._callbacks = self
+        else:
+            self.dst._deliver(packet)
+            self.succeed()
+
 
 class Link:
     """A bidirectional link: two independent directed channels."""
@@ -100,8 +187,6 @@ class Link:
         self.a.peer, self.b.peer = self.b, self.a
         self.packets_carried = 0
         self.packets_dropped = 0
-        env.process(self._pump(self.a))
-        env.process(self._pump(self.b))
 
     def register_metrics(self, registry) -> None:
         """Expose this link's occupancy and carry/drop tallies."""
@@ -122,43 +207,3 @@ class Link:
         registry.register_callback(
             "repro_link_packets_total", lambda: self.packets_dropped,
             kind="counter", link=self.name, outcome="dropped")
-
-    def _pump(self, src: LinkEndpoint) -> Generator:
-        """Drain one direction: deliver after propagation, hold for
-        the serialization window."""
-        inbox = src.inbox
-        dst = src.peer
-        cfg = self.cfg
-        prop = cfg.ns.link_propagation
-        header = cfg.wire_header_bytes
-        per_byte = cfg.wire_ns_per_byte
-        while True:
-            # An idle direction holds no packet while it waits.
-            packet = outcomes = out_packet = None
-            packet: Packet = yield inbox.get()
-            serialization = round(packet.wire_bytes(header) * per_byte)
-            if self.injector is not None:
-                outcomes = self.injector.adjudicate(packet)
-            else:
-                outcomes = ((0, packet),)
-            # A dropped or corrupted packet crossed the wire before it
-            # was lost, so it occupies the serialization window like any
-            # other.  A duplicate is a single physical crossing
-            # adjudicated into two deliveries: it holds exactly one
-            # window (multiplying by the outcome count double-charged
-            # busy_ns versus actual wire time).
-            src.busy_ns += serialization
-            if not outcomes:
-                self.packets_dropped += 1
-                yield self.env.timeout(serialization)
-                continue
-            self.packets_carried += 1
-            for extra_delay, out_packet in outcomes:
-                self.env.process(
-                    self._deliver_after(dst, out_packet, prop + extra_delay))
-            yield self.env.timeout(serialization)
-
-    def _deliver_after(self, dst: LinkEndpoint, packet: Packet,
-                       delay: int) -> Generator:
-        yield self.env.timeout(delay)
-        dst._deliver(packet)

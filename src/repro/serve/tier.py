@@ -305,8 +305,7 @@ def run_serve(scfg: ServeConfig, rho: float,
             gate = window.admit()
             if gate is False:
                 continue          # open-loop shed (window.shed counted)
-            spawned.append(env.process(
-                request(arr, gate), name=f"req{slot}.{arr.req_index}"))
+            spawned.append(env.process(request(arr, gate)))
         if spawned:
             yield env.all_of(spawned)
         stop_vaddr = proc.alloc(HEADER_BYTES)

@@ -3,8 +3,10 @@
 This package is the foundation of the whole reproduction: every
 hardware component (CPU, PCI bus, DMA engine, NIC firmware processor,
 link, switch) and every software actor (user process, kernel, MCP
-firmware loop) runs as a :class:`Process` inside one
-:class:`Environment` with an integer-nanosecond virtual clock.
+firmware loop) runs inside one :class:`Environment` with an
+integer-nanosecond virtual clock, as a :class:`Process` or, on the
+packet path (link pumps and deliveries, switch forwarders, the MCP
+inject engine), as a callback stage that waits on the same events.
 
 The API is deliberately SimPy-like (``env.process``, ``env.timeout``,
 ``yield event``) so the protocol code upstairs reads like ordinary

@@ -20,9 +20,20 @@ loop is tuned:
   one does (a parked :class:`Process` itself, a condition's
   ``_check``, a :class:`Wake`), and a list only once a second waiter
   arrives; every site that adds, removes or runs callbacks handles both
-  shapes, and call order is attach order either way.  The public
-  :attr:`Event.callbacks` still returns a list (promoting a lone waiter
-  into one) and reads as ``None`` once the event is processed;
+  shapes, and call order is attach order either way; an interrupt that
+  takes one of two waiters off leaves the other as the lone callable.
+  The public :attr:`Event.callbacks` still returns a list (promoting a
+  lone waiter into one) and reads as ``None`` once the event is
+  processed;
+* the same protocol runs the model's packet path without processes.  A
+  link pump or delivery, a switch port's forwarder and an MCP inject
+  engine are *callback stages*: ``__slots__`` objects that are
+  callable, queue their own start event with :func:`_ready` when they
+  are built, and set themselves as the lone callback of each fresh
+  event they wait on next (``event._callbacks = self``).  A stage keeps
+  its state in slots instead of a suspended generator frame, and waits
+  on the events, in the order, that a process running the same loop
+  would, so the schedule is the same;
 * the event queue is a *calendar queue*: pending events live in
   per-instant buckets (plain lists in scheduling order) and only the
   set of **distinct** occupied timestamps sits in a binary heap.  An
@@ -425,7 +436,7 @@ class Process(Event):
     start event, on every event it yields and on an interrupt's hit, so
     a parked process costs no bound method.  An unnamed process stores
     no name: :attr:`name` reads the generator's ``__qualname__``
-    (``Link._pump``) when an error message asks for it.
+    (``Mcp._recv_engine``) when an error message asks for it.
     """
 
     __slots__ = ("generator", "_name", "_target", "is_alive")
@@ -472,7 +483,11 @@ class Process(Event):
         if type(cbs) is list:
             if self in cbs:
                 cbs.remove(self)
-                orphaned = not cbs
+                if len(cbs) < 2:
+                    # A list holds two or more waiters: go back to the
+                    # lone waiter itself, or to no waiter at all.
+                    target._callbacks = cbs[0] if cbs else None
+                    orphaned = not cbs
         elif cbs is self:
             target._callbacks = None
             orphaned = True

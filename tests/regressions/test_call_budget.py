@@ -56,11 +56,15 @@ BUDGET_PYTHON = (3, 11)
 #: loop no longer tests and appends every fired timer to a free pool)
 #: and a link endpoint's ``send`` put into its own inbox (no
 #: ``Link._enqueue`` call), they counted (13906, 6391, 2496),
-#: (189778, 75330, 36438) and (452860, 241523, 82179).
+#: (189778, 75330, 36438) and (452860, 241523, 82179).  Before link
+#: pumps, deliveries, switch forwarders and MCP inject engines became
+#: callback stages (one call per wakeup in place of a process resume
+#: and its generator's), they counted (13252, 6354, 2486),
+#: (178614, 74414, 36418) and (431769, 240153, 81801).
 BUDGETS = {
-    "bcl_one_way_0B": (13252, 6354, 2486),
-    "bcl_one_way_128KiB": (178614, 74414, 36418),
-    "host_barrier_16": (431769, 240153, 81801),
+    "bcl_one_way_0B": (12609, 6105, 2206),
+    "bcl_one_way_128KiB": (158424, 66780, 27884),
+    "host_barrier_16": (409158, 231560, 72184),
 }
 
 

@@ -15,8 +15,10 @@ and every simulated number are unchanged:
 * components and per-packet processes store no formatted name, and an
   event stores no scheduled flag;
 * the tracemalloc peak of a 256-rank fat-tree NIC barrier, build plus
-  run, fell from 13.12 MiB to 11.22 MiB, then to 9.85 MiB; the bound is
-  the latter with 5 % headroom;
+  run, fell from 13.12 MiB to 11.22 MiB, then to 9.85 MiB, then, once
+  link pumps, deliveries, switch forwarders and MCP inject engines
+  became callback stages with no generator frame, to 8.65 MiB; the
+  bound is the latter with 5 % headroom;
 * the page table keeps no per-page object and drops the leaves that
   alloc/free churn leaves behind, so the kernel-level socket layer's
   kernel buffer per datagram does not grow it.
@@ -38,8 +40,8 @@ from repro.upper.eadi import EadiEndpoint
 from repro.upper.job import run_spmd
 
 #: tracemalloc peak bound (MiB) of the 256-rank fat-tree NIC barrier:
-#: 9.85 MiB measured, plus 5 %
-PEAK_MIB_256 = 10.34
+#: 8.65 MiB measured, plus 5 %
+PEAK_MIB_256 = 9.08
 
 
 def test_slotted_classes_have_no_instance_dict():
@@ -105,7 +107,7 @@ def test_fat_tree_nic_barrier_peak_stays_bounded(monkeypatch):
     monkeypatch.delenv("REPRO_OBSERVERS", raising=False)
     # A line tracer (the coverage gate's ``sys.settrace`` fallback on
     # Python 3.11) gives every suspended generator a frame object: it
-    # adds 1.6 MiB here that the model does not own.  Measure the cell
+    # adds about 0.5 MiB here that the model does not own.  Measure the cell
     # with it suspended.
     tracer = sys.gettrace()
     sys.settrace(None)

@@ -11,7 +11,9 @@ switch port, link direction and MCP engine kept the last packet it
 handled in a generator local until the next one arrived, every drained
 store kept its item deque, and every completion queue held a deque of
 its own.  Each case below runs a cell with the cluster held and checks
-that none of this is left.
+that none of this is left: not in a callback stage's slots (switch
+forwarder, link pump, MCP inject engine) and not in the MCP receive
+engine's generator frame.
 """
 
 from __future__ import annotations
@@ -22,20 +24,21 @@ from types import GeneratorType
 
 from repro.bcl.events import CompletionQueue
 from repro.cluster import Cluster
-from repro.firmware.mcp import Mcp
+from repro.firmware.mcp import Mcp, _Injector
 from repro.firmware.packet import Packet
-from repro.hw.link import Link
-from repro.hw.switch import Switch
+from repro.hw.link import LinkEndpoint
+from repro.hw.switch import _Forwarder
 from repro.sim import Store
 from repro.upper.job import run_spmd
 
-#: generator code of the pipeline stages that block on a packet queue
+#: callback stages that block on a packet queue
 _STAGES = {
-    Switch._forwarder.__code__: "switch forwarder",
-    Link._pump.__code__: "link pump",
-    Mcp._inject_engine.__code__: "MCP inject engine",
-    Mcp._recv_engine.__code__: "MCP recv engine",
+    _Forwarder: "switch forwarder",
+    LinkEndpoint: "link pump",
+    _Injector: "MCP inject engine",
 }
+#: generator code of the one such stage that is still a process
+_ENGINES = {Mcp._recv_engine.__code__: "MCP recv engine"}
 
 
 def _barrier(ep):
@@ -69,21 +72,28 @@ def test_idle_fat_tree_holds_no_packets_or_deques():
     cluster.env.run()
     assert cluster.env.peek() is None
     gc.collect()
-    stages = {name: 0 for name in _STAGES.values()}
+    stages = {name: 0 for name in (*_STAGES.values(), *_ENGINES.values())}
     holding: list[str] = []
     stores = queues = 0
     bad_stores: list[int] = []
     bad_queues: list[str] = []
     for obj in gc.get_objects():
-        if isinstance(obj, GeneratorType):
+        if type(obj) in _STAGES:
+            stage = _STAGES[type(obj)]
+            stages[stage] += 1
+            held = [name for name in type(obj).__slots__
+                    if _holds_packet(getattr(obj, name))]
+            if held:
+                holding.append(f"{stage}: {held}")
+        elif isinstance(obj, GeneratorType):
             code = obj.gi_code
-            if code not in _STAGES or obj.gi_frame is None:
+            if code not in _ENGINES or obj.gi_frame is None:
                 continue
-            stages[_STAGES[code]] += 1
+            stages[_ENGINES[code]] += 1
             held = [name for name, value in obj.gi_frame.f_locals.items()
                     if _holds_packet(value)]
             if held:
-                holding.append(f"{_STAGES[code]}: {held}")
+                holding.append(f"{_ENGINES[code]}: {held}")
         elif isinstance(obj, Store):
             stores += 1
             if not len(obj) and isinstance(obj._items, deque):

@@ -203,6 +203,37 @@ def test_duplicate_copies_charge_one_window():
     assert link.a.busy_ns == one_window
 
 
+@pytest.mark.parametrize("plan,landed", [
+    (FaultPlan(drop_seqs=(0,)), [1]),
+    (FaultPlan(duplicate_rate=1.0), [0, 0, 1, 1]),
+], ids=["drop", "duplicate"])
+def test_faulted_packet_holds_its_direction_one_window(plan, landed):
+    """A dropped or duplicated packet holds the link direction for
+    exactly one serialization window: the packet queued behind it is
+    taken one window after it and lands one propagation delay later."""
+    from repro.hw.link import Link
+
+    env = Environment()
+    link = Link(env, DAWNING_3000, "L")
+    link.injector = FaultInjector(env, plan, link.name)
+    arrivals = []
+    link.b.attach(lambda pkt: arrivals.append((pkt.seq, env.now)))
+    first, second = data_packet(4096, seq=0), data_packet(256, seq=1)
+
+    def sender():
+        yield link.a.send(first)
+        yield link.a.send(second)
+
+    env.process(sender(), name="sender")
+    env.run(until=us(1000.0))
+    window = transfer_time_ns(
+        first.wire_bytes(DAWNING_3000.wire_header_bytes),
+        DAWNING_3000.wire_mb_s)
+    assert sorted(seq for seq, _ in arrivals) == landed
+    assert min(t for seq, t in arrivals if seq == 1) == \
+        window + DAWNING_3000.ns.link_propagation
+
+
 # ------------------------------------------------- end-to-end recovery
 def test_duplicated_data_never_delivered_twice():
     """Regression for the go-back-N duplicate-delivery exposure: with

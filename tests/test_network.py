@@ -106,6 +106,44 @@ def test_switch_dead_port_counts_route_error(env, cfg):
     assert sw.route_errors == 1
 
 
+def test_switch_keeps_forwarding_after_route_errors(env, cfg):
+    """A packet for a dead port and one with an empty route each count
+    a route error and are lost; the port's forwarder goes on serving
+    the packet queued behind them."""
+    sw = Switch(env, cfg, "sw", n_ports=4)
+    links = [Link(env, cfg, f"l{i}") for i in range(3)]
+    arrived = []
+    for i, link in enumerate(links):
+        sw.connect(i, link.b)
+        link.a.attach(arrived.append if i == 2 else (lambda pkt: None))
+
+    def sender():
+        yield links[0].a.send(data_packet(route=(3,)))  # port 3 unconnected
+        yield links[0].a.send(data_packet(route=()))
+        yield links[0].a.send(data_packet(route=(2,)))
+
+    env.process(sender())
+    env.run()
+    assert sw.route_errors == 2
+    assert sw.packets_forwarded == 1
+    assert [pkt.route for pkt in arrived] == [()]
+
+
+def test_packet_at_unattached_endpoint_raises_from_run(env, cfg):
+    """A packet reaching an endpoint nobody attached stops the run with
+    an error naming the endpoint, at the instant it lands."""
+    link = Link(env, cfg, "l")
+    link.a.attach(lambda pkt: None)
+
+    def sender():
+        yield link.a.send(data_packet(route=()))
+
+    env.process(sender())
+    with pytest.raises(RuntimeError, match=r"unattached endpoint l\.b"):
+        env.run()
+    assert env.now == us(cfg.link_propagation_us)
+
+
 def test_switch_rejects_double_connect(env, cfg):
     sw = Switch(env, cfg, "sw", n_ports=2)
     l1, l2 = Link(env, cfg, "a"), Link(env, cfg, "b")
